@@ -34,36 +34,45 @@ def _prod(factors) -> Morphism:
     return out
 
 
-def commutor(r: int, s: int, form: str = "left-nested", dom: CoeffDomain = GENERIC) -> Morphism:
-    """eta_{r,s} in End(r+s); both closed forms yield the same morphism."""
+def commutor(
+    r: int,
+    s: int,
+    form: str = "left-nested",
+    dom: CoeffDomain = GENERIC,
+    dilute: bool = False,
+) -> Morphism:
+    """eta_{r,s} in End(r+s) for ordinary or dilute strands; both closed
+    forms yield the same morphism."""
     n = r + s
     if r == 0 or s == 0:
-        return identity(n, dom=dom)
+        return identity(n, dilute, dom)
     factors = []
     if form == "left-nested":
         # prod_{i=1}^{s} ( prod_{j=r-1}^{0} t_{i+j} )
         for i in range(1, s + 1):
             for j in range(r - 1, -1, -1):
-                factors.append(t(i + j, n, dom))
+                factors.append(t(i + j, n, dom, dilute))
     elif form == "right-nested":
         # prod_{i=r}^{1} ( prod_{j=0}^{s-1} t_{i+j} )
         for i in range(r, 0, -1):
             for j in range(0, s):
-                factors.append(t(i + j, n, dom))
+                factors.append(t(i + j, n, dom, dilute))
     else:
         raise ValueError(f"unknown commutor form {form!r}")
     return _prod(factors)
 
 
-def commutor_inverse(r: int, s: int, dom: CoeffDomain = GENERIC) -> Morphism:
+def commutor_inverse(
+    r: int, s: int, dom: CoeffDomain = GENERIC, dilute: bool = False
+) -> Morphism:
     """Structural inverse: the reversed product of inverse crossings."""
     n = r + s
     if r == 0 or s == 0:
-        return identity(n, dom=dom)
+        return identity(n, dilute, dom)
     factors = []
     for i in range(1, s + 1):
         for j in range(r - 1, -1, -1):
-            factors.append(t_inv(i + j, n, dom))
+            factors.append(t_inv(i + j, n, dom, dilute))
     return _prod(list(reversed(factors)))
 
 

@@ -7,7 +7,6 @@ modulo the N-th cyclotomic polynomial, so the stored degree is always
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 __all__ = ["CycloField", "CycloElement", "cyclotomic_polynomial"]
@@ -258,10 +257,6 @@ class CycloElement:
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         return NotImplemented
-
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.field.N)
-        return sum(complex(c) * z**i for i, c in enumerate(self.coeffs))
 
     def __str__(self):
         if self.is_zero():

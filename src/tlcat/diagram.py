@@ -18,11 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-try:  # compiled kernel if built, pure Python twin otherwise
-    from ._kernel_cy import compose_links, KERNEL  # type: ignore
-except ImportError:  # pragma: no cover
-    from ._kernel_py import compose_links, KERNEL
-
 __all__ = [
     "Diagram",
     "ComposeOutcome",
@@ -31,10 +26,15 @@ __all__ = [
     "cup_diagram",
     "cap_diagram",
     "e_diagram",
+    "dilute_diagram",
+    "DILUTE_END2_NAMES",
     "enumerate_diagrams",
-    "factor_through_lines",
+    "compose_links",
     "KERNEL",
 ]
+
+# the composition kernel in use (pure Python; reported in benchmark output)
+KERNEL = "python"
 
 
 class InterfaceMismatch(ValueError):
@@ -217,6 +217,83 @@ class ComposeOutcome:
         return f"ComposeOutcome({self.diagram!r}, loops={self.loops})"
 
 
+# ---------------------------------------------------------------------------
+# the composition kernel
+#
+# A link table encodes a pairing on the boundary nodes 0..(dst+src-1):
+# link[i] is the partner of node i, or -1 for a vacancy (dilute only).
+
+
+def compose_links(kdst: int, mid: int, nsrc: int, c_link: tuple, b_link: tuple):
+    """Glue c in Hom(mid, kdst) onto b in Hom(nsrc, mid).
+
+    c's right column runs bottom to top, b's left column top to bottom, so
+    middle height r joins c node kdst+r with b node mid-1-r.
+
+    Returns (result_link tuple or None, loop count, annihilated flag).
+    """
+    # a string end meeting a vacancy kills the whole composite
+    for r in range(mid):
+        if (c_link[kdst + r] >= 0) != (b_link[mid - 1 - r] >= 0):
+            return None, 0, True
+
+    total = kdst + nsrc
+    out = [-2] * total
+    seen_c = [False] * mid  # middle junctions visited from the boundary
+
+    for start in range(total):
+        if out[start] != -2:
+            continue
+        if start < kdst:
+            side, node = 0, start  # side 0 = c, 1 = b
+        else:
+            side, node = 1, mid + (start - kdst)
+        while True:
+            partner = c_link[node] if side == 0 else b_link[node]
+            if partner < 0:
+                out[start] = -1
+                break
+            if side == 0:
+                if partner < kdst:
+                    out[start] = partner
+                    out[partner] = start
+                    break
+                r = partner - kdst
+                seen_c[r] = True
+                side, node = 1, mid - 1 - r
+            else:
+                if partner >= mid:
+                    end = kdst + (partner - mid)
+                    out[start] = end
+                    out[end] = start
+                    break
+                r = mid - 1 - partner
+                seen_c[r] = True
+                side, node = 0, kdst + r
+
+    loops = 0
+    for r0 in range(mid):
+        if seen_c[r0] or c_link[kdst + r0] < 0:
+            continue
+        r = r0
+        side = 0
+        node = kdst + r0
+        while True:
+            partner = c_link[node] if side == 0 else b_link[node]
+            if side == 0:
+                r = partner - kdst
+                seen_c[r] = True
+                side, node = 1, mid - 1 - r
+            else:
+                r = mid - 1 - partner
+                if seen_c[r]:
+                    loops += 1
+                    break
+                seen_c[r] = True
+                side, node = 0, kdst + r
+    return tuple(out), loops, False
+
+
 @lru_cache(maxsize=1 << 18)
 def _compose_cached(kdst, mid, nsrc, c_link, b_link):
     return compose_links(kdst, mid, nsrc, c_link, b_link)
@@ -251,6 +328,28 @@ def e_diagram(i: int, n: int, dilute: bool = False) -> Diagram:
     ra, rb = 2 * n - 1 - a, 2 * n - 1 - b
     link[ra], link[rb] = rb, ra
     return Diagram(n, n, tuple(link), dilute)
+
+
+# The nine diagrams of the dilute End(2).  Left nodes are 1 (top) and
+# 2 (bottom); right nodes are 3 (bottom) and 4 (top).
+_END2_PAIRS = {
+    "parallel": ((1, 4), (2, 3)),
+    "cupcap": ((1, 2), (3, 4)),
+    "diag-down": ((1, 3),),
+    "diag-up": ((2, 4),),
+    "top-line": ((1, 4),),
+    "bottom-line": ((2, 3),),
+    "left-cup": ((1, 2),),
+    "right-cap": ((3, 4),),
+    "vacant": (),
+}
+
+DILUTE_END2_NAMES = tuple(_END2_PAIRS)
+
+
+def dilute_diagram(name: str) -> Diagram:
+    """One of the nine dilute End(2) diagrams, by name."""
+    return Diagram.from_pairs(2, 2, _END2_PAIRS[name], dilute=True)
 
 
 # ---------------------------------------------------------------------------
@@ -300,73 +399,3 @@ def enumerate_diagrams(n: int, m: int, dilute: bool = False, through=None) -> li
             emit(match)
     out.sort(key=Diagram.key)
     return out
-
-
-# ---------------------------------------------------------------------------
-# through-line factorization
-
-
-def _half_diagrams(c: Diagram) -> tuple:
-    """Split c into its left half in Hom(k,m) and right half in Hom(n,k)."""
-    m, n, k = c.dst, c.src, c.through
-    lefts = sorted(i for i, j in enumerate(c.link) if i < m <= j)
-    rights = sorted(c.link[i] for i in lefts)  # ascending node = ascending height
-    hl = [-1] * (m + k)
-    hr = [-1] * (n + k)
-    for i, j in enumerate(c.link):
-        if j < i:
-            continue
-        if j < m:  # left arc
-            hl[i] = j
-            hl[j] = i
-        elif i >= m:  # right arc
-            hr[i - m + k] = j - m + k
-            hr[j - m + k] = i - m + k
-    # planar through lines never cross: the pos-th through line from the top
-    # on the left meets the pos-th from the top on the right (right-column
-    # node indices run bottom up, so the topmost slot is the largest index)
-    for pos, i in enumerate(lefts):
-        hl[i] = m + k - 1 - pos
-        hl[m + k - 1 - pos] = i
-    for pos, j in enumerate(sorted(rights, reverse=True)):
-        hr[pos] = k + (j - m)
-        hr[k + (j - m)] = pos
-    return (
-        Diagram(m, k, tuple(hl), c.dilute),
-        k,
-        Diagram(k, n, tuple(hr), c.dilute),
-    )
-
-
-def _cup_block(k: int, p: int) -> Diagram:
-    """1_k tensor z^{tensor p} in Hom(k, k+2p)."""
-    d = identity_diagram(k)
-    for _ in range(p):
-        d = d.tensor(cup_diagram())
-    return d
-
-
-def factor_through_lines(c: Diagram):
-    """Write c = a o (1_k (x) z^{(x)p}) o (1_k (x) (z^t)^{(x)p'}) o b with
-    a in End(dst), b in End(src) and zero loops; k is the through-line count."""
-    if c.dilute:
-        raise ValueError("factorization is defined for ordinary diagrams")
-    h_left, k, h_right = _half_diagrams(c)
-    m, n = c.dst, c.src
-    w = _cup_block(k, (m - k) // 2)
-    a = None
-    for cand in enumerate_diagrams(m, m):
-        res = cand.compose(w)
-        if res.loops == 0 and res.diagram == h_left:
-            a = cand
-            break
-    v = _cup_block(k, (n - k) // 2).transpose()
-    b = None
-    for cand in enumerate_diagrams(n, n):
-        res = v.compose(cand)
-        if res.loops == 0 and res.diagram == h_right:
-            b = cand
-            break
-    if a is None or b is None:
-        raise AssertionError("factorization search failed; planarity bug")
-    return a, k, b

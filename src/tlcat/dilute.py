@@ -1,21 +1,29 @@
 """Braiding for the dilute diagram family.
 
-The elementary two-strand braiding is a five-diagram morphism in the
-dilute End(2); its coefficients are forced, up to sign choices, by
+The elementary two-strand braiding is the five-diagram morphism
+dilute_eta11 in the dilute End(2) (defined with the other generators in
+morphism); its coefficients are forced, up to sign choices, by
 requiring that occupied and vacant strand patterns transport through it.
 Everything else - the crossings t_i, the block interchange eta_{r,s} and
-its inverse - is built from that element exactly as in the ordinary
-family, with the dilute identity (a sum over occupation patterns) taking
-the place of the ordinary identity strand.
+its inverse - is the ordinary construction called with dilute=True: the
+same crossing words, with the dilute identity (a sum over occupation
+patterns) in place of the ordinary identity strand.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
-from .diagram import Diagram, enumerate_diagrams
-from .morphism import CoeffDomain, GENERIC, Morphism, dilute_identity
+from .braid import commutor, commutor_inverse
+from .diagram import DILUTE_END2_NAMES, Diagram, dilute_diagram, enumerate_diagrams
+from .morphism import (
+    CoeffDomain,
+    GENERIC,
+    Morphism,
+    dilute_eta11,
+    dilute_eta11_inverse,
+    dilute_identity,
+)
 from .report import VerificationReport
 
 __all__ = [
@@ -23,131 +31,16 @@ __all__ = [
     "DILUTE_END2_NAMES",
     "dilute_eta11",
     "dilute_eta11_inverse",
-    "dilute_t",
-    "dilute_t_inv",
     "dilute_commutor",
-    "dilute_commutor_inverse",
     "verify_dilute_braiding",
 ]
-
-# The nine diagrams of the dilute End(2).  Left nodes are 1 (top) and
-# 2 (bottom); right nodes are 3 (bottom) and 4 (top).
-_END2_PAIRS = {
-    "parallel": ((1, 4), (2, 3)),
-    "cupcap": ((1, 2), (3, 4)),
-    "diag-down": ((1, 3),),
-    "diag-up": ((2, 4),),
-    "top-line": ((1, 4),),
-    "bottom-line": ((2, 3),),
-    "left-cup": ((1, 2),),
-    "right-cap": ((3, 4),),
-    "vacant": (),
-}
-
-DILUTE_END2_NAMES = tuple(_END2_PAIRS)
-
-
-def dilute_diagram(name: str) -> Diagram:
-    """One of the nine dilute End(2) diagrams, by name."""
-    return Diagram.from_pairs(2, 2, _END2_PAIRS[name], dilute=True)
-
-
-def _named(dom: CoeffDomain, **coeffs) -> Morphism:
-    terms = {dilute_diagram(k): c for k, c in coeffs.items() if c}
-    return Morphism(2, 2, terms, dilute=True, dom=dom)
-
-
-def dilute_eta11(dom: CoeffDomain = GENERIC) -> Morphism:
-    """The elementary dilute braiding:
-    q^{1/2} parallel + q^{-1/2} cup-cap + both diagonals + all-vacant."""
-    one = dom.one
-    return _named(
-        dom,
-        **{
-            "parallel": dom.s_power(2),
-            "cupcap": dom.s_power(-2),
-            "diag-down": one,
-            "diag-up": one,
-            "vacant": one,
-        },
-    )
-
-
-def dilute_eta11_inverse(dom: CoeffDomain = GENERIC) -> Morphism:
-    one = dom.one
-    return _named(
-        dom,
-        **{
-            "parallel": dom.s_power(-2),
-            "cupcap": dom.s_power(2),
-            "diag-down": one,
-            "diag-up": one,
-            "vacant": one,
-        },
-    )
-
-
-def dilute_t(i: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    """Crossing of dilute strands i, i+1 inside End(n)."""
-    if not 1 <= i < n:
-        raise ValueError(f"strand index {i} out of range for {n} strands")
-    out = dilute_eta11(dom)
-    if i > 1:
-        out = dilute_identity(i - 1, dom).tensor(out)
-    if i + 1 < n:
-        out = out.tensor(dilute_identity(n - i - 1, dom))
-    return out
-
-
-def dilute_t_inv(i: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    if not 1 <= i < n:
-        raise ValueError(f"strand index {i} out of range for {n} strands")
-    out = dilute_eta11_inverse(dom)
-    if i > 1:
-        out = dilute_identity(i - 1, dom).tensor(out)
-    if i + 1 < n:
-        out = out.tensor(dilute_identity(n - i - 1, dom))
-    return out
-
-
-def _prod(factors) -> Morphism:
-    out = None
-    for f in factors:
-        out = f if out is None else f.compose(out)
-    return out
 
 
 def dilute_commutor(
     r: int, s: int, form: str = "left-nested", dom: CoeffDomain = GENERIC
 ) -> Morphism:
-    """eta_{r,s} for dilute strands, same crossing products as the
-    ordinary family."""
-    n = r + s
-    if r == 0 or s == 0:
-        return dilute_identity(n, dom)
-    factors = []
-    if form == "left-nested":
-        for i in range(1, s + 1):
-            for j in range(r - 1, -1, -1):
-                factors.append(dilute_t(i + j, n, dom))
-    elif form == "right-nested":
-        for i in range(r, 0, -1):
-            for j in range(0, s):
-                factors.append(dilute_t(i + j, n, dom))
-    else:
-        raise ValueError(f"unknown commutor form {form!r}")
-    return _prod(factors)
-
-
-def dilute_commutor_inverse(r: int, s: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    n = r + s
-    if r == 0 or s == 0:
-        return dilute_identity(n, dom)
-    factors = []
-    for i in range(1, s + 1):
-        for j in range(r - 1, -1, -1):
-            factors.append(dilute_t_inv(i + j, n, dom))
-    return _prod(list(reversed(factors)))
+    """eta_{r,s} for dilute strands: commutor(r, s, form, dom, dilute=True)."""
+    return commutor(r, s, form, dom, dilute=True)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +148,7 @@ def verify_dilute_braiding(
                 "inverse",
                 {"r": r, "s": s},
                 dilute_commutor(r, s, dom=dom).compose(
-                    dilute_commutor_inverse(r, s, dom)
+                    commutor_inverse(r, s, dom, dilute=True)
                 ),
                 dilute_identity(r + s, dom),
             )

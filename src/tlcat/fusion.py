@@ -156,28 +156,15 @@ class FusedModule:
                 out[self._free_pos[j]] = c
         return out
 
-    def _column_for_left(self, h: Morphism, f_idx: int) -> list:
-        """Residue of h acting on the f_idx-th free basis vector."""
+    def _column(self, h: Morphism, f_idx: int, side: str) -> list:
+        """Residue of h acting on the f_idx-th free basis vector, composed
+        onto its diagram leg from the left (side 'left') or the right."""
         di, rem = divmod(f_idx, self.dl * self.dr)
         xi, yi = divmod(rem, self.dr)
         d = self.diagrams[di]
         vec: dict = {}
         for hd, hc in h.terms.items():
-            res = hd.compose(d)
-            c = hc
-            if res.loops:
-                c = c * self.dom.beta_power(res.loops)
-            k = self._ri(self._dindex[res.diagram], xi, yi)
-            vec[k] = vec.get(k, self.dom.zero) + c
-        return self._reduce(vec)
-
-    def _column_for_right(self, h: Morphism, f_idx: int) -> list:
-        di, rem = divmod(f_idx, self.dl * self.dr)
-        xi, yi = divmod(rem, self.dr)
-        d = self.diagrams[di]
-        vec: dict = {}
-        for hd, hc in h.terms.items():
-            res = d.compose(hd)
+            res = hd.compose(d) if side == "left" else d.compose(hd)
             c = hc
             if res.loops:
                 c = c * self.dom.beta_power(res.loops)
@@ -193,7 +180,7 @@ class FusedModule:
         """Matrix of the induced left TL_{m+n} action of h on the quotient."""
         if h.dst != self.N or h.src != self.N:
             raise ValueError("action morphism must live in End(m+n)")
-        return self._matrix(lambda f: self._column_for_left(h, f))
+        return self._matrix(lambda f: self._column(h, f, "left"))
 
     def monodromy_matrix(self, route: str = "braiding") -> list:
         """The double braiding on the fused module.
@@ -208,7 +195,7 @@ class FusedModule:
             w = commutor(self.n, self.m, dom=dom).compose(
                 commutor(self.m, self.n, dom=dom)
             )
-            return self._matrix(lambda f: self._column_for_right(w, f))
+            return self._matrix(lambda f: self._column(w, f, "right"))
         if route == "twist":
             c_big = twist_element(self.N, dom)
             inv_l = twist_inverse(self.m, dom)

@@ -1,6 +1,6 @@
 """Exact dense linear algebra over any field-like coefficient type.
 
-Works for Fraction, gmpy2.mpq, cyclotomic elements and symbolic Scalars:
+Works for Fraction, cyclotomic elements and symbolic Scalars:
 elements must support +, -, *, truthiness for zero-testing, and division
 (through __truediv__ or an .inv() method).
 """
@@ -15,7 +15,6 @@ __all__ = [
     "mat_mul",
     "mat_identity",
     "mat_sub",
-    "mat_pow_ranks",
 ]
 
 
@@ -150,14 +149,3 @@ def mat_mul(a: list, b: list) -> list:
 
 def mat_sub(a: list, b: list) -> list:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_pow_ranks(m: list, upto: int) -> list:
-    """[rank(m^0), rank(m^1), ..., rank(m^upto)]."""
-    n = len(m)
-    ranks = [n]
-    cur = m
-    for _ in range(upto):
-        ranks.append(rank(cur, n))
-        cur = mat_mul(cur, m)
-    return ranks

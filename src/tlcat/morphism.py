@@ -18,10 +18,11 @@ from .diagram import (
     InterfaceMismatch,
     cap_diagram,
     cup_diagram,
+    dilute_diagram,
     e_diagram,
     identity_diagram,
 )
-from .scalar import ONE, ZERO, Scalar, Specialization, parse_scalar
+from .scalar import Scalar, Specialization, parse_scalar
 
 __all__ = [
     "CoeffDomain",
@@ -37,6 +38,10 @@ __all__ = [
     "big_cup",
     "big_cap",
     "dilute_identity",
+    "dilute_end2",
+    "dilute_eta11",
+    "dilute_eta11_inverse",
+    "on_strands",
     "parse_morphism",
 ]
 
@@ -51,21 +56,13 @@ class CoeffDomain:
         if spec.kind == "generic":
             self._spow = Scalar.s_power
         elif spec.kind == "rational":
-            try:
-                from gmpy2 import mpq
-            except ImportError:
-                mpq = Fraction
-            s0 = mpq(spec.s0.numerator, spec.s0.denominator)
+            s0 = spec.s0
             self._spow = lambda k: s0**k
-        elif spec.kind == "cyclotomic":
+        else:
             from .cyclotomic import CycloField
 
             field = CycloField(spec.N)
             self._spow = lambda k: field.zeta(spec.a * k)
-        else:
-            raise ValueError(
-                "complex specializations are for reporting, not morphism arithmetic"
-            )
         self.one = self._spow(0)
         self.zero = self.one - self.one
         self.beta = -self._spow(4) - self._spow(-4)
@@ -377,8 +374,24 @@ def e(i: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return Morphism.from_diagram(e_diagram(i, n), dom)
 
 
-def t(i: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    """Elementary crossing q^(1/2) (1_n + q^(-1) e_i)."""
+def on_strands(local: Morphism, i: int, n: int) -> Morphism:
+    """The End(2) morphism local placed on strands i, i+1 of n, with the
+    identity of its own strand family on the other strands."""
+    if not 1 <= i < n:
+        raise ValueError(f"strand index {i} out of range for {n} strands")
+    out = local
+    if i > 1:
+        out = identity(i - 1, local.dilute, local.dom).tensor(out)
+    if i + 1 < n:
+        out = out.tensor(identity(n - i - 1, local.dilute, local.dom))
+    return out
+
+
+def t(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> Morphism:
+    """Elementary crossing q^(1/2) (1_n + q^(-1) e_i); on dilute strands,
+    the five-diagram eta_{1,1} on strands i, i+1."""
+    if dilute:
+        return on_strands(dilute_eta11(dom), i, n)
     terms = {
         identity_diagram(n): dom.s_power(2),
         e_diagram(i, n): dom.s_power(-2),
@@ -386,8 +399,11 @@ def t(i: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return Morphism(n, n, terms, False, dom, _clean=True)
 
 
-def t_inv(i: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    """Inverse crossing q^(-1/2) (1_n + q e_i)."""
+def t_inv(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> Morphism:
+    """Inverse crossing q^(-1/2) (1_n + q e_i); on dilute strands, the
+    inverse of eta_{1,1} on strands i, i+1."""
+    if dilute:
+        return on_strands(dilute_eta11_inverse(dom), i, n)
     terms = {
         identity_diagram(n): dom.s_power(-2),
         e_diagram(i, n): dom.s_power(2),
@@ -426,3 +442,34 @@ def dilute_identity(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
                 link[2 * n - 1 - i] = i
         terms[Diagram(n, n, tuple(link), True)] = dom.one
     return Morphism(n, n, terms, True, dom, _clean=True)
+
+
+def dilute_end2(coeffs: dict, dom: CoeffDomain = GENERIC) -> Morphism:
+    """The dilute End(2) morphism with coefficient coeffs[name] on the
+    diagram dilute_diagram(name)."""
+    terms = {dilute_diagram(name): c for name, c in coeffs.items()}
+    return Morphism(2, 2, terms, True, dom)
+
+
+def dilute_eta11(dom: CoeffDomain = GENERIC) -> Morphism:
+    """The elementary dilute braiding:
+    q^{1/2} parallel + q^{-1/2} cup-cap + both diagonals + all-vacant."""
+    one = dom.one
+    return dilute_end2({
+        "parallel": dom.s_power(2),
+        "cupcap": dom.s_power(-2),
+        "diag-down": one,
+        "diag-up": one,
+        "vacant": one,
+    }, dom)
+
+
+def dilute_eta11_inverse(dom: CoeffDomain = GENERIC) -> Morphism:
+    one = dom.one
+    return dilute_end2({
+        "parallel": dom.s_power(-2),
+        "cupcap": dom.s_power(2),
+        "diag-down": one,
+        "diag-up": one,
+        "vacant": one,
+    }, dom)

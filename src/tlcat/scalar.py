@@ -370,34 +370,7 @@ class Scalar:
                     f"denominator vanishes at s = zeta_{sp.N}^{sp.a}"
                 )
             return numv * denv.inv()
-        if sp.kind == "complex":
-            s0 = complex(sp.s0)
-            numv = 0j
-            for key, c in self.num.items():
-                numv += complex(c) * s0 ** key[0]
-            denv = 0j
-            for e, c in self.den.items():
-                denv += complex(c) * s0**e
-            if denv == 0:
-                raise PoleAtSpecialization("denominator vanishes at s0")
-            return numv / denv
         raise ValueError(f"unknown specialization kind {sp.kind!r}")
-
-    # -- degree information (for identity testing point counts) --------------
-
-    def s_degree_span(self) -> tuple[int, int]:
-        """(min, max) s-exponent over numerator minus denominator degree."""
-        if not self.num:
-            return (0, 0)
-        lo = min(k[0] for k in self.num)
-        hi = max(k[0] for k in self.num)
-        return (lo - max(self.den), hi)
-
-    def var_degree_span(self, name: str) -> tuple[int, int]:
-        if not self.num:
-            return (0, 0)
-        i = VARS.index(name)
-        return (min(k[i] for k in self.num), max(k[i] for k in self.num))
 
     # -- text form ------------------------------------------------------------
 
@@ -570,8 +543,6 @@ class Specialization:
       generic           keep everything symbolic in s
       cyclotomic(N, a)  s -> zeta_N^a, exact arithmetic in Q(zeta_N)
       rational(s0)      s -> a rational number, exact Fractions
-      complex(s0)       s -> a complex float (reporting only, never used
-                        in the verification path)
     """
 
     kind: str
@@ -580,7 +551,7 @@ class Specialization:
     s0: object = None
 
     def __post_init__(self):
-        if self.kind not in ("generic", "cyclotomic", "rational", "complex"):
+        if self.kind not in ("generic", "cyclotomic", "rational"):
             raise ValueError(f"unknown specialization kind {self.kind!r}")
         if self.kind == "cyclotomic" and self.N < 1:
             raise ValueError("cyclotomic order must be positive")
@@ -596,10 +567,6 @@ class Specialization:
     @staticmethod
     def rational(s0) -> "Specialization":
         return Specialization("rational", s0=Fraction(s0))
-
-    @staticmethod
-    def complex_point(s0) -> "Specialization":
-        return Specialization("complex", s0=complex(s0))
 
     @staticmethod
     def parse(text: str) -> "Specialization":
@@ -622,6 +589,4 @@ class Specialization:
             return "generic"
         if self.kind == "cyclotomic":
             return f"cyclotomic(N={self.N}, s=zeta^{self.a})"
-        if self.kind == "rational":
-            return f"rational(s={self.s0})"
-        return f"complex(s={self.s0})"
+        return f"rational(s={self.s0})"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 
 from .diagram import Diagram, enumerate_diagrams
-from .linalg import nullspace, rref
+from .linalg import nullspace
 from .morphism import GENERIC, CoeffDomain, Morphism, big_cap, big_cup, domain_for, e, identity
 from .report import VerificationReport
 from .scalar import PoleAtSpecialization, Specialization
@@ -59,14 +59,17 @@ class StandardModule:
         return len(self.basis)
 
     def act_on_element(self, f: Morphism, v: Diagram) -> dict:
-        """Column of act(f) at basis element v, as index -> coefficient."""
+        """Column of f acting on the diagram v, as index in this module's
+        basis -> coefficient.  Terms that lose through lines are dropped
+        when the module has a through-line count k (k is None for the
+        regular module, which keeps every term)."""
         out: dict = {}
         for d, c in f.terms.items():
             res = Diagram.compose(d, v)
             if res.annihilated:
                 continue
             img = res.diagram
-            if img.through != self.k:
+            if self.k is not None and img.through != self.k:
                 continue
             coeff = c
             if res.loops:
@@ -98,23 +101,7 @@ class RegularModule:
     def dim(self) -> int:
         return len(self.basis)
 
-    def act_on_element(self, f: Morphism, v: Diagram) -> dict:
-        out: dict = {}
-        for d, c in f.terms.items():
-            res = Diagram.compose(d, v)
-            if res.annihilated:
-                continue
-            coeff = c
-            if res.loops:
-                coeff = coeff * self.dom.beta_power(res.loops)
-            idx = self._index[res.diagram]
-            prev = out.get(idx)
-            prev = coeff if prev is None else prev + coeff
-            if prev:
-                out[idx] = prev
-            elif idx in out:
-                del out[idx]
-        return out
+    act_on_element = StandardModule.act_on_element
 
     def __repr__(self):
         return f"RegularModule(End({self.n}), dim={self.dim})"
@@ -131,20 +118,7 @@ def act(f: Morphism, module: StandardModule):
     zero = module.dom.zero
     mat = [[zero] * module.dim for _ in range(target.dim)]
     for j, v in enumerate(module.basis):
-        col: dict = {}
-        for d, c in f.terms.items():
-            res = Diagram.compose(d, v)
-            if res.annihilated:
-                continue
-            img = res.diagram
-            if img.through != module.k:
-                continue
-            coeff = c
-            if res.loops:
-                coeff = coeff * module.dom.beta_power(res.loops)
-            i = target._index[img]
-            col[i] = col.get(i, zero) + coeff
-        for i, coeff in col.items():
+        for i, coeff in target.act_on_element(f, v).items():
             mat[i][j] = coeff
     return mat
 

@@ -8,8 +8,6 @@ module eigenvalues gamma_{n,k} = q^{k(k+2)/2} are all checked mechanically.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .braid import commutor
 from .diagram import enumerate_diagrams
 from .linalg import det
@@ -32,41 +30,36 @@ __all__ = [
     "verify_centrality",
     "verify_twist_axiom",
     "verify_cyclic_lemma",
-    "twist_naturality_check",
     "verify_gamma_consistency",
     "verify_det_t1",
     "verify_twist_suite",
 ]
 
 
+def _word(n: int, indices, crossing, dom: CoeffDomain) -> Morphism:
+    """crossing(i_1) crossing(i_2) ... in End(n), leftmost factor first."""
+    out = identity(n, dom=dom)
+    for i in indices:
+        out = out.compose(crossing(i, n, dom))
+    return out
+
+
 def rho(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """t_1 t_2 ... t_{n-1} (leftmost factor t_1)."""
-    out = identity(n, dom=dom)
-    for i in range(1, n):
-        out = out.compose(t(i, n, dom))
-    return out
+    return _word(n, range(1, n), t, dom)
 
 
 def lam(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """t_{n-1} ... t_2 t_1."""
-    out = identity(n, dom=dom)
-    for i in range(n - 1, 0, -1):
-        out = out.compose(t(i, n, dom))
-    return out
+    return _word(n, range(n - 1, 0, -1), t, dom)
 
 
 def rho_inv(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    out = identity(n, dom=dom)
-    for i in range(n - 1, 0, -1):
-        out = out.compose(t_inv(i, n, dom))
-    return out
+    return _word(n, range(n - 1, 0, -1), t_inv, dom)
 
 
 def lam_inv(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    out = identity(n, dom=dom)
-    for i in range(1, n):
-        out = out.compose(t_inv(i, n, dom))
-    return out
+    return _word(n, range(1, n), t_inv, dom)
 
 
 def twist_element(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
@@ -182,20 +175,6 @@ def verify_cyclic_lemma(n: int, dom: CoeffDomain = GENERIC) -> VerificationRepor
         rep.check("e_n e_{n-1} e_n = e_n", {"n": n}, e_n.compose(em1).compose(e_n), e_n)
         rep.check("e_1 e_0 e_1 = e_1", {"n": n}, e1.compose(e_0).compose(e1), e1)
         rep.check("e_0 e_1 e_0 = e_0", {"n": n}, e_0.compose(e1).compose(e_0), e_0)
-    return rep
-
-
-def twist_naturality_check(f: Morphism) -> VerificationReport:
-    rep = VerificationReport("twist.naturality")
-    dom = f.dom
-    lhs = twist_element(f.dst, dom).compose(f)
-    rhs = f.compose(twist_element(f.src, dom))
-    rep.check(
-        "theta_dst f = f theta_src",
-        {"dst": f.dst, "src": f.src, "f": f.to_text()},
-        lhs,
-        rhs,
-    )
     return rep
 
 

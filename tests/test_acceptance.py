@@ -124,8 +124,7 @@ def test_criterion_7_integrability():
         - Scalar.var_power("u", 2) - Scalar.var_power("u", -2)
     rep.add("inversion residual ((q^2+q^-2)-(u^2+u^-2)) 1", {},
             x("u") * x("1/u") == identity(2).scale(rho))
-    # transfer-matrix commutation up to n = 4 (n = 4 by exact
-    # polynomial-identity testing at more points than the degree bound)
+    # transfer-matrix commutation up to n = 4, computed symbolically
     rep.extend(verify_transfer_commute(4))
     _finish("criterion 7 (integrability)", 600, t0, rep.ok,
             f"{rep.n_pass}/{len(rep.cases)} checks")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report files, byte stability."""
 
+import hashlib
 import json
 import os
 
@@ -48,6 +49,26 @@ def test_verify_byte_stable(capsys, tmp_path):
                          "--seed", "7", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `tlcat verify SUITE --max-n 3 --seed 0`: refactors must keep
+# every report byte for byte
+GOLDEN_REPORTS = {
+    "braid": "af7a384639bef07648d83b11c8d50dde7ce8be918901e5e450c61e9365dafd33",
+    "twist": "4e911658b6f00ac0e8feba1a2a5077325c5a13c53944b43c15155f19ff8fe3ed",
+    "repr": "8d6d338e52ded9ed65aef85e5b5278249229bf644ae1cf449b6881cf840bb0dd",
+    "dilute": "cd0c2662e47f71028a3e779f60c5a6105be14b8d7e1115db6cd18bf70a449f66",
+    "integrable": "ebd1eaf9c5bf355c857e7c92224063b35094a32775b5fffdc950f8276ee66d07",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_REPORTS))
+def test_verify_report_bytes_are_golden(capsys, tmp_path, suite):
+    out = tmp_path / f"{suite}.json"
+    code, _, _ = run(capsys, "verify", suite, "--max-n", "3", "--seed", "0",
+                     "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORTS[suite]
 
 
 def test_verify_failure_exit_code_and_report(capsys, tmp_path, monkeypatch):

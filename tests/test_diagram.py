@@ -1,4 +1,4 @@
-"""Diagram enumeration, composition, and the two composition kernels."""
+"""Diagram enumeration and composition."""
 
 import math
 import random
@@ -6,13 +6,11 @@ from itertools import combinations
 
 import pytest
 
-from tlcat._kernel_py import compose_links as compose_py
 from tlcat.diagram import (
     Diagram,
     InterfaceMismatch,
     e_diagram,
     enumerate_diagrams,
-    factor_through_lines,
     identity_diagram,
 )
 
@@ -154,42 +152,8 @@ def test_text_round_trip():
                     assert Diagram.from_text(d.to_text()) == d
 
 
-def test_kernels_agree():
-    try:
-        from tlcat._kernel_cy import compose_links as compose_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(11)
-    for dilute in (False, True):
-        for _ in range(200):
-            k, mid, n = rng.choice([0, 1, 2, 3]), rng.choice([1, 2, 3]), \
-                rng.choice([0, 1, 2, 3])
-            cs = enumerate_diagrams(mid, k, dilute=dilute)
-            bs = enumerate_diagrams(n, mid, dilute=dilute)
-            if not cs or not bs:
-                continue
-            c, b = rng.choice(cs), rng.choice(bs)
-            assert compose_py(k, mid, n, c.link, b.link) == \
-                compose_cy(k, mid, n, c.link, b.link)
-
-
 def test_dilute_annihilation():
     vacant = Diagram.from_pairs(2, 2, [], dilute=True)
     full = identity_diagram(2, dilute=True)
     res = full.compose(vacant)
     assert res.annihilated and res.diagram is None
-
-
-def test_factor_through_lines_reconstructs():
-    from tlcat.diagram import _cup_block
-
-    for n in (2, 3, 4):
-        for d in enumerate_diagrams(n, n):
-            a, k, b = factor_through_lines(d)
-            assert k == d.through
-            middle = _cup_block(k, (n - k) // 2)
-            stage1 = middle.transpose().compose(b)
-            stage2 = middle.compose(stage1.diagram)
-            res = a.compose(stage2.diagram)
-            assert res.diagram == d
-            assert stage1.loops == stage2.loops == res.loops == 0

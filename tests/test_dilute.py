@@ -1,17 +1,14 @@
 """Dilute diagrams, the two-term braiding element, and its suite."""
 
+from tlcat.braid import commutor, commutor_inverse
 from tlcat.dilute import (
-    dilute_commutor,
-    dilute_commutor_inverse,
     dilute_diagram,
     dilute_eta11,
     dilute_eta11_inverse,
-    dilute_t,
-    dilute_t_inv,
     verify_dilute_braiding,
 )
 from tlcat.diagram import enumerate_diagrams
-from tlcat.morphism import dilute_identity
+from tlcat.morphism import dilute_identity, t, t_inv
 from tlcat.scalar import Scalar
 
 
@@ -58,14 +55,14 @@ def test_dilute_identity_is_occupation_sum():
 def test_dilute_crossings_invertible():
     for n in (2, 3):
         for i in range(1, n):
-            assert dilute_t(i, n).compose(dilute_t_inv(i, n)) == \
+            assert t(i, n, dilute=True).compose(t_inv(i, n, dilute=True)) == \
                 dilute_identity(n)
 
 
 def test_dilute_commutor_invertible():
     for r, s in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        eta = dilute_commutor(r, s)
-        inv = dilute_commutor_inverse(r, s)
+        eta = commutor(r, s, dilute=True)
+        inv = commutor_inverse(r, s, dilute=True)
         assert eta.compose(inv) == dilute_identity(r + s)
 
 
