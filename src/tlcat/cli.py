@@ -37,6 +37,8 @@ from .standard import StandardModule, standard_dimension, verify_rigidity
 from .twist import verify_twist_suite
 
 SUITES = ("braid", "twist", "repr", "fusion", "integrable", "dilute", "all")
+# the suites that compute at --spec; the others always compute generically
+SPEC_SUITES = ("repr", "fusion")
 
 
 def _repr_suite(max_n: int, spec: Specialization) -> VerificationReport:
@@ -97,6 +99,11 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     names = [s for s in SUITES[:-1]] if args.suite == "all" else [args.suite]
+    if spec.kind != "generic" and any(n not in SPEC_SUITES for n in names):
+        print(f"error: suite {args.suite!r} computes generically and ignores "
+              f"--spec {args.spec}; only {' and '.join(SPEC_SUITES)} honour a spec",
+              file=sys.stderr)
+        return 2
     work = [(name, args.max_n, args.spec, args.seed) for name in names]
     if args.jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -278,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=4,
                    help="size bound for exhaustive checks (default 4)")
     p.add_argument("--spec", default="generic",
-                   help="'generic', 'root:L', or 'rational:s0'")
+                   help="'generic', 'root:L', or 'rational:s0'; only the "
+                        "repr and fusion suites take a non-generic spec")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="report path (default "

@@ -8,10 +8,13 @@ balanced-tensor relations
 
 for g running over the embedded generators e_i(m) -> e_i(m+n) and
 e_j(n) -> e_{m+j}(m+n) span the modded-out subspace (any product of
-generators telescopes into such rows), and an exact row reduction yields
-the quotient.  Everything downstream - generator action, the double
-braiding, the central-element spectrum, Jordan data at roots of unity -
-is matrix arithmetic over the exact coefficient field.
+generators telescopes into such rows).  A relation row has a handful of
+nonzeros among the Catalan(m+n)*dim(M)*dim(N) raw coordinates, so it is
+built as a sparse dict {raw index: coefficient}; the sparse exact row
+reduction of ``linalg.rref`` yields the quotient, whose basis is the set
+of non-pivot raw coordinates.  Everything downstream - generator action,
+the double braiding, the central-element spectrum, Jordan data at roots
+of unity - is matrix arithmetic over the exact coefficient field.
 """
 
 from __future__ import annotations
@@ -96,36 +99,25 @@ class FusedModule:
 
     def _build_quotient(self):
         dom = self.dom
-        zero = dom.zero
         rows = []
         gens = [("L", i, e_diagram(i, self.N)) for i in range(1, self.m)]
         gens += [("R", j, e_diagram(self.m + j, self.N)) for j in range(1, self.n)]
         for side, idx, ghat in gens:
-            gmor_l = e(idx, self.m, dom) if side == "L" else None
-            gmor_r = e(idx, self.n, dom) if side == "R" else None
+            module = self.left if side == "L" else self.right
+            gmor = e(idx, module.n, dom)
+            actions = [module.act_on_element(gmor, v) for v in module.basis]
             for di, d in enumerate(self.diagrams):
                 res = d.compose(ghat)
                 dgi = self._dindex[res.diagram]
                 cg = dom.beta_power(res.loops) if res.loops else dom.one
                 for xi in range(self.dl):
-                    if side == "L":
-                        action = self.left.act_on_element(gmor_l, self.left.basis[xi])
                     for yi in range(self.dr):
-                        if side == "R":
-                            action = self.right.act_on_element(
-                                gmor_r, self.right.basis[yi]
-                            )
-                        row = [zero] * self.raw_dim
-                        row[self._ri(dgi, xi, yi)] = row[self._ri(dgi, xi, yi)] + cg
-                        if side == "L":
-                            for xj, c in action.items():
-                                k = self._ri(di, xj, yi)
-                                row[k] = row[k] - c
-                        else:
-                            for yj, c in action.items():
-                                k = self._ri(di, xi, yj)
-                                row[k] = row[k] - c
-                        if any(row):
+                        row = {self._ri(dgi, xi, yi): cg}
+                        action = actions[xi] if side == "L" else actions[yi]
+                        for j, c in action.items():
+                            k = self._ri(di, j, yi) if side == "L" else self._ri(di, xi, j)
+                            row[k] = row.get(k, dom.zero) - c
+                        if any(row.values()):
                             rows.append(row)
         red, pivots = rref(rows, self.raw_dim) if rows else ([], [])
         self._red = red
@@ -147,8 +139,8 @@ class FusedModule:
             if not c:
                 continue
             row = self._red[self._pivot_of[p]]
-            for j, rv in enumerate(row):
-                if rv and j != p:
+            for j, rv in row.items():
+                if j != p:
                     pending[j] = pending.get(j, dom.zero) - c * rv
             del pending[p]
         for j, c in pending.items():

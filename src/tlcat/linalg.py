@@ -1,11 +1,17 @@
-"""Exact dense linear algebra over any field-like coefficient type.
+"""Exact linear algebra over any field-like coefficient type.
 
 Works for Fraction, cyclotomic elements and symbolic Scalars:
 elements must support +, -, *, truthiness for zero-testing, and division
 (through __truediv__ or an .inv() method).
+
+Row reduction is sparse: a row is a dict {column: nonzero entry}, so the
+cost follows the nonzeros rather than the width.  ``rref`` also takes
+dense rows (lists); the matrix helpers below stay dense.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 __all__ = [
     "rref",
@@ -25,36 +31,52 @@ def _div(a, b):
         return a * b.inv()
 
 
-def rref(rows: list, ncols: int) -> tuple:
-    """Reduced row echelon form in place on a copy.
+def _sparse(row) -> dict:
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: x for c, x in items if x}
 
-    Returns (reduced nonzero rows, pivot column list).
+
+def _eliminate(row: dict, prow: dict, col: int) -> dict:
+    """Subtract row[col] times the normalised pivot row prow from row in
+    place, deleting entries that cancel; return row (empty if it vanished)."""
+    f = row[col]
+    for c, x in prow.items():
+        v = row.get(c)
+        v = -(f * x) if v is None else v - f * x
+        if v:
+            row[c] = v
+        else:
+            row.pop(c, None)
+    return row
+
+
+def rref(rows: list, ncols: int) -> tuple:
+    """Reduced row echelon form of the matrix with the given rows, each a
+    dense list or a dict {column: entry}; zero entries are dropped.
+
+    Columns are taken in order; the pivot of a column is the first row not
+    yet used as a pivot that holds it.  Returns (reduced nonzero rows as
+    dicts, pivot column list), row i having its leading 1 at pivots[i].
     """
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank_ = 0
+    pending = [r for r in map(_sparse, rows) if r]
+    red, pivots = [], []
     for col in range(ncols):
-        piv = None
-        for r in range(rank_, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
+        if not pending:
+            break
+        piv = next((i for i, r in enumerate(pending) if col in r), None)
         if piv is None:
             continue
-        rows[rank_], rows[piv] = rows[piv], rows[rank_]
-        prow = rows[rank_]
+        prow = pending.pop(piv)
         if not _is_one(prow[col]):
             inv = _div(_one_like(prow[col]), prow[col])
-            rows[rank_] = prow = [x * inv for x in prow]
-        for r in range(len(rows)):
-            if r != rank_ and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+            prow = {c: x * inv for c, x in prow.items()}
+        for row in red:
+            if col in row:
+                _eliminate(row, prow, col)
+        pending = [r for r in pending if col not in r or _eliminate(r, prow, col)]
+        red.append(prow)
         pivots.append(col)
-        rank_ += 1
-        if rank_ == len(rows):
-            break
-    return rows[:rank_], pivots
+    return red, pivots
 
 
 def _one_like(x):
@@ -73,25 +95,21 @@ def rank(rows: list, ncols: int) -> int:
 
 
 def nullspace(rows: list, ncols: int) -> list:
-    """Basis of the right kernel of the matrix."""
+    """Basis of the right kernel of the matrix, as dense vectors."""
     red, pivots = rref(rows, ncols)
-    if not red and not rows:
-        red = []
+    entries = (x for r in rows for x in (r.values() if isinstance(r, dict) else r))
+    one = _one_like(next(entries, Fraction(1)))
+    zero = one - one
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    if rows:
-        one = _one_like(rows[0][0])
-        zero = one - one
-    else:
-        from fractions import Fraction
-
-        one, zero = Fraction(1), Fraction(0)
     basis = []
     for fc in free:
         vec = [zero] * ncols
         vec[fc] = one
         for prow, pc in zip(red, pivots):
-            vec[pc] = -prow[fc]
+            c = prow.get(fc)
+            if c:
+                vec[pc] = -c
         basis.append(vec)
     return basis
 

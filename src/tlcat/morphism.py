@@ -225,6 +225,8 @@ class Morphism:
             c0 = c if c0 is None else c0 + c
             if c0:
                 out[d] = c0
+            elif d in out:
+                del out[d]
         return Morphism(
             self.dst + other.dst,
             self.src + other.src,

@@ -191,18 +191,18 @@ def annihilated_line_dimension(m: int, spec: Specialization | None = None) -> in
     diags = enumerate_diagrams(m, m)
     index = {d: i for i, d in enumerate(diags)}
     nd = len(diags)
-    zero = dom.zero
     rows = []
     for i in range(1, m):
+        gen = e(i, m, dom)
         for side in ("left", "right"):
-            gen = e(i, m, dom)
-            # rows of the linear map x -> e_i x (or x e_i) on the diagram basis
-            block = [[zero] * nd for _ in range(nd)]
+            # sparse rows of the linear map x -> e_i x (or x e_i) on the
+            # diagram basis
+            block = [{} for _ in range(nd)]
             for j, d in enumerate(diags):
                 dm = Morphism.from_diagram(d, dom)
                 prod = gen.compose(dm) if side == "left" else dm.compose(gen)
                 for dd, c in prod.terms.items():
-                    block[index[dd]][j] = block[index[dd]][j] + c
+                    block[index[dd]][j] = c
             rows.extend(block)
     if not rows:
         return nd

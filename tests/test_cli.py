@@ -22,6 +22,14 @@ def test_usage_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "braid", "--spec", "nonsense:1",
                      "--out", str(tmp_path / "x.json"))
     assert code == 2
+    # suites that compute generically refuse a non-generic spec
+    for suite, spec in (("braid", "root:3"), ("all", "rational:2")):
+        out = tmp_path / f"{suite}.json"
+        code, _, err = run(capsys, "verify", suite, "--spec", spec,
+                           "--out", str(out))
+        assert code == 2
+        assert "repr" in err and "fusion" in err
+        assert not out.exists()
     code, _, err = run(capsys, "eigen", "--module", "3", "2")
     assert code == 2
     code, _, _ = run(capsys, "fusion-table", "2", "1", "1", "1")
@@ -54,21 +62,25 @@ def test_verify_byte_stable(capsys, tmp_path):
 # sha256 of `tlcat verify SUITE --max-n 3 --seed 0`: refactors must keep
 # every report byte for byte
 GOLDEN_REPORTS = {
-    "braid": "af7a384639bef07648d83b11c8d50dde7ce8be918901e5e450c61e9365dafd33",
-    "twist": "4e911658b6f00ac0e8feba1a2a5077325c5a13c53944b43c15155f19ff8fe3ed",
-    "repr": "8d6d338e52ded9ed65aef85e5b5278249229bf644ae1cf449b6881cf840bb0dd",
-    "dilute": "cd0c2662e47f71028a3e779f60c5a6105be14b8d7e1115db6cd18bf70a449f66",
-    "integrable": "ebd1eaf9c5bf355c857e7c92224063b35094a32775b5fffdc950f8276ee66d07",
+    ("braid", "generic"): "af7a384639bef07648d83b11c8d50dde7ce8be918901e5e450c61e9365dafd33",
+    ("twist", "generic"): "4e911658b6f00ac0e8feba1a2a5077325c5a13c53944b43c15155f19ff8fe3ed",
+    ("repr", "generic"): "8d6d338e52ded9ed65aef85e5b5278249229bf644ae1cf449b6881cf840bb0dd",
+    ("fusion", "generic"): "a2f6929e47531980dc258499382e40967314ec9f0ff145d0792b5af99619eb8c",
+    ("fusion", "root:3"): "ec086535237614937f1903f7eaadf9a4fb55005bc7182594db12662c36fab759",
+    ("dilute", "generic"): "cd0c2662e47f71028a3e779f60c5a6105be14b8d7e1115db6cd18bf70a449f66",
+    ("integrable", "generic"): "ebd1eaf9c5bf355c857e7c92224063b35094a32775b5fffdc950f8276ee66d07",
 }
 
 
-@pytest.mark.parametrize("suite", sorted(GOLDEN_REPORTS))
-def test_verify_report_bytes_are_golden(capsys, tmp_path, suite):
+@pytest.mark.parametrize(
+    "suite, spec", sorted(GOLDEN_REPORTS),
+    ids=[s if p == "generic" else f"{s}-{p}" for s, p in sorted(GOLDEN_REPORTS)])
+def test_verify_report_bytes_are_golden(capsys, tmp_path, suite, spec):
     out = tmp_path / f"{suite}.json"
     code, _, _ = run(capsys, "verify", suite, "--max-n", "3", "--seed", "0",
-                     "--out", str(out))
+                     "--spec", spec, "--out", str(out))
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORTS[suite]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORTS[suite, spec]
 
 
 def test_verify_failure_exit_code_and_report(capsys, tmp_path, monkeypatch):
