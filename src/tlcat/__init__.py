@@ -54,7 +54,6 @@ from .fusion import (
     EigenvalueMismatch,
     FusedModule,
     expected_summands,
-    fuse,
     fusion_decomposition_generic,
     jordan_type,
     monodromy_eigenvalue,

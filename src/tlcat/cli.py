@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .braid import verify_braid_suite
@@ -22,14 +21,14 @@ from .fusion import (
     EigenvalueMismatch,
     FusedModule,
     expected_summands,
-    fusion_decomposition_generic,
-    generic_rational_spec,
+    fusion_domain,
+    fusion_summands,
     jordan_type,
     monodromy_eigenvalue,
     verify_fusion_suite,
 )
 from .integrable import verify_integrable_suite
-from .morphism import domain_for
+from .morphism import GENERIC, domain_for
 from .render import parse_renderable, render_ascii, render_svg
 from .report import SCHEMA_VERSION, VerificationReport
 from .scalar import Scalar, Specialization
@@ -43,9 +42,8 @@ SPEC_SUITES = ("repr", "fusion")
 
 def _repr_suite(max_n: int, spec: Specialization) -> VerificationReport:
     rep = VerificationReport("repr")
-    dom = domain_for(spec) if spec.kind != "generic" else None
     for m in range(1, min(max_n, 5) + 1):
-        rep.extend(verify_rigidity(m) if dom is None else verify_rigidity(m, dom))
+        rep.extend(verify_rigidity(m, domain_for(spec)))
     return rep
 
 
@@ -58,7 +56,7 @@ def _dilute_suite(max_n: int, seed: int) -> VerificationReport:
 
 
 def _run_suite(name: str, max_n: int, spec_text: str, seed: int) -> dict:
-    """Run one named suite; module-level so worker processes can call it."""
+    """Run one named suite and return its JSON report."""
     spec = Specialization.parse(spec_text)
     if name == "braid":
         rep = verify_braid_suite(max_total=min(max_n, 6), seed=seed)
@@ -104,12 +102,8 @@ def _cmd_verify(args) -> int:
               f"--spec {args.spec}; only {' and '.join(SPEC_SUITES)} honour a spec",
               file=sys.stderr)
         return 2
-    work = [(name, args.max_n, args.spec, args.seed) for name in names]
-    if args.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_suite_star, work))
-    else:
-        results = [_run_suite(*w) for w in work]
+    results = [_run_suite(name, args.max_n, args.spec, args.seed)
+               for name in names]
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
@@ -135,58 +129,41 @@ def _cmd_verify(args) -> int:
     return 0 if payload["summary"]["ok"] else 1
 
 
-def _run_suite_star(w):
-    return _run_suite(*w)
-
-
 def _fusion_table(n1: int, k1: int, n2: int, k2: int,
                   spec: Specialization) -> dict:
     N = n1 + n2
+    dom = fusion_domain(spec)
+    fused = FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
+    at_root = spec.kind == "cyclotomic"
+
+    def mu_label(k):
+        # away from roots of unity mu is labelled symbolically, as a power of s
+        return str(monodromy_eigenvalue(k1, k2, k, dom if at_root else GENERIC))
+
     table = {
         "schema": SCHEMA_VERSION,
         "command": "fusion-table",
         "modules": {"n1": n1, "k1": k1, "n2": n2, "k2": k2},
         "spec": spec.describe(),
+        "dim": fused.dim,
     }
-    if spec.kind in ("generic", "rational"):
-        work = generic_rational_spec() if spec.kind == "generic" else spec
-        fused, found = fusion_decomposition_generic(n1, k1, n2, k2, work)
-        dom = fused.dom
-        table["dim"] = fused.dim
-        table["summands"] = [
-            {"k": k, "multiplicity": m,
-             "dim": standard_dimension(N, k),
-             "monodromy_eigenvalue":
-                 str(Scalar.s_power(2 * k * (k + 2) - 2 * k1 * (k1 + 2)
-                                    - 2 * k2 * (k2 + 2)))}
-            for k, m in sorted(found.items())
-        ]
-        mono = fused.monodromy_matrix("braiding")
-        table["routes_agree"] = mono == fused.monodromy_matrix("twist")
-        table["jordan"] = [
-            {"eigenvalue": str(Scalar.s_power(
-                2 * k * (k + 2) - 2 * k1 * (k1 + 2) - 2 * k2 * (k2 + 2))),
-             "k": k, "blocks": list(jordan_type(mono, monodromy_eigenvalue(
-                 k1, k2, k, dom)))}
-            for k in sorted(found)
-        ]
-        return table
-    dom = domain_for(spec)
-    fused = FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
-    table["dim"] = fused.dim
     try:
-        _, found = fusion_decomposition_generic(n1, k1, n2, k2, spec)
-        table["summands"] = [
-            {"k": k, "multiplicity": m, "dim": standard_dimension(N, k)}
-            for k, m in sorted(found.items())
-        ]
+        found = fusion_summands(fused)
     except AmbiguousEigenvalue as exc:
+        if not at_root:
+            raise
         table["summands"] = None
         table["note"] = f"not semisimple at this specialization: {exc}"
+    else:
+        table["summands"] = []
+        for k, m in sorted(found.items()):
+            entry = {"k": k, "multiplicity": m, "dim": standard_dimension(N, k)}
+            if not at_root:
+                entry["monodromy_eigenvalue"] = mu_label(k)
+            table["summands"].append(entry)
     mono = fused.monodromy_matrix("braiding")
     table["routes_agree"] = mono == fused.monodromy_matrix("twist")
     jordan = []
-    accounted = 0
     candidates = {monodromy_eigenvalue(k1, k2, k, dom): k
                   for k in expected_summands(k1, k2) if k <= N}
     for lam, k in candidates.items():
@@ -194,11 +171,11 @@ def _fusion_table(n1: int, k1: int, n2: int, k2: int,
             blocks = jordan_type(mono, lam)
         except EigenvalueMismatch:
             continue
-        jordan.append({"eigenvalue": str(lam), "k": k,
-                       "blocks": list(blocks)})
-        accounted += sum(blocks)
+        jordan.append({"eigenvalue": mu_label(k), "k": k, "blocks": list(blocks)})
     table["jordan"] = jordan
-    table["unaccounted_dimension"] = fused.dim - accounted
+    if at_root:
+        table["unaccounted_dimension"] = fused.dim - sum(
+            sum(j["blocks"]) for j in jordan)
     return table
 
 
@@ -288,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="'generic', 'root:L', or 'rational:s0'; only the "
                         "repr and fusion suites take a non-generic spec")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="report path (default "
                    "$TLCAT_REPORT_DIR/verify-<suite>.json)")
     p.set_defaults(func=_cmd_verify)

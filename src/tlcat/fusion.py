@@ -12,9 +12,20 @@ generators telescopes into such rows).  A relation row has a handful of
 nonzeros among the Catalan(m+n)*dim(M)*dim(N) raw coordinates, so it is
 built as a sparse dict {raw index: coefficient}; the sparse exact row
 reduction of ``linalg.rref`` yields the quotient, whose basis is the set
-of non-pivot raw coordinates.  Everything downstream - generator action,
-the double braiding, the central-element spectrum, Jordan data at roots
-of unity - is matrix arithmetic over the exact coefficient field.
+of non-pivot raw coordinates.
+
+Every matrix on the quotient is built by one column builder,
+``FusedModule._column``: a morphism h of End(m+n) is composed onto the
+diagram leg of a free basis vector, the terms are summed as a raw vector,
+and ``_reduce`` takes that vector to free coordinates.  The induced action
+composes h on the left; the double braiding composes
+eta_{n,m} o eta_{m,n} on the right.  The twist-ratio route of the
+monodromy composes c_{m+n} on the right and, before reducing, applies the
+factor twists c_m^-1 (x) c_n^-1 to the (x, y) coordinates as one linear
+map; the two routes agree only because the quotient is the balanced
+tensor product.  Everything downstream - the central-element spectrum,
+Jordan data at roots of unity - is matrix arithmetic over the exact
+coefficient field.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from fractions import Fraction
 
 from .braid import commutor
 from .diagram import e_diagram, enumerate_diagrams
-from .linalg import mat_mul, mat_sub, rank, rref
+from .linalg import mat_mul, mat_shift, rank, rref
 from .morphism import CoeffDomain, Morphism, domain_for, e
 from .report import VerificationReport
 from .scalar import Specialization
@@ -32,7 +43,8 @@ from .twist import gamma_eigenvalue, twist_element, twist_inverse
 
 __all__ = [
     "FusedModule",
-    "fuse",
+    "fusion_domain",
+    "fusion_summands",
     "fusion_decomposition_generic",
     "monodromy_eigenvalue",
     "jordan_type",
@@ -64,6 +76,14 @@ def generic_rational_spec(seed: int = 0) -> Specialization:
     """A deterministic non-root-of-unity rational point standing in for
     generic s; distinct seeds give distinct points."""
     return Specialization.rational(_GENERIC_POINTS[seed % len(_GENERIC_POINTS)])
+
+
+def fusion_domain(spec: Specialization | None = None, seed: int = 0) -> CoeffDomain:
+    """The coefficient domain a fusion computation runs in: a generic (or
+    absent) spec is evaluated at generic_rational_spec(seed)."""
+    if spec is None or spec.kind == "generic":
+        spec = generic_rational_spec(seed)
+    return domain_for(spec)
 
 
 def monodromy_eigenvalue(k1: int, k2: int, k: int, dom: CoeffDomain):
@@ -148,8 +168,8 @@ class FusedModule:
                 out[self._free_pos[j]] = c
         return out
 
-    def _column(self, h: Morphism, f_idx: int, side: str) -> list:
-        """Residue of h acting on the f_idx-th free basis vector, composed
+    def _column(self, h: Morphism, f_idx: int, side: str) -> dict:
+        """Raw vector of h acting on the f_idx-th free basis vector, composed
         onto its diagram leg from the left (side 'left') or the right."""
         di, rem = divmod(f_idx, self.dl * self.dr)
         xi, yi = divmod(rem, self.dr)
@@ -162,61 +182,64 @@ class FusedModule:
                 c = c * self.dom.beta_power(res.loops)
             k = self._ri(self._dindex[res.diagram], xi, yi)
             vec[k] = vec.get(k, self.dom.zero) + c
-        return self._reduce(vec)
+        return vec
 
-    def _matrix(self, columns) -> list:
-        cols = [columns(f) for f in self.free]
+    def _on_factors(self, vec: dict, left: list, right: list) -> dict:
+        """Apply a linear map on each factor module to the (x, y)
+        coordinates of a raw vector; left[x] and right[y] are the images of
+        the basis elements as {index: coefficient}."""
+        zero = self.dom.zero
+        out: dict = {}
+        for k, c in vec.items():
+            dx, yi = divmod(k, self.dr)
+            di, xi = divmod(dx, self.dl)
+            for xj, cl in left[xi].items():
+                ccl = c * cl
+                for yj, cr in right[yi].items():
+                    kk = self._ri(di, xj, yj)
+                    out[kk] = out.get(kk, zero) + ccl * cr
+        return out
+
+    def _matrix(self, h: Morphism, side: str, factors=None) -> list:
+        """Matrix on the quotient of h composed on the given side, followed
+        by the factor-module maps (left, right) when given."""
+        cols = []
+        for f in self.free:
+            vec = self._column(h, f, side)
+            if factors is not None:
+                vec = self._on_factors(vec, *factors)
+            cols.append(self._reduce(vec))
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def action_matrix(self, h: Morphism) -> list:
         """Matrix of the induced left TL_{m+n} action of h on the quotient."""
         if h.dst != self.N or h.src != self.N:
             raise ValueError("action morphism must live in End(m+n)")
-        return self._matrix(lambda f: self._column(h, f, "left"))
+        return self._matrix(h, "left")
 
     def monodromy_matrix(self, route: str = "braiding") -> list:
         """The double braiding on the fused module.
 
         route 'braiding': right-composition of the a-leg with
         eta_{n,m} o eta_{m,n}.
-        route 'twist': c_{m+n} on the a-leg combined with the inverse twists
-        acting through the factor modules.
+        route 'twist': right-composition of the a-leg with c_{m+n}, then
+        the inverse twists c_m^-1 (x) c_n^-1 acting through the factor
+        modules.
         """
         dom = self.dom
         if route == "braiding":
             w = commutor(self.n, self.m, dom=dom).compose(
                 commutor(self.m, self.n, dom=dom)
             )
-            return self._matrix(lambda f: self._column(w, f, "right"))
+            return self._matrix(w, "right")
         if route == "twist":
-            c_big = twist_element(self.N, dom)
             inv_l = twist_inverse(self.m, dom)
             inv_r = twist_inverse(self.n, dom)
-            act_l = [
-                self.left.act_on_element(inv_l, x) for x in self.left.basis
-            ]
-            act_r = [
-                self.right.act_on_element(inv_r, y) for y in self.right.basis
-            ]
-
-            def column(f_idx):
-                di, rem = divmod(f_idx, self.dl * self.dr)
-                xi, yi = divmod(rem, self.dr)
-                d = self.diagrams[di]
-                vec: dict = {}
-                for hd, hc in c_big.terms.items():
-                    res = d.compose(hd)
-                    c = hc
-                    if res.loops:
-                        c = c * dom.beta_power(res.loops)
-                    dgi = self._dindex[res.diagram]
-                    for xj, cl in act_l[xi].items():
-                        for yj, cr in act_r[yi].items():
-                            k = self._ri(dgi, xj, yj)
-                            vec[k] = vec.get(k, dom.zero) + c * cl * cr
-                return self._reduce(vec)
-
-            return self._matrix(column)
+            factors = (
+                [self.left.act_on_element(inv_l, x) for x in self.left.basis],
+                [self.right.act_on_element(inv_r, y) for y in self.right.basis],
+            )
+            return self._matrix(twist_element(self.N, dom), "right", factors)
         raise ValueError(f"unknown monodromy route {route!r}")
 
     def central_matrix(self) -> list:
@@ -255,59 +278,29 @@ class FusedModule:
         )
 
 
-def fuse(left_desc, right_desc, spec: Specialization) -> FusedModule:
-    """Build a fusion product.
-
-    Descriptors: ('standard', n, k) or ('regular', n).  A generic
-    specialization is evaluated at a deterministic non-root rational point;
-    pass a rational or cyclotomic specialization for full control, or use
-    symbolic confirmation helpers in the test-suite for small instances.
-    """
-    work = generic_rational_spec() if spec.kind == "generic" else spec
-    dom = domain_for(work)
-    return FusedModule(_module(left_desc, dom), _module(right_desc, dom))
-
-
-def _module(desc, dom: CoeffDomain):
-    if hasattr(desc, "act_on_element"):
-        return desc
-    kind = desc[0]
-    if kind == "standard":
-        return StandardModule(desc[1], desc[2], dom)
-    if kind == "regular":
-        return RegularModule(desc[1], dom)
-    raise ValueError(f"unknown module descriptor {desc!r}")
-
-
-def fusion_decomposition_generic(
-    n1: int, k1: int, n2: int, k2: int, spec: Specialization | None = None
-):
-    """Multiset of summand labels k, read off the spectrum of c_{n1+n2},
-    and the monodromy eigenvalue attached to each summand."""
-    if spec is None or spec.kind == "generic":
-        spec = generic_rational_spec()
-    dom = domain_for(spec)
-    fused = FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
-    N = n1 + n2
+def fusion_summands(fused: FusedModule) -> dict:
+    """Multiset {k: multiplicity} of the summands S_{N,k} of a fusion
+    product of standard modules, read off the spectrum of c_N."""
+    dom = fused.dom
+    k1, k2 = fused.left.k, fused.right.k
     cmat = fused.central_matrix()
-    expected = [k for k in expected_summands(k1, k2) if k <= N]
+    expected = [k for k in expected_summands(k1, k2) if k <= fused.N]
     gammas = {k: gamma_eigenvalue(k, dom) for k in expected}
     if len(set(gammas.values())) != len(gammas):
         raise AmbiguousEigenvalue(
-            f"central eigenvalues collide at {spec.describe()}"
+            f"central eigenvalues collide at {dom.spec.describe()}"
         )
     found = {}
     total = 0
     for k in expected:
-        shifted = mat_sub(cmat, [[gammas[k] if i == j else dom.zero
-                                  for j in range(fused.dim)] for i in range(fused.dim)])
+        shifted = mat_shift(cmat, gammas[k])
         eigdim = fused.dim - rank(shifted, fused.dim) if fused.dim else 0
         if eigdim:
-            sk = standard_dimension(N, k)
+            sk = standard_dimension(fused.N, k)
             if eigdim % sk:
                 raise AmbiguousEigenvalue(
                     f"eigenspace of gamma_{k} has dimension {eigdim}, "
-                    f"not a multiple of dim S_{N},{k} = {sk}"
+                    f"not a multiple of dim S_{fused.N},{k} = {sk}"
                 )
             found[k] = eigdim // sk
         total += eigdim
@@ -315,7 +308,17 @@ def fusion_decomposition_generic(
         raise AmbiguousEigenvalue(
             "central element has spectrum outside the expected summands"
         )
-    return fused, found
+    return found
+
+
+def fusion_decomposition_generic(
+    n1: int, k1: int, n2: int, k2: int, spec: Specialization | None = None
+):
+    """The fusion product S_{n1,k1} x_f S_{n2,k2} at fusion_domain(spec),
+    and the multiset of its summand labels k."""
+    dom = fusion_domain(spec)
+    fused = FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
+    return fused, fusion_summands(fused)
 
 
 def jordan_type(mat: list, lam) -> tuple:
@@ -324,9 +327,7 @@ def jordan_type(mat: list, lam) -> tuple:
     n = len(mat)
     if n == 0:
         return ()
-    dom_zero = mat[0][0] - mat[0][0]
-    shifted = [[mat[i][j] - (lam if i == j else dom_zero) for j in range(n)]
-               for i in range(n)]
+    shifted = mat_shift(mat, lam)
     r_prev = n
     ranks = []
     cur = shifted
@@ -402,16 +403,15 @@ def verify_root_examples(rep: VerificationReport | None = None) -> VerificationR
     return rep
 
 
-def _annihilating_product(mono: list, values, zero, one) -> bool:
+def _annihilating_product(mono: list, values: list) -> bool:
     """Whether prod_v (mono - v) vanishes, i.e. mono is semisimple with
     spectrum inside the given values."""
-    n = len(mono)
-    acc = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for v in values:
-        shifted = [[mono[i][j] - (v if i == j else zero) for j in range(n)]
-                   for i in range(n)]
-        acc = mat_mul(acc, shifted)
-    return all(c == zero for row in acc for c in row)
+    if not values:
+        return not mono
+    acc = mat_shift(mono, values[0])
+    for v in values[1:]:
+        acc = mat_mul(acc, mat_shift(mono, v))
+    return not any(c for row in acc for c in row)
 
 
 def verify_fusion_suite(
@@ -421,19 +421,17 @@ def verify_fusion_suite(
     fusion products of standard modules with n1 + n2 <= max_total; at a
     root of unity, the worked non-semisimple examples instead."""
     rep = VerificationReport("fusion")
-    if spec is not None and spec.kind == "cyclotomic":
-        dom = domain_for(spec)
+    dom = fusion_domain(spec, seed)
+    if dom.spec.kind == "cyclotomic":
         fused = FusedModule(StandardModule(2, 2, dom), StandardModule(1, 1, dom))
         rep.extend(fused.verify_representation())
         rep.check("double braiding equals the twist-ratio route",
-                  {"spec": spec.describe(), "modules": "S_{2,2} x S_{1,1}"},
+                  {"spec": dom.spec.describe(), "modules": "S_{2,2} x S_{1,1}"},
                   fused.monodromy_matrix("braiding"),
                   fused.monodromy_matrix("twist"))
         return verify_root_examples(rep)
 
-    work = generic_rational_spec(seed) if spec is None or spec.kind == "generic" else spec
-    dom = domain_for(work)
-    rep.add("mu_{2,1,3} = q^2", {"spec": work.describe()},
+    rep.add("mu_{2,1,3} = q^2", {"spec": dom.spec.describe()},
             monodromy_eigenvalue(2, 1, 3, dom) == dom.s_power(8), None)
     for total in range(2, max_total + 1):
         for n1 in range(1, total):
@@ -443,7 +441,7 @@ def verify_fusion_suite(
                     params = {"n1": n1, "k1": k1, "n2": n2, "k2": k2}
                     try:
                         fused, found = fusion_decomposition_generic(
-                            n1, k1, n2, k2, work)
+                            n1, k1, n2, k2, dom.spec)
                     except AmbiguousEigenvalue as exc:
                         rep.add("fusion decomposition", params, False,
                                 {"error": str(exc)})
@@ -461,7 +459,7 @@ def verify_fusion_suite(
                     mus = [monodromy_eigenvalue(k1, k2, k, dom) for k in found]
                     rep.add("monodromy is semisimple with eigenvalues mu_k",
                             params,
-                            _annihilating_product(mono, mus, dom.zero, dom.one),
+                            _annihilating_product(mono, mus),
                             {"mu": {k: str(monodromy_eigenvalue(k1, k2, k, dom))
                                     for k in found}})
     # unit constraint: fusing with S_{0,0} preserves the dimension

@@ -1,8 +1,8 @@
 """Exact linear algebra over any field-like coefficient type.
 
 Works for Fraction, cyclotomic elements and symbolic Scalars:
-elements must support +, -, *, truthiness for zero-testing, and division
-(through __truediv__ or an .inv() method).
+elements must support +, -, *, /, ``**0`` for the unit, ==, and
+truthiness for zero-testing.
 
 Row reduction is sparse: a row is a dict {column: nonzero entry}, so the
 cost follows the nonzeros rather than the width.  ``rref`` also takes
@@ -19,16 +19,8 @@ __all__ = [
     "nullspace",
     "det",
     "mat_mul",
-    "mat_identity",
-    "mat_sub",
+    "mat_shift",
 ]
-
-
-def _div(a, b):
-    try:
-        return a / b
-    except TypeError:
-        return a * b.inv()
 
 
 def _sparse(row) -> dict:
@@ -67,8 +59,10 @@ def rref(rows: list, ncols: int) -> tuple:
         if piv is None:
             continue
         prow = pending.pop(piv)
-        if not _is_one(prow[col]):
-            inv = _div(_one_like(prow[col]), prow[col])
+        pval = prow[col]
+        one = pval**0
+        if pval != one:
+            inv = one / pval
             prow = {c: x * inv for c, x in prow.items()}
         for row in red:
             if col in row:
@@ -79,17 +73,6 @@ def rref(rows: list, ncols: int) -> tuple:
     return red, pivots
 
 
-def _one_like(x):
-    return x**0 if hasattr(x, "__pow__") else 1
-
-
-def _is_one(x):
-    try:
-        return x == _one_like(x)
-    except TypeError:
-        return False
-
-
 def rank(rows: list, ncols: int) -> int:
     return len(rref(rows, ncols)[0])
 
@@ -98,7 +81,7 @@ def nullspace(rows: list, ncols: int) -> list:
     """Basis of the right kernel of the matrix, as dense vectors."""
     red, pivots = rref(rows, ncols)
     entries = (x for r in rows for x in (r.values() if isinstance(r, dict) else r))
-    one = _one_like(next(entries, Fraction(1)))
+    one = next(entries, Fraction(1)) ** 0
     zero = one - one
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
@@ -118,7 +101,7 @@ def det(rows: list):
     """Determinant by fraction-producing Gaussian elimination."""
     n = len(rows)
     rows = [list(r) for r in rows]
-    one = _one_like(rows[0][0])
+    one = rows[0][0] ** 0
     result = one
     sign = 1
     for col in range(n):
@@ -134,17 +117,12 @@ def det(rows: list):
             sign = -sign
         pval = rows[col][col]
         result = result * pval
-        inv = _div(one, pval)
+        inv = one / pval
         for r in range(col + 1, n):
             if rows[r][col]:
                 f = rows[r][col] * inv
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     return result if sign > 0 else -result
-
-
-def mat_identity(n: int, one):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: list, b: list) -> list:
@@ -165,5 +143,7 @@ def mat_mul(a: list, b: list) -> list:
     return out
 
 
-def mat_sub(a: list, b: list) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_shift(a: list, lam) -> list:
+    """a - lam * I for a square matrix a."""
+    return [[x - lam if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(a)]

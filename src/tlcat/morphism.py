@@ -10,7 +10,6 @@ weight beta per closed loop; dilute annihilated pairs contribute nothing.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import product as _iproduct
 
 from .diagram import (
@@ -70,12 +69,6 @@ class CoeffDomain:
 
     def s_power(self, k: int):
         return self._spow(k)
-
-    def q_power(self, k):
-        e = Fraction(k) * 4
-        if e.denominator != 1:
-            raise ValueError(f"q^{k} is not integral in s")
-        return self._spow(int(e))
 
     def beta_power(self, k: int):
         pows = self._beta_pows
@@ -288,21 +281,6 @@ class Morphism:
         return hash(
             (self.dst, self.src, self.dilute, frozenset(self.terms.items()))
         )
-
-    # -- specialization ---------------------------------------------------------------
-
-    def specialize(self, spec: Specialization) -> "Morphism":
-        if self.dom.spec.kind != "generic":
-            raise ValueError("can only specialize a generic morphism")
-        if spec.kind == "generic":
-            return self
-        dom = domain_for(spec)
-        terms = {}
-        for d, c in self.terms.items():
-            v = c.specialize(spec)
-            if v:
-                terms[d] = v
-        return Morphism(self.dst, self.src, terms, self.dilute, dom, _clean=True)
 
     # -- text form ----------------------------------------------------------------------
 

@@ -172,10 +172,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.num)
 
-    @property
-    def is_one(self) -> bool:
-        return self.num == {_ZKEY: _F1} and self.den == {0: _F1}
-
     def variables(self) -> set:
         out = set()
         for key in self.num:

@@ -144,13 +144,6 @@ def eigenvalue_on_standard(central: Morphism, module: StandardModule):
 # the projector
 
 
-def _coeff_inv(c):
-    try:
-        return c.inv()
-    except AttributeError:
-        return 1 / c
-
-
 def wenzl_jones(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """The idempotent in End(m) killed by every e_i, built recursively;
     the recursion coefficient is solved exactly from the annihilation
@@ -174,10 +167,10 @@ def wenzl_jones(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
             raise PoleAtSpecialization(
                 f"projector recursion breaks at size {size}: quantum integer vanishes"
             )
-        ratio = num * _coeff_inv(c0)
+        ratio = num / c0
         if b != a.scale(ratio):
             raise AssertionError("projector recursion lost proportionality")
-        wj = w1 - w1.compose(em).compose(w1).scale(_coeff_inv(ratio))
+        wj = w1 - w1.compose(em).compose(w1).scale(1 / ratio)
     return wj
 
 

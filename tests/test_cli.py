@@ -130,6 +130,25 @@ def test_fusion_table_at_root(capsys):
     assert [2, 1] in blocks
 
 
+# sha256 of the stdout of `tlcat fusion-table ARGS`: the generic, rational,
+# semisimple cyclotomic and non-semisimple cyclotomic branches
+GOLDEN_FUSION_TABLES = {
+    "2 2 1 1": "b081d6102e18cc93927faf28692ea573641e08beadb0caefbdf3405de616e655",
+    "2 2 1 1 --spec rational:5/3": "98d8db3e9f4f169f63089b7c12fd22499f7f28471093c8e6bf2322c3f1d269ca",
+    "2 2 1 1 --spec root:3": "63f3c0a90540051a0871349ea26eac221d75b7db10894fc81c0b89fc6ca6b843",
+    "2 0 1 1 --spec root:4": "9ff66f898f3e83e850b14ec779ec6017e79b1ea81a0b0918eddeb6c0669a997e",
+    "2 2 2 0 --spec root:2": "a707e32efbf22bb9aa9d2dc4de63ea0fd6ac1fcc2337f4728b18af6d53b3d4bf",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_FUSION_TABLES))
+def test_fusion_table_bytes_are_golden(capsys, args):
+    code, stdout, _ = run(capsys, "fusion-table", *args.split())
+    assert code == 0
+    digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_FUSION_TABLES[args]
+
+
 def test_eigen(capsys):
     code, stdout, _ = run(capsys, "eigen", "--module", "4", "2")
     assert code == 0
@@ -147,14 +166,3 @@ def test_render_ascii_and_svg(capsys, tmp_path):
                           "--format", "svg", "--out", str(out))
     assert code == 0
     assert out.read_text().startswith("<svg")
-
-
-def test_verify_jobs_parallel_matches_serial(capsys, tmp_path):
-    serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-    code, _, _ = run(capsys, "verify", "repr", "--max-n", "2",
-                     "--out", str(serial))
-    assert code == 0
-    code, _, _ = run(capsys, "verify", "repr", "--max-n", "2", "--jobs", "2",
-                     "--out", str(parallel))
-    assert code == 0
-    assert serial.read_bytes() == parallel.read_bytes()

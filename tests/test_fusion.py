@@ -10,14 +10,13 @@ from tlcat.fusion import (
     EigenvalueMismatch,
     FusedModule,
     expected_summands,
-    fuse,
     fusion_decomposition_generic,
     generic_rational_spec,
     jordan_type,
     monodromy_eigenvalue,
     verify_root_examples,
 )
-from tlcat.morphism import GENERIC, domain_for
+from tlcat.morphism import GENERIC, domain_for, identity
 from tlcat.scalar import Scalar, Specialization
 from tlcat.standard import RegularModule, StandardModule, standard_dimension
 
@@ -49,8 +48,6 @@ def test_decomposition_dimension_oracle():
 def test_monodromy_eigenvalue_formula():
     dom = GENERIC
     assert monodromy_eigenvalue(2, 1, 3, dom) == Scalar.q_power(2)
-    assert monodromy_eigenvalue(1, 1, 0, dom) == Scalar.q_power(-3).scale(
-        1) if False else True
     # mu_{1,1,0} = q^{-3}, mu_{1,1,2} = q
     assert monodromy_eigenvalue(1, 1, 0, dom) == Scalar.s_power(-12)
     assert monodromy_eigenvalue(1, 1, 2, dom) == Scalar.s_power(4)
@@ -65,6 +62,16 @@ def test_symbolic_monodromy_routes_agree():
     # upper triangular with the two mu eigenvalues on the diagonal
     diag = sorted(str(mono[i][i]) for i in range(2))
     assert diag == sorted([str(Scalar.s_power(-12)), str(Scalar.s_power(4))])
+
+
+def test_route_agreement_detects_a_wrong_factor_twist(monkeypatch):
+    # replacing c_1^-1 = s^-6 by the identity scales the twist route by
+    # s^12, so the two monodromy routes must disagree
+    monkeypatch.setattr("tlcat.fusion.twist_inverse",
+                        lambda n, dom: identity(n, dom=dom))
+    fused = FusedModule(StandardModule(1, 1, GENERIC),
+                        StandardModule(1, 1, GENERIC))
+    assert fused.monodromy_matrix("braiding") != fused.monodromy_matrix("twist")
 
 
 def test_routes_agree_rational():
@@ -82,14 +89,6 @@ def test_fused_representation_relations():
     dom = domain_for(spec)
     fused = FusedModule(StandardModule(2, 2, dom), StandardModule(1, 1, dom))
     assert fused.verify_representation().ok
-
-
-def test_fuse_descriptors_and_unit():
-    spec = Specialization.generic()
-    fused = fuse(("standard", 1, 1), ("standard", 1, 1), spec)
-    assert fused.dim == 2
-    unit = fuse(("standard", 2, 0), ("standard", 0, 0), spec)
-    assert unit.dim == standard_dimension(2, 0)
 
 
 def test_regular_fusion_dimension():
