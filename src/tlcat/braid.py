@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .morphism import GENERIC, CoeffDomain, Morphism, e, identity, t, t_inv, z
+from .morphism import GENERIC, CoeffDomain, Morphism, e, identity, t, t_inv, word, z
 from .diagram import enumerate_diagrams
 from .report import VerificationReport
 
@@ -26,14 +26,6 @@ __all__ = [
 ]
 
 
-def _prod(factors) -> Morphism:
-    """Compose a sequence so that later list entries stand further left."""
-    out = None
-    for f in factors:
-        out = f if out is None else f.compose(out)
-    return out
-
-
 def commutor(
     r: int,
     s: int,
@@ -43,23 +35,16 @@ def commutor(
 ) -> Morphism:
     """eta_{r,s} in End(r+s) for ordinary or dilute strands; both closed
     forms yield the same morphism."""
-    n = r + s
-    if r == 0 or s == 0:
-        return identity(n, dilute, dom)
-    factors = []
     if form == "left-nested":
         # prod_{i=1}^{s} ( prod_{j=r-1}^{0} t_{i+j} )
-        for i in range(1, s + 1):
-            for j in range(r - 1, -1, -1):
-                factors.append(t(i + j, n, dom, dilute))
+        indices = [i + j for i in range(s, 0, -1) for j in range(r)]
     elif form == "right-nested":
         # prod_{i=r}^{1} ( prod_{j=0}^{s-1} t_{i+j} )
-        for i in range(r, 0, -1):
-            for j in range(0, s):
-                factors.append(t(i + j, n, dom, dilute))
+        indices = [i + j for i in range(1, r + 1) for j in range(s - 1, -1, -1)]
     else:
         raise ValueError(f"unknown commutor form {form!r}")
-    return _prod(factors)
+    n = r + s
+    return word([t(k, n, dom, dilute) for k in indices], n, dilute, dom)
 
 
 def commutor_inverse(
@@ -67,13 +52,8 @@ def commutor_inverse(
 ) -> Morphism:
     """Structural inverse: the reversed product of inverse crossings."""
     n = r + s
-    if r == 0 or s == 0:
-        return identity(n, dilute, dom)
-    factors = []
-    for i in range(1, s + 1):
-        for j in range(r - 1, -1, -1):
-            factors.append(t_inv(i + j, n, dom, dilute))
-    return _prod(list(reversed(factors)))
+    indices = [i + j for i in range(1, s + 1) for j in range(r - 1, -1, -1)]
+    return word([t_inv(k, n, dom, dilute) for k in indices], n, dilute, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +172,8 @@ def verify_braid_relations(n: int, dom: CoeffDomain = GENERIC) -> VerificationRe
         word1 = up + up[-2::-1]
         down = list(range(top, i - 1, -1))
         word2 = down + down[-2::-1]
-        lhs = _prod([t(k, n, dom) for k in reversed(word1)])
-        rhs = _prod([t(k, n, dom) for k in reversed(word2)])
+        lhs = word([t(k, n, dom) for k in word1], n, dom=dom)
+        rhs = word([t(k, n, dom) for k in word2], n, dom=dom)
         rep.check("palindrome", {"n": n, "i": i}, lhs, rhs)
     return rep
 

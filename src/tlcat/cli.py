@@ -31,9 +31,9 @@ from .integrable import verify_integrable_suite
 from .morphism import GENERIC, domain_for
 from .render import parse_renderable, render_ascii, render_svg
 from .report import SCHEMA_VERSION, VerificationReport
-from .scalar import Scalar, Specialization
+from .scalar import Specialization
 from .standard import StandardModule, standard_dimension, verify_rigidity
-from .twist import verify_twist_suite
+from .twist import det_t1_closed_form, gamma_eigenvalue, verify_twist_suite
 
 SUITES = ("braid", "twist", "repr", "fusion", "integrable", "dilute", "all")
 # the suites that compute at --spec; the others always compute generically
@@ -210,7 +210,6 @@ def _cmd_eigen(args) -> int:
         print("error: need 0 <= k <= n with n - k even", file=sys.stderr)
         return 2
     dim = standard_dimension(n, k)
-    dim_lower = standard_dimension(n - 2, k) if n - 2 >= k else 0
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "eigen",
@@ -218,11 +217,10 @@ def _cmd_eigen(args) -> int:
         "central_eigenvalue": {
             "s_exponent": 2 * k * (k + 2),
             "q_exponent": f"{k * (k + 2)}/2",
-            "value": str(Scalar.s_power(2 * k * (k + 2))),
+            "value": str(gamma_eigenvalue(k)),
         },
         "det_t1": {
-            "value": str(Scalar.s_power(2 * dim)
-                         * (-Scalar.s_power(-8)) ** dim_lower),
+            "value": str(det_t1_closed_form(n, k)),
             "form": "q^(dim/2) * (-q^-2)^(dim of the (n-2,k) module)",
         },
     }

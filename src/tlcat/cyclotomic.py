@@ -9,59 +9,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalar import FieldOps, _u_divmod, _u_mul, _u_sub
+
 __all__ = ["CycloField", "CycloElement", "cyclotomic_polynomial"]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    """Division in Q[x] on dense coefficient lists (index = exponent)."""
-    a = list(a)
-    db = len(b) - 1
-    while b and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    if db < 0:
-        raise ZeroDivisionError
-    quo = [_F0] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        while da >= 0 and a[da] == 0:
-            da -= 1
-        if da < db:
-            break
-        f = Fraction(a[da]) / b[db]
-        quo[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] -= f * b[i]
-        a = a[: da + 1]
-        while a and a[-1] == 0:
-            a.pop()
-    return quo, a
+def _cyclotomic_sparse(N: int) -> dict:
+    """Phi_N as a sparse polynomial: x^N - 1 divided by the product of Phi_d
+    over the proper divisors d of N (an empty product for N = 1)."""
+    prod = {0: _F1}
+    for d in range(1, N):
+        if N % d == 0:
+            prod = _u_mul(prod, _cyclotomic_sparse(d))
+    quo, rem = _u_divmod({0: -_F1, N: _F1}, prod)
+    assert not rem, "cyclotomic product must divide x^N - 1"
+    return quo
 
 
 def cyclotomic_polynomial(N: int) -> list:
-    """Dense integer coefficient list of Phi_N, computed by dividing x^N - 1
-    by the product of Phi_d over proper divisors d of N."""
-    if N == 1:
-        return [Fraction(-1), Fraction(1)]
-    xn1 = [_F0] * (N + 1)
-    xn1[0] = Fraction(-1)
-    xn1[N] = _F1
-    prod = [_F1]
-    for d in range(1, N):
-        if N % d == 0:
-            phid = cyclotomic_polynomial(d)
-            new = [_F0] * (len(prod) + len(phid) - 1)
-            for i, a in enumerate(prod):
-                if a:
-                    for j, b in enumerate(phid):
-                        new[i + j] += a * b
-            prod = new
-    quo, rem = _poly_divmod(xn1, prod)
-    assert not any(rem), "cyclotomic product must divide x^N - 1"
-    return quo
+    """Dense coefficient list of Phi_N (index = exponent)."""
+    phi = _cyclotomic_sparse(N)
+    return [phi.get(i, _F0) for i in range(max(phi) + 1)]
 
 
 class CycloField:
@@ -76,6 +47,7 @@ class CycloField:
         self.N = N
         phi = cyclotomic_polynomial(N)
         self.modulus = tuple(phi)
+        self._phi = {i: c for i, c in enumerate(phi) if c}
         self.degree = len(phi) - 1
         d = self.degree
         # reduction rows: x^(d+k) mod Phi_N for k = 0 .. d-2
@@ -126,7 +98,7 @@ class CycloField:
         return f"CycloField({self.N})"
 
 
-class CycloElement:
+class CycloElement(FieldOps):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: CycloField, coeffs: tuple):
@@ -151,15 +123,6 @@ class CycloElement:
 
     def __neg__(self):
         return CycloElement(self.field, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -188,57 +151,18 @@ class CycloElement:
     def inv(self) -> "CycloElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        # extended Euclid in Q[x] against the modulus
-        mod = list(self.field.modulus)
-        r0, r1 = mod, list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [_F0], [_F1]
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            if not any(r):
-                break
-            s = list(s0)
-            qs1 = [_F0] * (len(q) + len(s1) - 1)
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        qs1[i + j] += a * b
-            if len(s) < len(qs1):
-                s += [_F0] * (len(qs1) - len(s))
-            for i, c in enumerate(qs1):
-                s[i] -= c
-            r0, r1, s0, s1 = r1, r, s1, s
-        lc = r1[-1]  # r1 is a nonzero constant-or-unit gcd
-        if len(r1) != 1:
-            raise ZeroDivisionError("element not invertible (shares a factor)")
-        inv_coeffs = [c / lc for c in s1]
-        d = self.field.degree
-        if len(inv_coeffs) > d:
-            _, inv_coeffs = _poly_divmod(inv_coeffs, list(self.field.modulus))
-        inv_coeffs += [_F0] * (d - len(inv_coeffs))
-        return CycloElement(self.field, tuple(inv_coeffs[:d]))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        # extended Euclid in Q[x] against Phi_N, tracking the cofactor of
+        # self; Phi_N is irreducible, so the remainders end in a nonzero
+        # constant and the cofactor already has degree < phi(N)
+        r0, r1 = self.field._phi, {i: c for i, c in enumerate(self.coeffs) if c}
+        s0, s1 = {}, {0: _F1}
+        while max(r1):
+            q, r = _u_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, _u_sub(s0, _u_mul(q, s1))
+        c = r1[0]
+        return CycloElement(
+            self.field, tuple(s1.get(i, _F0) / c for i in range(self.field.degree))
+        )
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -93,13 +93,6 @@ class Diagram:
         m = self.dst
         return sum(1 for i, j in enumerate(self.link) if i < m <= j)
 
-    @property
-    def is_identity(self) -> bool:
-        if self.dst != self.src:
-            return False
-        n = self.dst
-        return all(self.link[i] == 2 * n - 1 - i for i in range(n))
-
     # -- operations -------------------------------------------------------------
 
     def compose(self, other: "Diagram") -> "ComposeOutcome":
@@ -207,9 +200,6 @@ class ComposeOutcome:
         self.diagram = diagram
         self.loops = loops
         self.annihilated = annihilated
-
-    def __iter__(self):
-        return iter((self.diagram, self.loops, self.annihilated))
 
     def __repr__(self):
         if self.annihilated:

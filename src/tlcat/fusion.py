@@ -15,15 +15,15 @@ reduction of ``linalg.rref`` yields the quotient, whose basis is the set
 of non-pivot raw coordinates.
 
 Every matrix on the quotient is built by one column builder,
-``FusedModule._column``: a morphism h of End(m+n) is composed onto the
-diagram leg of a free basis vector, the terms are summed as a raw vector,
-and ``_reduce`` takes that vector to free coordinates.  The induced action
-composes h on the left; the double braiding composes
-eta_{n,m} o eta_{m,n} on the right.  The twist-ratio route of the
-monodromy composes c_{m+n} on the right and, before reducing, applies the
-factor twists c_m^-1 (x) c_n^-1 to the (x, y) coordinates as one linear
-map; the two routes agree only because the quotient is the balanced
-tensor product.  Everything downstream - the central-element spectrum,
+``FusedModule._column``: ``Morphism.compose`` composes a morphism h of
+End(m+n) onto the diagram leg of a free basis vector, each diagram of the
+result is mapped to its raw coordinate, and ``_reduce`` takes that vector
+to free coordinates.  The induced action composes h on the left; the
+double braiding composes eta_{n,m} o eta_{m,n} on the right.  The
+twist-ratio route of the monodromy composes c_{m+n} on the right and,
+before reducing, applies the factor twists c_m^-1 (x) c_n^-1 to the
+(x, y) coordinates as one linear map; the two routes agree only because
+the quotient is the balanced tensor product.  Everything downstream - the central-element spectrum,
 Jordan data at roots of unity - is matrix arithmetic over the exact
 coefficient field.
 """
@@ -173,16 +173,9 @@ class FusedModule:
         onto its diagram leg from the left (side 'left') or the right."""
         di, rem = divmod(f_idx, self.dl * self.dr)
         xi, yi = divmod(rem, self.dr)
-        d = self.diagrams[di]
-        vec: dict = {}
-        for hd, hc in h.terms.items():
-            res = hd.compose(d) if side == "left" else d.compose(hd)
-            c = hc
-            if res.loops:
-                c = c * self.dom.beta_power(res.loops)
-            k = self._ri(self._dindex[res.diagram], xi, yi)
-            vec[k] = vec.get(k, self.dom.zero) + c
-        return vec
+        leg = Morphism.from_diagram(self.diagrams[di], self.dom)
+        image = h.compose(leg) if side == "left" else leg.compose(h)
+        return {self._ri(self._dindex[d], xi, yi): c for d, c in image.terms.items()}
 
     def _on_factors(self, vec: dict, left: list, right: list) -> dict:
         """Apply a linear map on each factor module to the (x, y)

@@ -29,6 +29,7 @@ from .morphism import (
     on_strands,
     t,
     t_inv,
+    word,
     z,
     zt,
 )
@@ -64,8 +65,6 @@ _SPECTRAL_EXPONENTS = {
 def spectral_power(arg):
     """Return k -> (spectral argument)^k for a monomial spectral argument
     named by arg ('u', 'v/u', 'u*v', ...) or given as an exponent triple."""
-    if callable(arg):
-        return arg
     expo = _SPECTRAL_EXPONENTS[arg] if isinstance(arg, str) else tuple(arg)
     eu, ev, ew = expo
 
@@ -339,17 +338,12 @@ def verify_boundary_ybe(family: str = "ordinary", dom: CoeffDomain = GENERIC) ->
 def transfer_matrix(n: int, family: str = "ordinary", arg="u", dom: CoeffDomain = GENERIC) -> Morphism:
     """D_n(u): 2n faces on n+2 strands, the two auxiliary strands closed by
     a cup and a cap."""
-    faces = [face(i, n + 2, family, dom) for i in range(1, n + 1)]
-    word = None
-    # The word is X_n ... X_1 X_1 ... X_n; factors are accumulated leftwards,
-    # so process it right-to-left.
-    for seq in ([faces[i] for i in range(n - 1, -1, -1)], [faces[i] for i in range(n)]):
-        for f in seq:
-            m = f(arg)
-            word = m if word is None else m.compose(word)
+    faces = [face(i, n + 2, family, dom)(arg) for i in range(1, n + 1)]
+    # the word X_n ... X_1 X_1 ... X_n
+    bulk = word(faces[::-1] + faces, n + 2, dom=dom)
     cap = identity(n, dom=dom).tensor(zt(dom))
     cup = identity(n, dom=dom).tensor(z(dom))
-    return cap.compose(word).compose(cup)
+    return cap.compose(bulk).compose(cup)
 
 
 def verify_transfer_commute(

@@ -41,6 +41,7 @@ __all__ = [
     "dilute_eta11",
     "dilute_eta11_inverse",
     "on_strands",
+    "word",
     "parse_morphism",
 ]
 
@@ -259,13 +260,6 @@ class Morphism:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_identity(self) -> bool:
-        if self.dst != self.src or len(self.terms) != 1:
-            return False
-        ((d, c),) = self.terms.items()
-        return d.is_identity and c == self.dom.one
-
     def __eq__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented
@@ -294,18 +288,6 @@ class Morphism:
             for d, c in sorted(self.terms.items(), key=lambda kv: kv[0].key())
         ]
         return head + " + ".join(parts)
-
-    def to_json(self) -> dict:
-        return {
-            "dst": self.dst,
-            "src": self.src,
-            "dilute": self.dilute,
-            "spec": self.dom.spec.describe(),
-            "terms": [
-                {"coeff": str(c), "diagram": d.to_text()}
-                for d, c in sorted(self.terms.items(), key=lambda kv: kv[0].key())
-            ],
-        }
 
     def __repr__(self):
         return f"Morphism({self.to_text()})"
@@ -365,6 +347,17 @@ def on_strands(local: Morphism, i: int, n: int) -> Morphism:
     if i + 1 < n:
         out = out.tensor(identity(n - i - 1, local.dilute, local.dom))
     return out
+
+
+def word(factors, n: int, dilute: bool = False, dom: CoeffDomain = GENERIC) -> Morphism:
+    """The product f_1 f_2 ... f_k in End(n), leftmost factor first, built
+    from the right: f_1 (f_2 (... f_k)).  The empty word is the identity of
+    its strand family; a non-empty word never starts from an identity,
+    which on n dilute strands has 2^n terms."""
+    out = None
+    for f in reversed(factors):
+        out = f if out is None else f.compose(out)
+    return identity(n, dilute, dom) if out is None else out
 
 
 def t(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> Morphism:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+from .diagram import InterfaceMismatch
+
 __all__ = ["VerificationReport", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
@@ -12,14 +14,13 @@ SCHEMA_VERSION = 1
 class VerificationReport:
     """A suite of named checks with pass/fail records and optional witnesses.
 
-    Serialized reports omit wall time by default so that repeated runs with
-    the same seed produce identical bytes; timing is reported separately.
+    Serialized reports hold no timing, so repeated runs with the same seed
+    produce identical bytes.
     """
 
     def __init__(self, suite: str):
         self.suite = suite
         self.cases: list = []
-        self.wall_time: float | None = None
 
     def add(self, identity: str, params: dict, ok: bool, witness: dict | None = None):
         rec = {
@@ -40,7 +41,7 @@ class VerificationReport:
             witness = {
                 "lhs": _show(lhs),
                 "rhs": _show(rhs),
-                "diff": _show(lhs - rhs) if hasattr(lhs, "__sub__") else None,
+                "diff": _diff(lhs, rhs),
             }
         return self.add(identity, params, ok, witness)
 
@@ -62,8 +63,8 @@ class VerificationReport:
     def failures(self) -> list:
         return [c for c in self.cases if c["status"] == "fail"]
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "schema": SCHEMA_VERSION,
             "suite": self.suite,
             "summary": {
@@ -73,14 +74,9 @@ class VerificationReport:
             },
             "cases": self.cases,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time
-        return out
 
-    def dumps(self, include_timing: bool = False) -> str:
-        return json.dumps(
-            self.to_json(include_timing), indent=2, sort_keys=True, default=str
-        )
+    def dumps(self) -> str:
+        return json.dumps(self.to_json(), indent=2, sort_keys=True, default=str)
 
     def summary_line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"
@@ -88,6 +84,15 @@ class VerificationReport:
 
     def __repr__(self):
         return f"VerificationReport({self.summary_line()})"
+
+
+def _diff(lhs, rhs):
+    """lhs - rhs as text, or None where the two sides cannot be subtracted:
+    matrices, or morphisms of different shapes or domains."""
+    try:
+        return _show(lhs - rhs)
+    except (TypeError, InterfaceMismatch):
+        return None
 
 
 def _show(x):

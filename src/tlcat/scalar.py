@@ -70,6 +70,17 @@ def _u_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def _u_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        c2 = out.get(e, _F0) - c
+        if c2:
+            out[e] = c2
+        elif e in out:
+            del out[e]
+    return out
+
+
 def _u_divmod(a: dict, b: dict) -> tuple[dict, dict]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -117,7 +128,51 @@ def _u_eval(p: dict, x: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class Scalar:
+class FieldOps:
+    """Subtraction, division and integer powers, derived from a coefficient
+    type's own +, unary -, *, inv() and _coerce (which returns
+    NotImplemented for a foreign operand)."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inv()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inv()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inv() ** (-k)
+        out = self._coerce(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+
+class Scalar(FieldOps):
     __slots__ = ("num", "den")
 
     def __init__(self, num=None, den=None, _canonical: bool = False):
@@ -216,15 +271,6 @@ class Scalar:
     def __neg__(self):
         return Scalar({k: -c for k, c in self.num.items()}, dict(self.den), _canonical=True)
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -260,27 +306,6 @@ class Scalar:
         new_num = {(e - smin, -eu, -ev, -ew): c for e, c in self.den.items()}
         return Scalar(new_num, new_den)
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inv()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -290,7 +315,7 @@ class Scalar:
     def __hash__(self):
         return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
-    # -- evaluation and specialization ---------------------------------------
+    # -- evaluation ------------------------------------------------------------
 
     def subs(self, **values) -> "Scalar":
         """Substitute rational values for a subset of the variables.
@@ -340,34 +365,6 @@ class Scalar:
             raise AssertionError("evaluation left symbols behind")
         return out.num.get(_ZKEY, _F0)
 
-    def specialize(self, sp: "Specialization"):
-        """Apply a specialization; see Specialization for the target rings."""
-        if sp.kind == "generic":
-            return self
-        extra = self.variables() - {"s"}
-        if extra:
-            raise ValueError(
-                f"cannot specialize: spectral variables {sorted(extra)} present"
-            )
-        if sp.kind == "rational":
-            return self.eval_rational(s=sp.s0)
-        if sp.kind == "cyclotomic":
-            from .cyclotomic import CycloField
-
-            field = CycloField(sp.N)
-            numv = field.zero()
-            for key, c in self.num.items():
-                numv = numv + field.zeta(sp.a * key[0]) * c
-            denv = field.zero()
-            for e, c in self.den.items():
-                denv = denv + field.zeta(sp.a * e) * c
-            if denv.is_zero():
-                raise PoleAtSpecialization(
-                    f"denominator vanishes at s = zeta_{sp.N}^{sp.a}"
-                )
-            return numv * denv.inv()
-        raise ValueError(f"unknown specialization kind {sp.kind!r}")
-
     # -- text form ------------------------------------------------------------
 
     def __str__(self):
@@ -380,13 +377,16 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self})"
 
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, Scalar):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Scalar.from_rational(x)
+        return NotImplemented
 
-def _coerce(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.from_rational(x)
-    return NotImplemented
+
+_coerce = Scalar._coerce
 
 
 def _num_mul_upoly(num: dict, p: dict) -> dict:

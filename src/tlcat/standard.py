@@ -63,25 +63,12 @@ class StandardModule:
         basis -> coefficient.  Terms that lose through lines are dropped
         when the module has a through-line count k (k is None for the
         regular module, which keeps every term)."""
-        out: dict = {}
-        for d, c in f.terms.items():
-            res = Diagram.compose(d, v)
-            if res.annihilated:
-                continue
-            img = res.diagram
-            if self.k is not None and img.through != self.k:
-                continue
-            coeff = c
-            if res.loops:
-                coeff = coeff * self.dom.beta_power(res.loops)
-            idx = self._index[img]
-            prev = out.get(idx)
-            prev = coeff if prev is None else prev + coeff
-            if prev:
-                out[idx] = prev
-            elif idx in out:
-                del out[idx]
-        return out
+        image = f.compose(Morphism.from_diagram(v, self.dom))
+        return {
+            self._index[d]: c
+            for d, c in image.terms.items()
+            if self.k is None or d.through == self.k
+        }
 
     def __repr__(self):
         return f"StandardModule(S_{self.n},{self.k}, dim={self.dim})"
@@ -180,7 +167,7 @@ def annihilated_line_dimension(m: int, spec: Specialization | None = None) -> in
     Symbolic for the generic specialization; callers wanting speed pass a
     rational point.
     """
-    dom = GENERIC if spec is None or spec.kind == "generic" else domain_for(spec)
+    dom = domain_for(spec or Specialization.generic())
     diags = enumerate_diagrams(m, m)
     index = {d: i for i, d in enumerate(diags)}
     nd = len(diags)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .braid import commutor
 from .diagram import enumerate_diagrams
 from .linalg import det
-from .morphism import GENERIC, CoeffDomain, Morphism, e, identity, t, t_inv, z
+from .morphism import GENERIC, CoeffDomain, Morphism, e, identity, t, t_inv, word, z
 from .report import VerificationReport
 from .standard import StandardModule, act, eigenvalue_on_standard, standard_dimension
 from .scalar import Scalar
@@ -27,6 +27,7 @@ __all__ = [
     "e0",
     "en",
     "gamma_eigenvalue",
+    "det_t1_closed_form",
     "verify_centrality",
     "verify_twist_axiom",
     "verify_cyclic_lemma",
@@ -36,30 +37,22 @@ __all__ = [
 ]
 
 
-def _word(n: int, indices, crossing, dom: CoeffDomain) -> Morphism:
-    """crossing(i_1) crossing(i_2) ... in End(n), leftmost factor first."""
-    out = identity(n, dom=dom)
-    for i in indices:
-        out = out.compose(crossing(i, n, dom))
-    return out
-
-
 def rho(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """t_1 t_2 ... t_{n-1} (leftmost factor t_1)."""
-    return _word(n, range(1, n), t, dom)
+    return word([t(i, n, dom) for i in range(1, n)], n, dom=dom)
 
 
 def lam(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """t_{n-1} ... t_2 t_1."""
-    return _word(n, range(n - 1, 0, -1), t, dom)
+    return word([t(i, n, dom) for i in range(n - 1, 0, -1)], n, dom=dom)
 
 
 def rho_inv(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    return _word(n, range(n - 1, 0, -1), t_inv, dom)
+    return word([t_inv(i, n, dom) for i in range(n - 1, 0, -1)], n, dom=dom)
 
 
 def lam_inv(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    return _word(n, range(1, n), t_inv, dom)
+    return word([t_inv(i, n, dom) for i in range(1, n)], n, dom=dom)
 
 
 def twist_element(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
@@ -218,6 +211,12 @@ def verify_gamma_consistency(max_n: int, dom: CoeffDomain = GENERIC) -> Verifica
     return rep
 
 
+def det_t1_closed_form(n: int, k: int) -> Scalar:
+    """det of t_1 on S_{n,k}: q^{dim/2} (-q^-2)^{dim S_{n-2,k}}."""
+    d2 = standard_dimension(n - 2, k) if n - 2 >= k else 0
+    return Scalar.s_power(2 * standard_dimension(n, k)) * (-Scalar.s_power(-8)) ** d2
+
+
 def verify_det_t1(max_n: int) -> VerificationReport:
     """det of t_1 on S_{n,k} equals q^{dim/2} (-q^-2)^{dim S_{n-2,k}}."""
     rep = VerificationReport("twist.det-t1")
@@ -227,12 +226,8 @@ def verify_det_t1(max_n: int) -> VerificationReport:
             module = StandardModule(n, k)
             if module.dim == 0:
                 continue
-            mat = act(t1, module)
-            got = det(mat)
-            d1 = module.dim
-            d2 = standard_dimension(n - 2, k) if n - 2 >= k else 0
-            expected = Scalar.s_power(2 * d1) * (-Scalar.s_power(-8)) ** d2
-            rep.check("det t_1 on S_{n,k}", {"n": n, "k": k}, got, expected)
+            rep.check("det t_1 on S_{n,k}", {"n": n, "k": k},
+                      det(act(t1, module)), det_t1_closed_form(n, k))
     return rep
 
 

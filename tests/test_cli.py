@@ -156,6 +156,8 @@ def test_eigen(capsys):
     assert payload["central_eigenvalue"]["value"] == "s^16"  # q^4
     assert payload["central_eigenvalue"]["s_exponent"] == 16
     assert payload["module"]["dim"] == 3
+    # q^(3/2) (-q^-2)^(dim S_{2,2}), the closed form verify_det_t1 checks
+    assert payload["det_t1"]["value"] == "-s^-2"
 
 
 def test_render_ascii_and_svg(capsys, tmp_path):

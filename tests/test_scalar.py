@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlcat.cyclotomic import CycloField, cyclotomic_polynomial
+from tlcat.cyclotomic import CycloElement, CycloField, cyclotomic_polynomial
+from tlcat.morphism import domain_for
 from tlcat.scalar import (
     NotInvertibleInRing,
     Scalar,
@@ -43,6 +44,10 @@ def test_ring_ops_match_rational_evaluation(da, db):
         assert (a + b).eval_rational(s=x) == eval_oracle(da, x) + eval_oracle(db, x)
         assert (a - b).eval_rational(s=x) == eval_oracle(da, x) - eval_oracle(db, x)
         assert (a * b).eval_rational(s=x) == eval_oracle(da, x) * eval_oracle(db, x)
+        assert (1 - a).eval_rational(s=x) == 1 - eval_oracle(da, x)
+        assert (a ** 3).eval_rational(s=x) == eval_oracle(da, x) ** 3
+        if eval_oracle(db, x):
+            assert (a / b).eval_rational(s=x) == eval_oracle(da, x) / eval_oracle(db, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,7 +109,7 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == [Fraction(1), Fraction(0), Fraction(-1),
                                          Fraction(0), Fraction(1)]
     # product over divisors of x^n - 1
-    for n in (6, 8, 12):
+    for n in range(1, 41):
         prod = [Fraction(1)]
         for d in range(1, n + 1):
             if n % d:
@@ -130,10 +135,33 @@ def test_cyclo_field_arithmetic():
     assert a * a.inv() == F.one()
 
 
-def test_scalar_specialize_cyclotomic():
-    sp = Specialization.cyclotomic(12, 1)
+CYCLO_ORDERS = (1, 2, 3, 8, 12, 16, 24, 32)
+
+
+@st.composite
+def cyclo_pair(draw):
+    """Two nonzero elements of one field Q(zeta_N)."""
+    F = CycloField(draw(st.sampled_from(CYCLO_ORDERS)))
+    coeffs = st.lists(coeff, min_size=F.degree, max_size=F.degree).filter(any)
+    return (CycloElement(F, tuple(draw(coeffs))),
+            CycloElement(F, tuple(draw(coeffs))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclo_pair())
+def test_cyclotomic_field_operations(pair):
+    a, b = pair
+    one = a.field.one()
+    assert a * a.inv() == one
+    assert (a / b) * b == a
+    assert 1 - a == -(a - 1)
+    assert 2 / a == 2 * a.inv()
+    assert a ** -2 * a ** 2 == one
+
+
+def test_cyclotomic_domain_specializes_s():
+    dom = domain_for(Specialization.cyclotomic(12))
     F = CycloField(12)
-    got = (Scalar.s_power(4) + Scalar.s_power(-4)).specialize(sp)
-    assert got == F.zeta(4) + F.zeta(8)
+    assert dom.s_power(4) + dom.s_power(-4) == F.zeta(4) + F.zeta(8)
     # q = zeta_3 so beta = -q - q^-1 = 1
-    assert Scalar.beta().specialize(sp) == F.one()
+    assert dom.beta == F.one()
