@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .morphism import GENERIC, CoeffDomain, Morphism, e, identity, t, t_inv, word, z
+from .morphism import GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, t, t_inv, word, z
 from .diagram import enumerate_diagrams
 from .report import VerificationReport
 
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 
+@cached_morphism(maxsize=128)
 def commutor(
     r: int,
     s: int,
@@ -47,6 +48,7 @@ def commutor(
     return word([t(k, n, dom, dilute) for k in indices], n, dilute, dom)
 
 
+@cached_morphism(maxsize=128)
 def commutor_inverse(
     r: int, s: int, dom: CoeffDomain = GENERIC, dilute: bool = False
 ) -> Morphism:

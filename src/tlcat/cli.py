@@ -33,7 +33,7 @@ from .render import parse_renderable, render_ascii, render_svg
 from .report import SCHEMA_VERSION, VerificationReport
 from .scalar import Specialization
 from .standard import StandardModule, standard_dimension, verify_rigidity
-from .twist import det_t1_closed_form, gamma_eigenvalue, verify_twist_suite
+from .twist import det_t1_closed_form, gamma_eigenvalue, gamma_exponent, verify_twist_suite
 
 SUITES = ("braid", "twist", "repr", "fusion", "integrable", "dilute", "all")
 # the suites that compute at --spec; the others always compute generically
@@ -210,13 +210,15 @@ def _cmd_eigen(args) -> int:
         print("error: need 0 <= k <= n with n - k even", file=sys.stderr)
         return 2
     dim = standard_dimension(n, k)
+    s_exponent = gamma_exponent(k)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "eigen",
         "module": {"n": n, "k": k, "dim": dim},
         "central_eigenvalue": {
-            "s_exponent": 2 * k * (k + 2),
-            "q_exponent": f"{k * (k + 2)}/2",
+            "s_exponent": s_exponent,
+            # q = s^4, so the q-exponent is s_exponent / 4, written over 2
+            "q_exponent": f"{s_exponent // 2}/2",
             "value": str(gamma_eigenvalue(k)),
         },
         "det_t1": {

@@ -9,8 +9,11 @@ weight beta per closed loop; dilute annihilated pairs contribute nothing.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import re
 from itertools import product as _iproduct
+from types import MappingProxyType
 
 from .diagram import (
     Diagram,
@@ -42,6 +45,7 @@ __all__ = [
     "dilute_eta11_inverse",
     "on_strands",
     "word",
+    "cached_morphism",
     "parse_morphism",
 ]
 
@@ -191,14 +195,17 @@ class Morphism:
         if self.dilute != other.dilute or self.dom != other.dom:
             raise InterfaceMismatch("compose: dilute flags or domains differ")
         dom = self.dom
+        one = dom.one
         out: dict = {}
         for (d1, c1), (d2, c2) in _iproduct(self.terms.items(), other.terms.items()):
             res = d1.compose(d2)
             if res.annihilated:
                 continue
-            c = c1 * c2
+            # a one-diagram morphism carries the unit: skip multiplying by it
+            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
             if res.loops:
-                c = c * dom.beta_power(res.loops)
+                b = dom.beta_power(res.loops)
+                c = b if c is one else c * b
             d = res.diagram
             c0 = out.get(d)
             c0 = c if c0 is None else c0 + c
@@ -291,6 +298,35 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.to_text()})"
+
+
+def cached_morphism(maxsize: int):
+    """Memoise a builder of structural morphisms in a bounded LRU cache.
+
+    The key is the call's bound arguments with defaults applied, so the
+    keyword and positional forms of one call share an entry; every argument
+    must be hashable and immutable.  A cached morphism's terms are made
+    read-only, because every caller receives the same object."""
+
+    def decorate(build):
+        signature = inspect.signature(build)
+
+        @functools.lru_cache(maxsize=maxsize)
+        def cached(*key):
+            m = build(*key)
+            m.terms = MappingProxyType(m.terms)
+            return m
+
+        @functools.wraps(build)
+        def builder(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return cached(*bound.arguments.values())
+
+        builder.cache_info = cached.cache_info
+        return builder
+
+    return decorate
 
 
 def parse_morphism(text: str) -> Morphism:

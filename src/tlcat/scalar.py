@@ -11,13 +11,17 @@ hoc square roots are ever introduced.
 
 Representation is canonical:
 
-* numerator: dict mapping exponent 4-tuples (e_s, e_u, e_v, e_w) to Fraction,
-  no zero values stored;
-* denominator: dict mapping s-exponent to Fraction with lowest exponent 0 and
-  leading coefficient 1, coprime to the numerator's s-content;
+* numerator: dict mapping exponent 4-tuples (e_s, e_u, e_v, e_w) to a
+  rational coefficient, no zero values stored;
+* denominator: dict mapping s-exponent to a rational coefficient with lowest
+  exponent 0 and leading coefficient 1, coprime to the numerator's s-content;
 * zero is {} / {0: 1}.
 
-With that normal form two Scalars are equal iff their dicts are equal.
+A coefficient is an int when it is integral and a Fraction otherwise; every
+structure constant of the braid, twist and integrable suites is an integer,
+so their arithmetic never builds a Fraction.  An int equals and hashes like
+the Fraction of the same value, so with that normal form two Scalars are
+equal iff their dicts are equal.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ __all__ = [
 VARS = ("s", "u", "v", "w")
 _SPECTRAL = VARS[1:]
 _ZKEY = (0, 0, 0, 0)
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class NotInvertibleInRing(ArithmeticError):
@@ -50,11 +52,26 @@ class PoleAtSpecialization(ArithmeticError):
     """The denominator vanishes at the requested specialization."""
 
 
+def _exact(c):
+    """The rational c as an int when it is integral."""
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _div(a, b):
+    """The exact quotient a / b of rationals: an int when it is integral
+    (a bare int / int would give a float)."""
+    if a.__class__ is int and b.__class__ is int and not a % b:
+        return a // b
+    return _exact(Fraction(a, b))
+
+
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q, as dict[int, Fraction] with exponents >= 0
+# univariate polynomials over Q, as dict[int, rational] with exponents >= 0
 
 def _u_trim(p: dict) -> dict:
-    return {e: c for e, c in p.items() if c}
+    return {e: _exact(c) for e, c in p.items() if c}
 
 
 def _u_mul(a: dict, b: dict) -> dict:
@@ -62,7 +79,7 @@ def _u_mul(a: dict, b: dict) -> dict:
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            c = out.get(e, _F0) + ca * cb
+            c = out.get(e, 0) + ca * cb
             if c:
                 out[e] = c
             elif e in out:
@@ -73,7 +90,7 @@ def _u_mul(a: dict, b: dict) -> dict:
 def _u_sub(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        c2 = out.get(e, _F0) - c
+        c2 = out.get(e, 0) - c
         if c2:
             out[e] = c2
         elif e in out:
@@ -92,11 +109,11 @@ def _u_divmod(a: dict, b: dict) -> tuple[dict, dict]:
         dr = max(rem)
         if dr < db:
             break
-        f = rem[dr] / lb
+        f = _div(rem[dr], lb)
         quo[dr - db] = f
         for eb, cb in b.items():
             e = dr - db + eb
-            c = rem.get(e, _F0) - f * cb
+            c = rem.get(e, 0) - f * cb
             if c:
                 rem[e] = c
             elif e in rem:
@@ -114,12 +131,12 @@ def _u_gcd(a: dict, b: dict) -> dict:
         return {}
     lc = a[max(a)]
     if lc != 1:
-        a = {e: c / lc for e, c in a.items()}
+        a = {e: _div(c, lc) for e, c in a.items()}
     return a
 
 
 def _u_eval(p: dict, x: Fraction) -> Fraction:
-    acc = _F0
+    acc = 0
     for e, c in p.items():
         acc += c * x**e
     return acc
@@ -179,9 +196,9 @@ class Scalar(FieldOps):
         if num is None:
             num = {}
         elif isinstance(num, (int, Fraction)):
-            num = {_ZKEY: Fraction(num)} if num else {}
+            num = {_ZKEY: num} if num else {}
         if den is None:
-            den = {0: _F1}
+            den = {0: 1}
         if _canonical:
             self.num = num
             self.den = den
@@ -192,12 +209,13 @@ class Scalar(FieldOps):
 
     @staticmethod
     def from_rational(r) -> "Scalar":
-        r = Fraction(r)
+        if r.__class__ is not int:
+            r = _exact(Fraction(r))
         return Scalar({_ZKEY: r} if r else {}, None, _canonical=True)
 
     @staticmethod
     def s_power(k: int) -> "Scalar":
-        return Scalar({(k, 0, 0, 0): _F1}, None, _canonical=True)
+        return Scalar({(k, 0, 0, 0): 1}, None, _canonical=True)
 
     @staticmethod
     def q_power(k) -> "Scalar":
@@ -211,12 +229,12 @@ class Scalar(FieldOps):
     def var_power(name: str, k: int) -> "Scalar":
         i = VARS.index(name)
         key = tuple(k if j == i else 0 for j in range(4))
-        return Scalar({key: _F1}, None, _canonical=True)
+        return Scalar({key: 1}, None, _canonical=True)
 
     @staticmethod
     def beta() -> "Scalar":
         """Loop weight -q - q^-1 = -s^4 - s^-4."""
-        return Scalar({(4, 0, 0, 0): -_F1, (-4, 0, 0, 0): -_F1}, None, _canonical=True)
+        return Scalar({(4, 0, 0, 0): -1, (-4, 0, 0, 0): -1}, None, _canonical=True)
 
     # -- predicates ----------------------------------------------------------
 
@@ -233,7 +251,7 @@ class Scalar(FieldOps):
             for i, e in enumerate(key):
                 if e:
                     out.add(VARS[i])
-        if self.den != {0: _F1}:
+        if self.den != {0: 1}:
             out.add("s")
         return out
 
@@ -246,12 +264,12 @@ class Scalar(FieldOps):
         if self.den == other.den:
             num = dict(self.num)
             for k, c in other.num.items():
-                c2 = num.get(k, _F0) + c
+                c2 = num.get(k, 0) + c
                 if c2:
-                    num[k] = c2
+                    num[k] = c2 if c2.__class__ is int else _exact(c2)
                 elif k in num:
                     del num[k]
-            if self.den == {0: _F1}:
+            if self.den == {0: 1}:
                 return Scalar(num, None, _canonical=True)
             return Scalar(num, dict(self.den))
         g = _u_gcd(self.den, other.den)
@@ -259,7 +277,7 @@ class Scalar(FieldOps):
         d2r, _ = _u_divmod(other.den, g)
         num = _num_mul_upoly(self.num, d2r)
         for k, c in _num_mul_upoly(other.num, d1r).items():
-            c2 = num.get(k, _F0) + c
+            c2 = num.get(k, 0) + c
             if c2:
                 num[k] = c2
             elif k in num:
@@ -281,12 +299,17 @@ class Scalar(FieldOps):
         for k1, c1 in self.num.items():
             for k2, c2 in other.num.items():
                 k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                c = num.get(k, _F0) + c1 * c2
+                c = num.get(k, 0) + c1 * c2
                 if c:
                     num[k] = c
                 elif k in num:
                     del num[k]
-        if self.den == {0: _F1} and other.den == {0: _F1}:
+        if self.den == {0: 1} and other.den == {0: 1}:
+            for c in num.values():
+                if c.__class__ is not int:
+                    # a product of Fractions can be integral
+                    num = {k: _exact(c) for k, c in num.items()}
+                    break
             return Scalar(num, None, _canonical=True)
         return Scalar(num, _u_mul(self.den, other.den))
 
@@ -338,23 +361,24 @@ class Scalar(FieldOps):
                     c = c * val ** key[i]
                     nk[i] = 0
             nk = tuple(nk)
-            c2 = num.get(nk, _F0) + c
+            c2 = num.get(nk, 0) + c
             if c2:
                 num[nk] = c2
             elif nk in num:
                 del num[nk]
         den = self.den
-        if 0 in vals and den != {0: _F1}:
+        if 0 in vals and den != {0: 1}:
             dval = _u_eval(den, vals[0])
             if dval == 0:
                 raise PoleAtSpecialization("denominator vanishes at substitution")
-            num = {k: c / dval for k, c in num.items()}
-            den = {0: _F1}
+            num = {k: _div(c, dval) for k, c in num.items()}
+            den = {0: 1}
             return Scalar(num, den, _canonical=True)
         return Scalar(num, dict(den))
 
-    def eval_rational(self, s=None, u=None, v=None, w=None) -> Fraction:
-        """Full evaluation at rational points; every present variable needs a value."""
+    def eval_rational(self, s=None, u=None, v=None, w=None) -> Fraction | int:
+        """Full evaluation at rational points; every present variable needs a
+        value.  An integral value comes back as an int."""
         given = {"s": s, "u": u, "v": v, "w": w}
         need = self.variables()
         for name in need:
@@ -363,13 +387,13 @@ class Scalar(FieldOps):
         out = self.subs(**{n: given[n] for n in need})
         if out.num and set(out.num) != {_ZKEY}:
             raise AssertionError("evaluation left symbols behind")
-        return out.num.get(_ZKEY, _F0)
+        return out.num.get(_ZKEY, 0)
 
     # -- text form ------------------------------------------------------------
 
     def __str__(self):
         num = _num_to_text(self.num)
-        if self.den == {0: _F1}:
+        if self.den == {0: 1}:
             return num
         den = _num_to_text({(e, 0, 0, 0): c for e, c in self.den.items()})
         return f"({num}) / ({den})"
@@ -394,7 +418,7 @@ def _num_mul_upoly(num: dict, p: dict) -> dict:
     for key, c in num.items():
         for e, pc in p.items():
             k = (key[0] + e, key[1], key[2], key[3])
-            c2 = out.get(k, _F0) + c * pc
+            c2 = out.get(k, 0) + c * pc
             if c2:
                 out[k] = c2
             elif k in out:
@@ -403,12 +427,12 @@ def _num_mul_upoly(num: dict, p: dict) -> dict:
 
 
 def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
-    num = {k: c for k, c in num.items() if c}
+    num = {k: _exact(c) for k, c in num.items() if c}
     den = _u_trim(den)
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {0: _F1}
+        return {}, {0: 1}
     dmin = min(den)
     if dmin:
         den = {e - dmin: c for e, c in den.items()}
@@ -416,8 +440,8 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
     if len(den) == 1:
         c0 = den[0]
         if c0 != 1:
-            num = {k: c / c0 for k, c in num.items()}
-        return num, {0: _F1}
+            num = {k: _div(c, c0) for k, c in num.items()}
+        return num, {0: 1}
     # gcd-reduce against the s-content of the numerator
     slices: dict = {}
     for key, c in num.items():
@@ -427,7 +451,7 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
         smin = min(sl)
         poly = {e - smin: c for e, c in sl.items()}
         g = _u_gcd(g, poly)
-        if g == {0: _F1}:
+        if g == {0: 1}:
             break
     if max(g) > 0:
         den, _ = _u_divmod(den, g)
@@ -444,10 +468,10 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
             num = {(k[0] - dmin, k[1], k[2], k[3]): c for k, c in num.items()}
     lc = den[max(den)]
     if lc != 1:
-        den = {e: c / lc for e, c in den.items()}
-        num = {k: c / lc for k, c in num.items()}
+        den = {e: _div(c, lc) for e, c in den.items()}
+        num = {k: _div(c, lc) for k, c in num.items()}
     if len(den) == 1:
-        den = {0: _F1}
+        den = {0: 1}
     return num, den
 
 
@@ -502,7 +526,7 @@ def _parse_poly(text: str) -> dict:
                 name, _, exp = factor.partition("^")
                 key[VARS.index(name)] += int(exp) if exp else 1
         k = tuple(key)
-        c = num.get(k, _F0) + sign * coeff
+        c = num.get(k, 0) + sign * coeff
         if c:
             num[k] = c
         elif k in num:

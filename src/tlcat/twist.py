@@ -11,7 +11,7 @@ from __future__ import annotations
 from .braid import commutor
 from .diagram import enumerate_diagrams
 from .linalg import det
-from .morphism import GENERIC, CoeffDomain, Morphism, e, identity, t, t_inv, word, z
+from .morphism import GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, t, t_inv, word, z
 from .report import VerificationReport
 from .standard import StandardModule, act, eigenvalue_on_standard, standard_dimension
 from .scalar import Scalar
@@ -26,6 +26,7 @@ __all__ = [
     "twist_inverse",
     "e0",
     "en",
+    "gamma_exponent",
     "gamma_eigenvalue",
     "det_t1_closed_form",
     "verify_centrality",
@@ -37,24 +38,29 @@ __all__ = [
 ]
 
 
+@cached_morphism(maxsize=32)
 def rho(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """t_1 t_2 ... t_{n-1} (leftmost factor t_1)."""
     return word([t(i, n, dom) for i in range(1, n)], n, dom=dom)
 
 
+@cached_morphism(maxsize=32)
 def lam(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """t_{n-1} ... t_2 t_1."""
     return word([t(i, n, dom) for i in range(n - 1, 0, -1)], n, dom=dom)
 
 
+@cached_morphism(maxsize=32)
 def rho_inv(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return word([t_inv(i, n, dom) for i in range(n - 1, 0, -1)], n, dom=dom)
 
 
+@cached_morphism(maxsize=32)
 def lam_inv(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return word([t_inv(i, n, dom) for i in range(1, n)], n, dom=dom)
 
 
+@cached_morphism(maxsize=32)
 def twist_element(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """c_n = q^(3n/2) rho_n^n."""
     return (rho(n, dom) ** n).scale(dom.s_power(6 * n))
@@ -65,6 +71,7 @@ def twist_element_reversed(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return (lam(n, dom) ** n).scale(dom.s_power(6 * n))
 
 
+@cached_morphism(maxsize=32)
 def twist_inverse(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return (rho_inv(n, dom) ** n).scale(dom.s_power(-6 * n))
 
@@ -79,9 +86,14 @@ def e0(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return lam(n, dom).compose(e(1, n, dom)).compose(lam_inv(n, dom))
 
 
+def gamma_exponent(k: int) -> int:
+    """The s-exponent 2k(k+2) of gamma_{n,k} = q^{k(k+2)/2}."""
+    return 2 * k * (k + 2)
+
+
 def gamma_eigenvalue(k: int, dom: CoeffDomain = GENERIC):
     """gamma_{n,k} = q^{k(k+2)/2} = s^{2k(k+2)}."""
-    return dom.s_power(2 * k * (k + 2))
+    return dom.s_power(gamma_exponent(k))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from tlcat.fusion import (
 from tlcat.morphism import GENERIC, domain_for, identity
 from tlcat.scalar import Scalar, Specialization
 from tlcat.standard import RegularModule, StandardModule, standard_dimension
+from tlcat.twist import twist_inverse
 
 
 def test_expected_summands():
@@ -67,6 +68,20 @@ def test_symbolic_monodromy_routes_agree():
 def test_route_agreement_detects_a_wrong_factor_twist(monkeypatch):
     # replacing c_1^-1 = s^-6 by the identity scales the twist route by
     # s^12, so the two monodromy routes must disagree
+    monkeypatch.setattr("tlcat.fusion.twist_inverse",
+                        lambda n, dom: identity(n, dom=dom))
+    fused = FusedModule(StandardModule(1, 1, GENERIC),
+                        StandardModule(1, 1, GENERIC))
+    assert fused.monodromy_matrix("braiding") != fused.monodromy_matrix("twist")
+
+
+def test_route_agreement_detects_a_wrong_factor_twist_with_warm_caches(monkeypatch):
+    # the cached c_1^-1, c_2 and commutors are built before the fault is
+    # planted; the twist route must still pick up the wrong factor
+    fused = FusedModule(StandardModule(1, 1, GENERIC),
+                        StandardModule(1, 1, GENERIC))
+    assert fused.monodromy_matrix("braiding") == fused.monodromy_matrix("twist")
+    assert twist_inverse.cache_info().currsize > 0
     monkeypatch.setattr("tlcat.fusion.twist_inverse",
                         lambda n, dom: identity(n, dom=dom))
     fused = FusedModule(StandardModule(1, 1, GENERIC),

@@ -68,6 +68,36 @@ def test_text_round_trip(da):
     assert parse_scalar(str(a)) == a
 
 
+def test_integral_coefficients_are_ints():
+    def coefficients(x):
+        return list(x.num.values()) + list(x.den.values())
+
+    def assert_ints(x):
+        assert all(type(c) is int for c in coefficients(x)), repr(x.num)
+
+    s = Scalar.s_power(1)
+    a = 3 * s ** 2 - s + 1
+    b = s + 2
+    for x in [Scalar(4), Scalar.from_rational(Fraction(6, 3)),
+              Scalar({(1, 0, 0, 0): Fraction(4, 2)}),
+              Scalar({(0, 0, 0, 0): Fraction(3)}, {0: Fraction(3), 1: Fraction(3)}),
+              Scalar({(0, 0, 0, 0): Fraction(3, 2)}, {0: Fraction(3, 2), 1: Fraction(3, 2)}),
+              Scalar({(2, 0, 0, 0): Fraction(4, 3)}, {0: Fraction(2, 3)}),
+              a + b, a * b, a - b, b.inv(), a / b, (2 * b) / 2, (s ** 2 - 1) / (s - 1),
+              Fraction(1, 2) * s + Fraction(1, 2) * s, (2 * s) * Fraction(1, 2)]:
+        assert_ints(x)
+        assert_ints(parse_scalar(str(x)))
+    assert (s ** 2 - 1) / (s - 1) == s + 1
+    # a non-integral quotient keeps its Fraction, and only that one
+    half = (2 * s + 1) / 2
+    assert half.num == {(1, 0, 0, 0): 1, (0, 0, 0, 0): Fraction(1, 2)}
+    assert type(half.num[(1, 0, 0, 0)]) is int
+    assert type(half.num[(0, 0, 0, 0)]) is Fraction
+    assert parse_scalar(str(half)).num == half.num
+    assert (s / 3).subs(s=3) == 1
+    assert type((s / 3).subs(s=3).num[(0, 0, 0, 0)]) is int
+
+
 def test_q_and_beta():
     assert Scalar.q_power(1) == Scalar.s_power(4)
     assert Scalar.q_power(Fraction(1, 2)) == Scalar.s_power(2)
