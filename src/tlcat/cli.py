@@ -21,7 +21,6 @@ from .fusion import (
     EigenvalueMismatch,
     FusedModule,
     expected_summands,
-    fusion_domain,
     fusion_summands,
     jordan_type,
     monodromy_eigenvalue,
@@ -65,8 +64,7 @@ def _run_suite(name: str, max_n: int, spec_text: str, seed: int) -> dict:
     elif name == "repr":
         rep = _repr_suite(max_n, spec)
     elif name == "fusion":
-        rep = verify_fusion_suite(max_total=min(max_n + 2, 6), spec=spec,
-                                  seed=seed)
+        rep = verify_fusion_suite(max_total=min(max_n + 2, 6), spec=spec)
     elif name == "integrable":
         rep = verify_integrable_suite("ordinary", max_n)
     elif name == "dilute":
@@ -132,7 +130,7 @@ def _cmd_verify(args) -> int:
 def _fusion_table(n1: int, k1: int, n2: int, k2: int,
                   spec: Specialization) -> dict:
     N = n1 + n2
-    dom = fusion_domain(spec)
+    dom = domain_for(spec)
     fused = FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
     at_root = spec.kind == "cyclotomic"
 

@@ -2,29 +2,27 @@
 
 Elements are polynomials in zeta_N with rational coefficients, reduced
 modulo the N-th cyclotomic polynomial, so the stored degree is always
-< phi(N) and equality is coefficient-wise.
+< phi(N) and equality is coefficient-wise.  A coefficient is an int when
+it is integral and a Fraction otherwise, as in ``Scalar``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import FieldOps, _u_divmod, _u_mul, _u_sub
+from .scalar import FieldOps, _div, _exact, _u_divmod, _u_mul, _u_sub
 
 __all__ = ["CycloField", "CycloElement", "cyclotomic_polynomial"]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _cyclotomic_sparse(N: int) -> dict:
     """Phi_N as a sparse polynomial: x^N - 1 divided by the product of Phi_d
     over the proper divisors d of N (an empty product for N = 1)."""
-    prod = {0: _F1}
+    prod = {0: 1}
     for d in range(1, N):
         if N % d == 0:
             prod = _u_mul(prod, _cyclotomic_sparse(d))
-    quo, rem = _u_divmod({0: -_F1, N: _F1}, prod)
+    quo, rem = _u_divmod({0: -1, N: 1}, prod)
     assert not rem, "cyclotomic product must divide x^N - 1"
     return quo
 
@@ -32,7 +30,7 @@ def _cyclotomic_sparse(N: int) -> dict:
 def cyclotomic_polynomial(N: int) -> list:
     """Dense coefficient list of Phi_N (index = exponent)."""
     phi = _cyclotomic_sparse(N)
-    return [phi.get(i, _F0) for i in range(max(phi) + 1)]
+    return [phi.get(i, 0) for i in range(max(phi) + 1)]
 
 
 class CycloField:
@@ -55,7 +53,7 @@ class CycloField:
         cur = [-phi[i] for i in range(d)]  # x^d
         rows.append(list(cur))
         for _ in range(d - 2):
-            cur = [_F0] + cur
+            cur = [0] + cur
             top = cur.pop()
             if top:
                 for i in range(d):
@@ -67,14 +65,14 @@ class CycloField:
         return self
 
     def zero(self) -> "CycloElement":
-        return CycloElement(self, (_F0,) * self.degree)
+        return CycloElement(self, (0,) * self.degree)
 
     def one(self) -> "CycloElement":
         return self.from_rational(1)
 
     def from_rational(self, r) -> "CycloElement":
-        coeffs = [_F0] * self.degree
-        coeffs[0] = Fraction(r)
+        coeffs = [0] * self.degree
+        coeffs[0] = r if r.__class__ is int else _exact(Fraction(r))
         return CycloElement(self, tuple(coeffs))
 
     def zeta(self, k: int = 1) -> "CycloElement":
@@ -82,12 +80,12 @@ class CycloField:
         if k in self._zeta_pows:
             return self._zeta_pows[k]
         z = self.one()
-        base = [_F0] * self.degree
+        base = [0] * self.degree
         if self.degree == 1:
             base[0] = self.modulus[0] * -1  # zeta_1 = 1, zeta_2 = -1
             zel = CycloElement(self, tuple(base))
         else:
-            base[1] = _F1
+            base[1] = 1
             zel = CycloElement(self, tuple(base))
         for _ in range(k):
             z = z * zel
@@ -96,6 +94,11 @@ class CycloField:
 
     def __repr__(self):
         return f"CycloField({self.N})"
+
+
+def _ints(coeffs) -> tuple:
+    """The coefficients as a tuple, each integral Fraction turned into an int."""
+    return tuple(c if c.__class__ is int else _exact(c) for c in coeffs)
 
 
 class CycloElement(FieldOps):
@@ -116,7 +119,7 @@ class CycloElement(FieldOps):
         if other is NotImplemented:
             return NotImplemented
         return CycloElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.field, _ints(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     __radd__ = __add__
@@ -130,7 +133,7 @@ class CycloElement(FieldOps):
             return NotImplemented
         d = self.field.degree
         a, b = self.coeffs, other.coeffs
-        prod = [_F0] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -144,7 +147,7 @@ class CycloElement(FieldOps):
                 row = red[k - d]
                 for i in range(d):
                     out[i] += c * row[i]
-        return CycloElement(self.field, tuple(out))
+        return CycloElement(self.field, _ints(out))
 
     __rmul__ = __mul__
 
@@ -155,13 +158,13 @@ class CycloElement(FieldOps):
         # self; Phi_N is irreducible, so the remainders end in a nonzero
         # constant and the cofactor already has degree < phi(N)
         r0, r1 = self.field._phi, {i: c for i, c in enumerate(self.coeffs) if c}
-        s0, s1 = {}, {0: _F1}
+        s0, s1 = {}, {0: 1}
         while max(r1):
             q, r = _u_divmod(r0, r1)
             r0, r1, s0, s1 = r1, r, s1, _u_sub(s0, _u_mul(q, s1))
         c = r1[0]
         return CycloElement(
-            self.field, tuple(s1.get(i, _F0) / c for i in range(self.field.degree))
+            self.field, tuple(_div(s1.get(i, 0), c) for i in range(self.field.degree))
         )
 
     def __eq__(self, other):

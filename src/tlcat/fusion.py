@@ -25,7 +25,10 @@ before reducing, applies the factor twists c_m^-1 (x) c_n^-1 to the
 (x, y) coordinates as one linear map; the two routes agree only because
 the quotient is the balanced tensor product.  Everything downstream - the central-element spectrum,
 Jordan data at roots of unity - is matrix arithmetic over the exact
-coefficient field.
+coefficient field of the spec, resolved by ``morphism.domain_for``: Q(s)
+for a generic spec, so a generic decomposition holds for generic s and not
+just at one point; Q at an explicit rational point; Q(zeta_N) at a root of
+unity.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .twist import gamma_eigenvalue, twist_element, twist_inverse
 
 __all__ = [
     "FusedModule",
-    "fusion_domain",
     "fusion_summands",
     "fusion_decomposition_generic",
     "monodromy_eigenvalue",
@@ -73,17 +75,10 @@ _GENERIC_POINTS = [
 
 
 def generic_rational_spec(seed: int = 0) -> Specialization:
-    """A deterministic non-root-of-unity rational point standing in for
-    generic s; distinct seeds give distinct points."""
+    """A fixed rational point s0, not a root of unity, for pointwise runs
+    (seed picks one of five).  A generic spec never maps to it: generic
+    fusion computes over Q(s)."""
     return Specialization.rational(_GENERIC_POINTS[seed % len(_GENERIC_POINTS)])
-
-
-def fusion_domain(spec: Specialization | None = None, seed: int = 0) -> CoeffDomain:
-    """The coefficient domain a fusion computation runs in: a generic (or
-    absent) spec is evaluated at generic_rational_spec(seed)."""
-    if spec is None or spec.kind == "generic":
-        spec = generic_rational_spec(seed)
-    return domain_for(spec)
 
 
 def monodromy_eigenvalue(k1: int, k2: int, k: int, dom: CoeffDomain):
@@ -307,9 +302,9 @@ def fusion_summands(fused: FusedModule) -> dict:
 def fusion_decomposition_generic(
     n1: int, k1: int, n2: int, k2: int, spec: Specialization | None = None
 ):
-    """The fusion product S_{n1,k1} x_f S_{n2,k2} at fusion_domain(spec),
-    and the multiset of its summand labels k."""
-    dom = fusion_domain(spec)
+    """The fusion product S_{n1,k1} x_f S_{n2,k2} over the domain of spec
+    (Q(s) when absent), and the multiset of its summand labels k."""
+    dom = domain_for(spec or Specialization.generic())
     fused = FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
     return fused, fusion_summands(fused)
 
@@ -349,50 +344,41 @@ def jordan_type(mat: list, lam) -> tuple:
     return tuple(sorted(sizes, reverse=True))
 
 
+# The worked root-of-unity examples: name, order L of s = zeta_L, factor
+# modules, fused dimension, the monodromy eigenvalue as a power of s, and
+# its Jordan type.
+_ROOT_EXAMPLES = (
+    # q a primitive third root of unity: S_{2,2} x_f S_{1,1} is a
+    # three-dimensional indecomposable, and its monodromy has Jordan type
+    # (2, 1) at mu_{2,1,3} = q^2.
+    ("P_3", 12, ((StandardModule, 2, 2), (StandardModule, 1, 1)), 3, 8, (2, 1)),
+    # q = i: End(2) x_f End(2) is fourteen-dimensional and the monodromy is
+    # a single unipotent with Jordan type (3, 3, 2, 2, 1, 1, 1, 1).
+    ("regular x regular", 16, ((RegularModule, 2), (RegularModule, 2)), 14, 0,
+     (3, 3, 2, 2, 1, 1, 1, 1)),
+)
+
+
 def verify_root_examples(rep: VerificationReport | None = None) -> VerificationReport:
     """The two worked root-of-unity fusion products with non-semisimple
     monodromy, checked against their exact Jordan structure."""
     if rep is None:
         rep = VerificationReport("fusion.roots")
-
-    # q a primitive third root of unity: S_{2,2} x_f S_{1,1} is a
-    # three-dimensional indecomposable with monodromy Jordan type (2, 1).
-    dom = domain_for(Specialization.cyclotomic(12, 1))
-    fused = FusedModule(StandardModule(2, 2, dom), StandardModule(1, 1, dom))
-    rep.add("P_3 dimension", {"spec": dom.spec.describe()}, fused.dim == 3,
-            {"dim": fused.dim})
-    mono = fused.monodromy_matrix("braiding")
-    rep.check("double braiding equals the twist-ratio route",
-              {"spec": dom.spec.describe()}, mono,
-              fused.monodromy_matrix("twist"))
-    lam = monodromy_eigenvalue(2, 1, 3, dom)
-    try:
-        blocks = jordan_type(mono, lam)
-    except EigenvalueMismatch as exc:
-        rep.add("monodromy jordan type", {"spec": dom.spec.describe()},
-                False, {"error": str(exc)})
-    else:
-        rep.add("monodromy jordan type", {"spec": dom.spec.describe()},
-                blocks == (2, 1), {"blocks": list(blocks)})
-
-    # q = i: End(2) x_f End(2) is fourteen-dimensional and the monodromy is
-    # a single unipotent with Jordan type (3, 3, 2, 2, 1, 1, 1, 1).
-    dom = domain_for(Specialization.cyclotomic(16, 1))
-    fused = FusedModule(RegularModule(2, dom), RegularModule(2, dom))
-    rep.add("regular x regular dimension", {"spec": dom.spec.describe()},
-            fused.dim == 14, {"dim": fused.dim})
-    mono = fused.monodromy_matrix("braiding")
-    rep.check("double braiding equals the twist-ratio route",
-              {"spec": dom.spec.describe()}, mono,
-              fused.monodromy_matrix("twist"))
-    try:
-        blocks = jordan_type(mono, dom.one)
-    except EigenvalueMismatch as exc:
-        rep.add("monodromy jordan type", {"spec": dom.spec.describe()},
-                False, {"error": str(exc)})
-    else:
-        rep.add("monodromy jordan type", {"spec": dom.spec.describe()},
-                blocks == (3, 3, 2, 2, 1, 1, 1, 1), {"blocks": list(blocks)})
+    for name, order, factors, dim, mu_exponent, expected in _ROOT_EXAMPLES:
+        dom = domain_for(Specialization.cyclotomic(order, 1))
+        fused = FusedModule(*(cls(*args, dom) for cls, *args in factors))
+        params = {"spec": dom.spec.describe()}
+        rep.add(f"{name} dimension", params, fused.dim == dim, {"dim": fused.dim})
+        mono = fused.monodromy_matrix("braiding")
+        rep.check("double braiding equals the twist-ratio route", params, mono,
+                  fused.monodromy_matrix("twist"))
+        try:
+            blocks = jordan_type(mono, dom.s_power(mu_exponent))
+        except EigenvalueMismatch as exc:
+            rep.add("monodromy jordan type", params, False, {"error": str(exc)})
+        else:
+            rep.add("monodromy jordan type", params, blocks == expected,
+                    {"blocks": list(blocks)})
     return rep
 
 
@@ -411,10 +397,12 @@ def verify_fusion_suite(
     max_total: int = 6, spec: Specialization | None = None, seed: int = 0
 ) -> VerificationReport:
     """Decomposition, monodromy eigenvalues, and route agreement for all
-    fusion products of standard modules with n1 + n2 <= max_total; at a
-    root of unity, the worked non-semisimple examples instead."""
+    fusion products of standard modules with n1 + n2 <= max_total, over
+    the domain of spec (Q(s) when absent); at a root of unity, the worked
+    non-semisimple examples instead.  seed changes nothing: it is accepted
+    for callers that still pass it."""
     rep = VerificationReport("fusion")
-    dom = fusion_domain(spec, seed)
+    dom = domain_for(spec or Specialization.generic())
     if dom.spec.kind == "cyclotomic":
         fused = FusedModule(StandardModule(2, 2, dom), StandardModule(1, 1, dom))
         rep.extend(fused.verify_representation())

@@ -59,13 +59,28 @@ def test_verify_byte_stable(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_fusion_does_not_depend_on_seed(capsys, tmp_path):
+    # generic fusion computes over Q(s), so --seed changes no byte of the
+    # report but the echoed seed itself
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"fusion-{seed}.json"
+        code, _, _ = run(capsys, "verify", "fusion", "--max-n", "3",
+                         "--seed", seed, "--out", str(out))
+        assert code == 0
+        text = out.read_text()
+        assert text.count(f'"seed": {seed},') == 1
+        reports.append(text.replace(f'"seed": {seed},', '"seed": SEED,').encode())
+    assert reports[0] == reports[1]
+
+
 # sha256 of `tlcat verify SUITE --max-n 3 --seed 0`: refactors must keep
 # every report byte for byte
 GOLDEN_REPORTS = {
     ("braid", "generic"): "af7a384639bef07648d83b11c8d50dde7ce8be918901e5e450c61e9365dafd33",
     ("twist", "generic"): "4e911658b6f00ac0e8feba1a2a5077325c5a13c53944b43c15155f19ff8fe3ed",
     ("repr", "generic"): "8d6d338e52ded9ed65aef85e5b5278249229bf644ae1cf449b6881cf840bb0dd",
-    ("fusion", "generic"): "a2f6929e47531980dc258499382e40967314ec9f0ff145d0792b5af99619eb8c",
+    ("fusion", "generic"): "24f5fb882900c9b1cc5e1dfb5fda85c39f52656e24309ba6f98615faa14605da",
     ("fusion", "root:3"): "ec086535237614937f1903f7eaadf9a4fb55005bc7182594db12662c36fab759",
     ("dilute", "generic"): "cd0c2662e47f71028a3e779f60c5a6105be14b8d7e1115db6cd18bf70a449f66",
     ("integrable", "generic"): "ebd1eaf9c5bf355c857e7c92224063b35094a32775b5fffdc950f8276ee66d07",

@@ -1,5 +1,6 @@
-"""Fusion products: quotient dimensions, decomposition at generic points,
-monodromy eigenvalues and route agreement, Jordan structure at roots."""
+"""Fusion products: quotient dimensions, decomposition over Q(s) (and its
+agreement with a rational point), monodromy eigenvalues and route
+agreement, Jordan structure at roots."""
 
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from tlcat.fusion import (
     generic_rational_spec,
     jordan_type,
     monodromy_eigenvalue,
+    verify_fusion_suite,
     verify_root_examples,
 )
 from tlcat.morphism import GENERIC, domain_for, identity
@@ -35,7 +37,7 @@ def test_decomposition_2211():
 
 
 def test_decomposition_dimension_oracle():
-    # at a generic point the fusion of S_{n1,k1} and S_{n2,k2} decomposes
+    # for generic s the fusion of S_{n1,k1} and S_{n2,k2} decomposes
     # into one copy of each S_{N,k}, |k1-k2| <= k <= k1+k2 in steps of 2
     for (n1, k1, n2, k2) in [(1, 1, 1, 1), (2, 0, 1, 1), (2, 2, 2, 2),
                              (3, 1, 2, 2), (2, 2, 3, 1)]:
@@ -87,6 +89,41 @@ def test_route_agreement_detects_a_wrong_factor_twist_with_warm_caches(monkeypat
     fused = FusedModule(StandardModule(1, 1, GENERIC),
                         StandardModule(1, 1, GENERIC))
     assert fused.monodromy_matrix("braiding") != fused.monodromy_matrix("twist")
+
+
+def _outcomes(rep):
+    return [(c["identity"], {k: v for k, v in c["params"].items() if k != "spec"},
+             c["status"]) for c in rep.cases]
+
+
+def test_generic_suite_agrees_with_a_rational_point():
+    # the suite over Q(s) and the same suite at s = 5/3 make the same
+    # checks with the same outcomes, case by case
+    generic = verify_fusion_suite(max_total=4)
+    pointwise = verify_fusion_suite(max_total=4, spec=generic_rational_spec())
+    assert generic.ok and pointwise.ok
+    assert _outcomes(generic) == _outcomes(pointwise)
+    assert generic.cases[0]["params"] == {"spec": "generic"}
+
+
+def test_generic_suite_detects_a_wrong_monodromy_eigenvalue(monkeypatch):
+    # scaling mu_{k1,k2,k1+k2} by s^4 must make the symbolic semisimplicity
+    # check fail, with the wrong mu as its witness
+    right = monodromy_eigenvalue
+
+    def wrong(k1, k2, k, dom):
+        mu = right(k1, k2, k, dom)
+        return mu * dom.s_power(4) if k == k1 + k2 else mu
+
+    monkeypatch.setattr("tlcat.fusion.monodromy_eigenvalue", wrong)
+    rep = verify_fusion_suite(max_total=3)
+    failed = [c for c in rep.failures()
+              if c["identity"] == "monodromy is semisimple with eigenvalues mu_k"]
+    assert failed
+    for case in failed:
+        p = case["params"]
+        top = p["k1"] + p["k2"]
+        assert case["witness"]["mu"][top] == str(wrong(p["k1"], p["k2"], top, GENERIC))
 
 
 def test_routes_agree_rational():

@@ -96,6 +96,21 @@ def test_integral_coefficients_are_ints():
     assert parse_scalar(str(half)).num == half.num
     assert (s / 3).subs(s=3) == 1
     assert type((s / 3).subs(s=3).num[(0, 0, 0, 0)]) is int
+    # the same normal form in Q(zeta_N)
+    for N in (1, 2, 3, 8, 12, 16):
+        F = CycloField(N)
+        assert all(type(c) is int for c in F.modulus)
+        dom = domain_for(Specialization.cyclotomic(N, 1))
+        z = F.zeta()
+        for x in [F.zero(), F.one(), F.from_rational(Fraction(6, 3)), z, F.zeta(N - 1),
+                  dom.beta, dom.s_power(-3), z * z + 1, dom.beta * z - dom.beta,
+                  F.from_rational(Fraction(1, 2)) * 2, z.inv() * z,
+                  F.from_rational(Fraction(1, 2)) + Fraction(1, 2)]:
+            assert all(type(c) is int for c in x.coeffs), repr(x)
+        # a non-integral coefficient keeps its Fraction
+        half = F.from_rational(2).inv()
+        assert half == Fraction(1, 2)
+        assert type(half.coeffs[0]) is Fraction
 
 
 def test_q_and_beta():
