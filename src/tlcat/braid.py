@@ -62,45 +62,54 @@ def commutor_inverse(
 # verifiers
 
 
-def verify_hexagons(max_total: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_hexagons(
+    max_total: int, dom: CoeffDomain = GENERIC, dilute: bool = False
+) -> VerificationReport:
+    """Closed forms, inverses and both hexagons of eta for ordinary or
+    dilute strands."""
     rep = VerificationReport("braid.hexagons")
+
+    def eta(r, s, form="left-nested"):
+        return commutor(r, s, form, dom, dilute)
+
+    def one(n):
+        return identity(n, dilute, dom)
+
     for total in range(0, max_total + 1):
         for r in range(0, total + 1):
             s = total - r
             rep.check(
                 "closed-forms-agree",
                 {"r": r, "s": s},
-                commutor(r, s, "left-nested", dom),
-                commutor(r, s, "right-nested", dom),
+                eta(r, s, "left-nested"),
+                eta(r, s, "right-nested"),
             )
             rep.check(
                 "inverse",
                 {"r": r, "s": s},
-                commutor(r, s, dom=dom).compose(commutor_inverse(r, s, dom)),
-                identity(r + s, dom=dom),
+                eta(r, s).compose(commutor_inverse(r, s, dom, dilute)),
+                one(r + s),
             )
     for total in range(0, max_total + 1):
         for n in range(0, total + 1):
             for m in range(0, total - n + 1):
                 k = total - n - m
-                lhs = commutor(n, m + k, dom=dom)
-                rhs = identity(m, dom=dom).tensor(commutor(n, k, dom=dom)).compose(
-                    commutor(n, m, dom=dom).tensor(identity(k, dom=dom))
-                )
+                lhs = eta(n, m + k)
+                rhs = one(m).tensor(eta(n, k)).compose(eta(n, m).tensor(one(k)))
                 rep.check("hexagon-first", {"n": n, "m": m, "k": k}, lhs, rhs)
-                lhs2 = commutor(n + m, k, dom=dom)
-                rhs2 = commutor(n, k, dom=dom).tensor(identity(m, dom=dom)).compose(
-                    identity(n, dom=dom).tensor(commutor(m, k, dom=dom))
-                )
+                lhs2 = eta(n + m, k)
+                rhs2 = eta(n, k).tensor(one(m)).compose(one(n).tensor(eta(m, k)))
                 rep.check("hexagon-second", {"u": n, "v": m, "w": k}, lhs2, rhs2)
     return rep
 
 
 def _naturality_case(rep, r, s, n, m, c_diag, d_diag, dom):
+    """One naturality check; the strand family is that of the diagrams."""
     cm = Morphism.from_diagram(c_diag, dom)
     dm = Morphism.from_diagram(d_diag, dom)
-    lhs = commutor(r, s, dom=dom).compose(cm.tensor(dm))
-    rhs = dm.tensor(cm).compose(commutor(n, m, dom=dom))
+    dilute = c_diag.dilute
+    lhs = commutor(r, s, dom=dom, dilute=dilute).compose(cm.tensor(dm))
+    rhs = dm.tensor(cm).compose(commutor(n, m, dom=dom, dilute=dilute))
     return rep.check(
         "naturality",
         {"r": r, "s": s, "n": n, "m": m,

@@ -7,14 +7,18 @@ requiring that occupied and vacant strand patterns transport through it.
 Everything else - the crossings t_i, the block interchange eta_{r,s} and
 its inverse - is the ordinary construction called with dilute=True: the
 same crossing words, with the dilute identity (a sum over occupation
-patterns) in place of the ordinary identity strand.
+patterns) in place of the ordinary identity strand.  The checks are
+shared the same way: the closed forms, inverses and hexagons are
+braid.verify_hexagons with dilute=True, and each sampled naturality case
+is braid's own, on dilute diagrams.  Only the facts that pin the
+coefficients of dilute_eta11 are checked here alone.
 """
 
 from __future__ import annotations
 
 import random
 
-from .braid import commutor, commutor_inverse
+from .braid import _naturality_case, commutor, verify_hexagons
 from .diagram import DILUTE_END2_NAMES, Diagram, dilute_diagram, enumerate_diagrams
 from .morphism import (
     CoeffDomain,
@@ -23,6 +27,7 @@ from .morphism import (
     dilute_eta11,
     dilute_eta11_inverse,
     dilute_identity,
+    dilute_sum,
 )
 from .report import VerificationReport
 
@@ -45,13 +50,6 @@ def dilute_commutor(
 
 # ---------------------------------------------------------------------------
 # verifiers
-
-
-def _sum_diagrams(dom: CoeffDomain, dst: int, src: int, pair_sets) -> Morphism:
-    terms = {}
-    for pairs in pair_sets:
-        terms[Diagram.from_pairs(dst, src, pairs, dilute=True)] = dom.one
-    return Morphism(dst, src, terms, dilute=True, dom=dom)
 
 
 def verify_dilute_braiding(
@@ -87,10 +85,10 @@ def verify_dilute_braiding(
     rep.add("a2^2 = a3^2 = a4^2 = a1 a5", {}, one * one == a1 * a5)
 
     # occupation-pattern transport: dashed span = line + vacancies
-    top_solid = _sum_diagrams(dom, 2, 2, [((1, 4), (2, 3)), ((1, 4),)])
-    bottom_solid = _sum_diagrams(dom, 2, 2, [((1, 4), (2, 3)), ((2, 3),)])
-    top_vacant = _sum_diagrams(dom, 2, 2, [((2, 3),), ()])
-    bottom_vacant = _sum_diagrams(dom, 2, 2, [((1, 4),), ()])
+    top_solid = dilute_sum(2, 2, [((1, 4), (2, 3)), ((1, 4),)], dom)
+    bottom_solid = dilute_sum(2, 2, [((1, 4), (2, 3)), ((2, 3),)], dom)
+    top_vacant = dilute_sum(2, 2, [((2, 3),), ()], dom)
+    bottom_vacant = dilute_sum(2, 2, [((1, 4),), ()], dom)
     for name, (x, y) in {
         "solid top -> solid bottom": (top_solid, bottom_solid),
         "solid bottom -> solid top": (bottom_solid, top_solid),
@@ -134,44 +132,7 @@ def verify_dilute_braiding(
             a.tensor(vac_node),
         )
 
-    # closed forms, inverses, hexagons
-    for total in range(0, max_total + 1):
-        for r in range(0, total + 1):
-            s = total - r
-            rep.check(
-                "closed-forms-agree",
-                {"r": r, "s": s},
-                dilute_commutor(r, s, "left-nested", dom),
-                dilute_commutor(r, s, "right-nested", dom),
-            )
-            rep.check(
-                "inverse",
-                {"r": r, "s": s},
-                dilute_commutor(r, s, dom=dom).compose(
-                    commutor_inverse(r, s, dom, dilute=True)
-                ),
-                dilute_identity(r + s, dom),
-            )
-    for total in range(0, max_total + 1):
-        for n in range(0, total + 1):
-            for m in range(0, total - n + 1):
-                k = total - n - m
-                rep.check(
-                    "hexagon-first",
-                    {"n": n, "m": m, "k": k},
-                    dilute_commutor(n, m + k, dom=dom),
-                    dilute_identity(m, dom)
-                    .tensor(dilute_commutor(n, k, dom=dom))
-                    .compose(dilute_commutor(n, m, dom=dom).tensor(dilute_identity(k, dom))),
-                )
-                rep.check(
-                    "hexagon-second",
-                    {"n": n, "m": m, "k": k},
-                    dilute_commutor(n + m, k, dom=dom),
-                    dilute_commutor(n, k, dom=dom)
-                    .tensor(dilute_identity(m, dom))
-                    .compose(dilute_identity(n, dom).tensor(dilute_commutor(m, k, dom=dom))),
-                )
+    rep.extend(verify_hexagons(max_total, dom, dilute=True))
 
     # naturality on sampled dilute diagrams
     rng = random.Random(seed)
@@ -188,13 +149,5 @@ def verify_dilute_braiding(
         ds = enumerate_diagrams(m, s, dilute=True)
         if not cs or not ds:
             continue
-        c = Morphism.from_diagram(rng.choice(cs), dom)
-        d = Morphism.from_diagram(rng.choice(ds), dom)
-        rep.check(
-            "naturality",
-            {"r": r, "s": s, "n": n, "m": m,
-             "c": next(iter(c.terms)).to_text(), "d": next(iter(d.terms)).to_text()},
-            dilute_commutor(r, s, dom=dom).compose(c.tensor(d)),
-            d.tensor(c).compose(dilute_commutor(n, m, dom=dom)),
-        )
+        _naturality_case(rep, r, s, n, m, rng.choice(cs), rng.choice(ds), dom)
     return rep

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, dilute_diagram
+from .diagram import dilute_diagram
 from .morphism import (
     GENERIC,
     CoeffDomain,
     Morphism,
     dilute_end2,
     dilute_identity,
+    dilute_sum,
     identity,
     on_strands,
     t,
@@ -288,15 +289,13 @@ def _boundary(dom: CoeffDomain, kind: str) -> Morphism:
         return zz.tensor(zz)
     # Double arcs close the four strands pairwise in the planar-nested way
     # (1,4),(2,3), matching the nested big-cup convention of the category.
-    one = dom.one
     arcs = {
         "solid double arc": [((1, 4), (2, 3))],
         "all vacancies": [()],
         "dashed double arc": [((1, 4), (2, 3)), ((1, 4),), ((2, 3),), ()],
         "asymmetric single arc": [((1, 2),)],
     }[kind]
-    terms = {Diagram.from_pairs(4, 0, p, dilute=True): one for p in arcs}
-    return Morphism(4, 0, terms, dilute=True, dom=dom)
+    return dilute_sum(4, 0, arcs, dom)
 
 
 def verify_boundary_ybe(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> VerificationReport:

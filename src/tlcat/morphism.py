@@ -41,6 +41,7 @@ __all__ = [
     "big_cap",
     "dilute_identity",
     "dilute_end2",
+    "dilute_sum",
     "dilute_eta11",
     "dilute_eta11_inverse",
     "on_strands",
@@ -458,6 +459,13 @@ def dilute_end2(coeffs: dict, dom: CoeffDomain = GENERIC) -> Morphism:
     diagram dilute_diagram(name)."""
     terms = {dilute_diagram(name): c for name, c in coeffs.items()}
     return Morphism(2, 2, terms, True, dom)
+
+
+def dilute_sum(dst: int, src: int, pair_sets, dom: CoeffDomain = GENERIC) -> Morphism:
+    """The sum, with coefficient one, of the dilute diagrams in Hom(src, dst)
+    whose arcs are each listed set of node pairs."""
+    terms = {Diagram.from_pairs(dst, src, pairs, dilute=True): dom.one for pairs in pair_sets}
+    return Morphism(dst, src, terms, True, dom)
 
 
 def dilute_eta11(dom: CoeffDomain = GENERIC) -> Morphism:

@@ -1,26 +1,25 @@
 """The central twist elements c_n and their verified properties.
 
-c_n = q^(3n/2) (t_1 t_2 ... t_{n-1})^n, equivalently with the reversed
-word; centrality, the twist condition against the commutor, naturality,
-the cyclic-translation toolkit around rho_n and lambda_n, and the standard
-module eigenvalues gamma_{n,k} = q^{k(k+2)/2} are all checked mechanically.
+c_n = q^(3n/2) rho_n^n, equivalently q^(3n/2) lambda_n^n, where the cyclic
+rotations are commutors: rho_n = t_1 t_2 ... t_{n-1} = eta_{n-1,1} and
+lambda_n = t_{n-1} ... t_1 = eta_{1,n-1}, with inverses built by
+commutor_inverse.  Centrality, the twist condition against the commutor,
+naturality, the cyclic-translation toolkit around rho_n and lambda_n, and
+the standard module eigenvalues gamma_{n,k} = q^{k(k+2)/2} are all checked
+mechanically.
 """
 
 from __future__ import annotations
 
-from .braid import commutor
+from .braid import commutor, commutor_inverse
 from .diagram import enumerate_diagrams
 from .linalg import det
-from .morphism import GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, t, t_inv, word, z
+from .morphism import GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, t, z
 from .report import VerificationReport
 from .standard import StandardModule, act, eigenvalue_on_standard, standard_dimension
 from .scalar import Scalar
 
 __all__ = [
-    "rho",
-    "lam",
-    "rho_inv",
-    "lam_inv",
     "twist_element",
     "twist_element_reversed",
     "twist_inverse",
@@ -39,51 +38,40 @@ __all__ = [
 
 
 @cached_morphism(maxsize=32)
-def rho(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    """t_1 t_2 ... t_{n-1} (leftmost factor t_1)."""
-    return word([t(i, n, dom) for i in range(1, n)], n, dom=dom)
-
-
-@cached_morphism(maxsize=32)
-def lam(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    """t_{n-1} ... t_2 t_1."""
-    return word([t(i, n, dom) for i in range(n - 1, 0, -1)], n, dom=dom)
-
-
-@cached_morphism(maxsize=32)
-def rho_inv(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    return word([t_inv(i, n, dom) for i in range(n - 1, 0, -1)], n, dom=dom)
-
-
-@cached_morphism(maxsize=32)
-def lam_inv(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    return word([t_inv(i, n, dom) for i in range(1, n)], n, dom=dom)
-
-
-@cached_morphism(maxsize=32)
 def twist_element(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    """c_n = q^(3n/2) rho_n^n."""
-    return (rho(n, dom) ** n).scale(dom.s_power(6 * n))
+    """c_n = q^(3n/2) rho_n^n; c_0 is the empty identity."""
+    if n == 0:
+        return identity(0, dom=dom)
+    return (commutor(n - 1, 1, dom=dom) ** n).scale(dom.s_power(6 * n))
 
 
 def twist_element_reversed(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """y_n = q^(3n/2) lambda_n^n; equals c_n (verified, not assumed)."""
-    return (lam(n, dom) ** n).scale(dom.s_power(6 * n))
+    if n == 0:
+        return identity(0, dom=dom)
+    return (commutor(1, n - 1, dom=dom) ** n).scale(dom.s_power(6 * n))
 
 
 @cached_morphism(maxsize=32)
 def twist_inverse(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    return (rho_inv(n, dom) ** n).scale(dom.s_power(-6 * n))
+    """c_n^-1 = q^(-3n/2) rho_n^-n."""
+    if n == 0:
+        return identity(0, dom=dom)
+    return (commutor_inverse(n - 1, 1, dom) ** n).scale(dom.s_power(-6 * n))
 
 
 def en(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """The extra generator e_n = rho e_{n-1} rho^{-1}."""
-    return rho(n, dom).compose(e(n - 1, n, dom)).compose(rho_inv(n, dom))
+    return commutor(n - 1, 1, dom=dom).compose(e(n - 1, n, dom)).compose(
+        commutor_inverse(n - 1, 1, dom)
+    )
 
 
 def e0(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """The extra generator e_0 = lambda e_1 lambda^{-1}."""
-    return lam(n, dom).compose(e(1, n, dom)).compose(lam_inv(n, dom))
+    return commutor(1, n - 1, dom=dom).compose(e(1, n, dom)).compose(
+        commutor_inverse(1, n - 1, dom)
+    )
 
 
 def gamma_exponent(k: int) -> int:
@@ -153,8 +141,8 @@ def verify_twist_axiom(max_total: int, dom: CoeffDomain = GENERIC) -> Verificati
 
 def verify_cyclic_lemma(n: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
     rep = VerificationReport("twist.cyclic")
-    r, ri = rho(n, dom), rho_inv(n, dom)
-    l, li = lam(n, dom), lam_inv(n, dom)
+    r, ri = commutor(n - 1, 1, dom=dom), commutor_inverse(n - 1, 1, dom)
+    l, li = commutor(1, n - 1, dom=dom), commutor_inverse(1, n - 1, dom)
     beta = dom.beta
     e_n, e_0 = en(n, dom), e0(n, dom)
     for i in range(1, n - 1):

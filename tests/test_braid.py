@@ -3,6 +3,7 @@ hexagons, naturality, and the non-centrality witness."""
 
 import random
 
+import tlcat.braid
 from tlcat.braid import (
     commutor,
     commutor_inverse,
@@ -13,7 +14,8 @@ from tlcat.braid import (
     verify_naturality,
 )
 from tlcat.diagram import enumerate_diagrams
-from tlcat.morphism import Morphism, e, identity, t, t_inv
+from tlcat.dilute import verify_dilute_braiding
+from tlcat.morphism import GENERIC, Morphism, e, identity, t, t_inv
 from tlcat.scalar import Scalar
 
 
@@ -46,6 +48,29 @@ def test_braid_group_relation_direct():
 
 def test_commutor_closed_forms_and_hexagons():
     assert verify_hexagons(5).ok
+
+
+def test_dilute_hexagons_run_the_same_checks():
+    ordinary = verify_hexagons(3)
+    dilute = verify_hexagons(3, dilute=True)
+    assert dilute.ok
+    assert len(dilute.cases) == len(ordinary.cases)
+    assert [(c["identity"], c["params"]) for c in dilute.cases] == \
+        [(c["identity"], c["params"]) for c in ordinary.cases]
+
+
+def test_dilute_suite_detects_a_wrong_commutor_inverse(monkeypatch):
+    # plant eta in place of eta^-1: the inverse check must fail, with a
+    # witness, exactly where eta is not an involution, that is r, s > 0
+    monkeypatch.setattr(
+        tlcat.braid, "commutor_inverse",
+        lambda r, s, dom=GENERIC, dilute=False: commutor(r, s, dom=dom, dilute=dilute))
+    failures = verify_dilute_braiding(3, samples=0).failures()
+    assert [(c["identity"], c["params"]) for c in failures] == [
+        ("inverse", {"r": r, "s": s}) for r, s in ((1, 1), (1, 2), (2, 1))
+    ]
+    for case in failures:
+        assert not case["witness"]["diff"].endswith(": 0")
 
 
 def test_commutor_inverse():

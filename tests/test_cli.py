@@ -82,7 +82,7 @@ GOLDEN_REPORTS = {
     ("repr", "generic"): "8d6d338e52ded9ed65aef85e5b5278249229bf644ae1cf449b6881cf840bb0dd",
     ("fusion", "generic"): "24f5fb882900c9b1cc5e1dfb5fda85c39f52656e24309ba6f98615faa14605da",
     ("fusion", "root:3"): "ec086535237614937f1903f7eaadf9a4fb55005bc7182594db12662c36fab759",
-    ("dilute", "generic"): "cd0c2662e47f71028a3e779f60c5a6105be14b8d7e1115db6cd18bf70a449f66",
+    ("dilute", "generic"): "1390ba8c6cfe332245c98b364c2c90cd2bba499eed4215e9526a081cb007dfa7",
     ("integrable", "generic"): "ebd1eaf9c5bf355c857e7c92224063b35094a32775b5fffdc950f8276ee66d07",
 }
 

@@ -80,7 +80,7 @@ CALL_FORMS = {
         lambda f: f(r=2, s=1, dom=_dom(), dilute=False),
     ),
 }
-for _name in ("rho", "lam", "rho_inv", "lam_inv", "twist_element", "twist_inverse"):
+for _name in ("twist_element", "twist_inverse"):
     CALL_FORMS[_name] = (
         getattr(twist, _name),
         lambda f: f(3, _dom()),

@@ -6,12 +6,15 @@ only when the benchmark runs.  Each workload runs at size "tiny".
 """
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+import tlcat.morphism
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -58,3 +61,10 @@ def test_worker_resolves_every_target(mode):
     if mode == "trace":
         assert out["ok"] is True
         assert out["checks"] == EXPECTED_CHECKS["braid-generic"]
+
+
+def test_planted_fault_target_is_unique():
+    # perfbench/test_perfbench.py plants its fault by rewriting this exact
+    # line of the crossing; rewording it would silently unplant the fault
+    assert inspect.getsource(tlcat.morphism.t).count(
+        "e_diagram(i, n): dom.s_power(-2),") == 1

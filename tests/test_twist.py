@@ -1,10 +1,12 @@
 """Twist element: centrality, the twist condition, naturality, cyclic
 rotation identities, and eigenvalues on standard modules."""
 
-from tlcat.morphism import Morphism, identity, t
+from tlcat.morphism import Morphism, e, identity, t, t_inv, word
 from tlcat.scalar import Scalar
 from tlcat.standard import StandardModule, eigenvalue_on_standard
 from tlcat.twist import (
+    e0,
+    en,
     gamma_eigenvalue,
     twist_element,
     twist_element_reversed,
@@ -24,6 +26,24 @@ def test_twist_small_explicit():
     assert twist_element(1) == identity(1).scale(Scalar.s_power(6))
     # c_2 = q^3 (t_1)^2
     assert twist_element(2) == (t(1, 2) * t(1, 2)).scale(Scalar.s_power(12))
+
+
+def test_twist_words_are_explicit_rotation_powers():
+    # rho_n = t_1 ... t_{n-1} and lambda_n = t_{n-1} ... t_1, written out
+    # here rather than taken from the commutors the twist is built from
+    for n in range(0, 6):
+        up, down = list(range(1, n)), list(range(n - 1, 0, -1))
+        rho = word([t(i, n) for i in up], n)
+        lam = word([t(i, n) for i in down], n)
+        rho_inv = word([t_inv(i, n) for i in down], n)
+        lam_inv = word([t_inv(i, n) for i in up], n)
+        q32n = Scalar.s_power(6 * n)
+        assert twist_element(n) == (rho ** n).scale(q32n)
+        assert twist_element_reversed(n) == (lam ** n).scale(q32n)
+        assert twist_inverse(n) == (rho_inv ** n).scale(Scalar.s_power(-6 * n))
+        if n >= 2:
+            assert en(n) == rho * e(n - 1, n) * rho_inv
+            assert e0(n) == lam * e(1, n) * lam_inv
 
 
 def test_centrality_and_inverse():
