@@ -127,7 +127,12 @@ def verify_naturality(
 ) -> VerificationReport:
     """eta_{r,s} (c tensor d) = (d tensor c) eta_{n,m} for c in Hom(n,r),
     d in Hom(m,s); exhaustive for r+s and n+m up to max_total, plus random
-    larger pairs when samples > 0."""
+    larger pairs when samples > 0.  The samples draw r, s, n, m from 0..4,
+    so they need max_total < 8: from 8 on no draw is larger."""
+    if samples > 0 and max_total >= 8:
+        raise ValueError(
+            f"random naturality samples need max_total < 8, got {max_total}"
+        )
     rep = VerificationReport("braid.naturality")
     for rs in range(0, max_total + 1):
         for r in range(0, rs + 1):

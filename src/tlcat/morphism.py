@@ -5,6 +5,9 @@ A Morphism is a dict Diagram -> coefficient with all diagrams sharing
 by default, or exact specialized values (rationals, cyclotomic numbers).
 Composition extends diagram gluing bilinearly, multiplying in one loop
 weight beta per closed loop; dilute annihilated pairs contribute nothing.
+It distributes each left coefficient: the right terms that glue onto one
+result diagram are summed (each already times its beta power) before the
+left coefficient multiplies that sum once.
 """
 
 from __future__ import annotations
@@ -198,31 +201,40 @@ class Morphism:
         dom = self.dom
         one = dom.one
         out: dict = {}
-        for (d1, c1), (d2, c2) in _iproduct(self.terms.items(), other.terms.items()):
-            res = d1.compose(d2)
-            if res.annihilated:
-                continue
-            # a one-diagram morphism carries the unit: skip multiplying by it
-            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
-            if res.loops:
-                b = dom.beta_power(res.loops)
-                c = b if c is one else c * b
-            d = res.diagram
-            c0 = out.get(d)
-            c0 = c if c0 is None else c0 + c
-            if c0:
-                out[d] = c0
-            elif d in out:
-                del out[d]
+        for d1, c1 in self.terms.items():
+            # sum c2 * beta^loops per result diagram, then multiply c1 in once
+            groups: dict = {}
+            for d2, c2 in other.terms.items():
+                res = d1.compose(d2)
+                if res.annihilated:
+                    continue
+                if res.loops:
+                    b = dom.beta_power(res.loops)
+                    c2 = b if c2 is one else c2 * b
+                d = res.diagram
+                g = groups.get(d)
+                groups[d] = c2 if g is None else g + c2
+            for d, g in groups.items():
+                if not g:
+                    continue
+                # a one-diagram morphism carries the unit: skip multiplying by it
+                c = g if c1 is one else c1 if g is one else c1 * g
+                c0 = out.get(d)
+                c0 = c if c0 is None else c0 + c
+                if c0:
+                    out[d] = c0
+                elif d in out:
+                    del out[d]
         return Morphism(self.dst, other.src, out, self.dilute, dom, _clean=True)
 
     def tensor(self, other: "Morphism") -> "Morphism":
         if self.dilute != other.dilute or self.dom != other.dom:
             raise InterfaceMismatch("tensor: dilute flags or domains differ")
+        one = self.dom.one
         out: dict = {}
         for (d1, c1), (d2, c2) in _iproduct(self.terms.items(), other.terms.items()):
             d = d1.tensor(d2)
-            c = c1 * c2
+            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
             c0 = out.get(d)
             c0 = c if c0 is None else c0 + c
             if c0:

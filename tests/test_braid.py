@@ -3,6 +3,8 @@ hexagons, naturality, and the non-centrality witness."""
 
 import random
 
+import pytest
+
 import tlcat.braid
 from tlcat.braid import (
     commutor,
@@ -91,6 +93,35 @@ def test_commutor_small_explicit():
 
 def test_naturality_exhaustive_small_and_sampled():
     assert verify_naturality(4, samples=50, seed=1).ok
+
+
+def test_naturality_samples_need_a_larger_shape(monkeypatch):
+    # the samples draw r, s, n, m from 0..4, so from max_total 8 on no draw
+    # is larger and the sampling loop could never finish; stub the diagram
+    # work so only the control flow runs
+    class BoundedRandom(random.Random):
+        draws = 0
+
+        def randint(self, a, b):
+            self.draws += 1
+            assert self.draws < 10_000, "the sampling loop does not end"
+            return super().randint(a, b)
+
+    cases = []
+    monkeypatch.setattr(tlcat.braid.random, "Random", BoundedRandom)
+    monkeypatch.setattr(tlcat.braid, "enumerate_diagrams", lambda n, r: [None])
+    monkeypatch.setattr(
+        tlcat.braid, "_naturality_case", lambda rep, *args: cases.append(args)
+    )
+    with pytest.raises(ValueError, match="max_total < 8"):
+        verify_naturality(8, samples=1)
+    assert cases == []
+    verify_naturality(8, samples=0)
+    assert cases
+    cases.clear()
+    verify_naturality(7, samples=1)
+    r, s, n, m = cases[-1][:4]
+    assert max(r + s, n + m) == 8
 
 
 def test_naturality_direct_random():

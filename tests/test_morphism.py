@@ -1,13 +1,22 @@
 """Morphism algebra details not covered by the relation suites."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from tlcat import braid, twist
-from tlcat.diagram import Diagram, e_diagram, enumerate_diagrams
-from tlcat.morphism import CoeffDomain, Morphism, domain_for, t
-from tlcat.scalar import Specialization
+from tlcat.diagram import Diagram, e_diagram, enumerate_diagrams, identity_diagram
+from tlcat.integrable import transfer_matrix
+from tlcat.morphism import (
+    CoeffDomain,
+    Morphism,
+    dilute_eta11,
+    domain_for,
+    on_strands,
+    t,
+)
+from tlcat.scalar import Scalar, Specialization
 
 
 def test_tensor_drops_cancelled_terms(monkeypatch):
@@ -55,7 +64,97 @@ def test_compose_skips_unit_factors():
     # a non-unit factor is taken as it is
     t1 = t(1, 3, dom)
     assert t1.compose(e1).terms == {e_diagram(1, 3): dom.s_power(2) + dom.s_power(-2) * dom.beta}
+    # tensor skips the unit in the same way
+    ((d, c),) = e1.tensor(e2).terms.items()
+    assert c is dom.one
+    assert d == e_diagram(1, 3).tensor(e_diagram(2, 3))
+    i1 = identity_diagram(1)
+    one1 = Morphism.from_diagram(i1, dom)
+    assert one1.tensor(t1).terms == {i1.tensor(d): c for d, c in t1.terms.items()}
+    assert t1.tensor(one1).terms == {d.tensor(i1): c for d, c in t1.terms.items()}
+    # a dilute crossing placed on strands tensors with the dilute identity
+    assert len(on_strands(dilute_eta11(dom), 2, 3).terms) == 10
     assert log == []
+
+
+def _bilinear_sum(f, g):
+    """The plain bilinear extension of diagram gluing: one product per pair."""
+    dom = f.dom
+    out = {}
+    for d1, c1 in f.terms.items():
+        for d2, c2 in g.terms.items():
+            res = d1.compose(d2)
+            if res.annihilated:
+                continue
+            c = c1 * c2 * dom.beta_power(res.loops)
+            out[res.diagram] = out.get(res.diagram, dom.zero) + c
+    return Morphism(f.dst, g.src, out, f.dilute, dom)
+
+
+def _random_morphism(rng, dst, src, dilute, dom):
+    diagrams = enumerate_diagrams(src, dst, dilute)
+    terms = {}
+    for d in rng.sample(diagrams, min(len(diagrams), 6)):
+        k = rng.choice((0, 0, 1, 2, 3))
+        terms[d] = dom.one if k == 0 else dom.s_power(rng.randint(-4, 4)) * k
+    return Morphism(dst, src, terms, dilute, dom)
+
+
+@pytest.mark.parametrize("spec", ["generic", "rational:5/3", "root:3"])
+def test_compose_matches_the_bilinear_sum(spec):
+    dom = domain_for(Specialization.parse(spec))
+    rng = random.Random(spec)
+    seen = {"loops": 0, "annihilated": 0}
+    for dilute in (False, True):
+        for dst, mid, src in ((2, 2, 2), (3, 3, 3), (1, 3, 1), (2, 4, 2), (4, 2, 2), (0, 4, 0)):
+            for _ in range(3):
+                f = _random_morphism(rng, dst, mid, dilute, dom)
+                g = _random_morphism(rng, mid, src, dilute, dom)
+                prod = f.compose(g)
+                assert prod == _bilinear_sum(f, g)
+                assert all(prod.terms.values())
+                for d1 in f.terms:
+                    for d2 in g.terms:
+                        res = d1.compose(d2)
+                        seen["annihilated"] += res.annihilated
+                        seen["loops"] += bool(res.loops)
+    assert seen["loops"] and seen["annihilated"]
+    # e_1 (beta 1 - e_1): both right terms glue onto e_1, e_1 e_1 with a
+    # loop, so their group sums to zero
+    e1, one2 = e_diagram(1, 2), identity_diagram(2)
+    left = Morphism(2, 2, {e1: dom.s_power(3) * 2}, dom=dom)
+    right = Morphism(2, 2, {one2: dom.beta, e1: -dom.one}, dom=dom)
+    assert left.compose(right).terms == {}
+    assert _bilinear_sum(left, right).is_zero
+    # a cancelling group beside a surviving one
+    left = Morphism(2, 2, {e1: dom.s_power(1), one2: dom.s_power(-1)}, dom=dom)
+    prod = left.compose(right)
+    assert prod == _bilinear_sum(left, right)
+    assert prod.terms == {one2: dom.s_power(-1) * dom.beta, e1: -dom.s_power(-1)}
+
+
+def test_transfer_product_multiplies_each_left_coefficient_once_per_result(monkeypatch):
+    du = transfer_matrix(4, "ordinary", "u")
+    dv = transfer_matrix(4, "ordinary", "v")
+    left = {id(c) for c in du.terms.values() if c is not du.dom.one}
+    pairs = {
+        (d1, d1.compose(d2).diagram) for d1 in du.terms for d2 in dv.terms
+    }
+    assert len(pairs) == 64
+    expected = _bilinear_sum(du, dv)
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting_mul(self, other):
+        if id(self) in left or id(other) in left:
+            calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    prod = du.compose(dv)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= len(pairs)
+    assert prod == expected
 
 
 S0 = Fraction(19, 23)
