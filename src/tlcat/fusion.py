@@ -23,19 +23,22 @@ double braiding composes eta_{n,m} o eta_{m,n} on the right.  The
 twist-ratio route of the monodromy composes c_{m+n} on the right and,
 before reducing, applies the factor twists c_m^-1 (x) c_n^-1 to the
 (x, y) coordinates as one linear map; the two routes agree only because
-the quotient is the balanced tensor product.  Everything downstream - the central-element spectrum,
-Jordan data at roots of unity - is matrix arithmetic over the exact
-coefficient field of the spec, resolved by ``morphism.domain_for``: Q(s)
-for a generic spec, so a generic decomposition holds for generic s and not
-just at one point; Q at an explicit rational point; Q(zeta_N) at a root of
-unity.
+the quotient is the balanced tensor product.  Both structural morphisms
+are single words of elementary crossings (``braid.double_braiding`` and
+``twist.twist_element``), so building one costs a crossing times a dense
+morphism per letter, never a dense times a dense product.  Everything
+downstream - the central-element spectrum, Jordan data at roots of unity -
+is matrix arithmetic over the exact coefficient field of the spec,
+resolved by ``morphism.domain_for``: Q(s) for a generic spec, so a generic
+decomposition holds for generic s and not just at one point; Q at an
+explicit rational point; Q(zeta_N) at a root of unity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .braid import commutor
+from .braid import double_braiding
 from .diagram import e_diagram, enumerate_diagrams
 from .linalg import mat_mul, mat_shift, rank, rref
 from .morphism import CoeffDomain, Morphism, domain_for, e
@@ -216,10 +219,7 @@ class FusedModule:
         """
         dom = self.dom
         if route == "braiding":
-            w = commutor(self.n, self.m, dom=dom).compose(
-                commutor(self.m, self.n, dom=dom)
-            )
-            return self._matrix(w, "right")
+            return self._matrix(double_braiding(self.m, self.n, dom), "right")
         if route == "twist":
             inv_l = twist_inverse(self.m, dom)
             inv_r = twist_inverse(self.n, dom)

@@ -250,20 +250,6 @@ class Morphism:
             _clean=True,
         )
 
-    def __pow__(self, k: int):
-        if self.dst != self.src:
-            raise InterfaceMismatch("powers need an endomorphism")
-        if k < 0:
-            raise ValueError("negative morphism powers are not defined here")
-        out = identity(self.dst, self.dilute, self.dom)
-        base = self
-        while k:
-            if k & 1:
-                out = out.compose(base)
-            base = base.compose(base) if k > 1 else base
-            k >>= 1
-        return out
-
     def transpose(self) -> "Morphism":
         return Morphism(
             self.src,

@@ -3,18 +3,22 @@
 c_n = q^(3n/2) rho_n^n, equivalently q^(3n/2) lambda_n^n, where the cyclic
 rotations are commutors: rho_n = t_1 t_2 ... t_{n-1} = eta_{n-1,1} and
 lambda_n = t_{n-1} ... t_1 = eta_{1,n-1}, with inverses built by
-commutor_inverse.  Centrality, the twist condition against the commutor,
-naturality, the cyclic-translation toolkit around rho_n and lambda_n, and
-the standard module eigenvalues gamma_{n,k} = q^{k(k+2)/2} are all checked
-mechanically.
+commutor_inverse.  c_n, y_n and c_n^-1 are each one word of n(n-1)
+crossings: the rotation's crossings (``braid.crossing_indices``) repeated
+n times, so no power of a dense morphism is formed.  Centrality, the twist
+condition against the double braiding, naturality, the cyclic-translation
+toolkit around rho_n and lambda_n, and the standard module eigenvalues
+gamma_{n,k} = q^{k(k+2)/2} are all checked mechanically.
 """
 
 from __future__ import annotations
 
-from .braid import commutor, commutor_inverse
+from .braid import commutor, commutor_inverse, crossing_indices, double_braiding
 from .diagram import enumerate_diagrams
 from .linalg import det
-from .morphism import GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, t, z
+from .morphism import (
+    GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, t, t_inv, word, z,
+)
 from .report import VerificationReport
 from .standard import StandardModule, act, eigenvalue_on_standard, standard_dimension
 from .scalar import Scalar
@@ -37,27 +41,31 @@ __all__ = [
 ]
 
 
+def _rotation_power(n: int, indices: list, crossing, sign: int, dom: CoeffDomain) -> Morphism:
+    """q^(sign 3n/2) times the n-th power of the rotation whose crossings,
+    leftmost first, are crossing(k) for k in indices: one word of n(n-1)
+    crossings."""
+    if n == 0:
+        return identity(0, dom=dom)
+    factors = [crossing(k, n, dom) for k in indices] * n
+    return word(factors, n, dom=dom).scale(dom.s_power(sign * 6 * n))
+
+
 @cached_morphism(maxsize=32)
 def twist_element(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """c_n = q^(3n/2) rho_n^n; c_0 is the empty identity."""
-    if n == 0:
-        return identity(0, dom=dom)
-    return (commutor(n - 1, 1, dom=dom) ** n).scale(dom.s_power(6 * n))
+    return _rotation_power(n, crossing_indices(n - 1, 1), t, 1, dom)
 
 
 def twist_element_reversed(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """y_n = q^(3n/2) lambda_n^n; equals c_n (verified, not assumed)."""
-    if n == 0:
-        return identity(0, dom=dom)
-    return (commutor(1, n - 1, dom=dom) ** n).scale(dom.s_power(6 * n))
+    return _rotation_power(n, crossing_indices(1, n - 1), t, 1, dom)
 
 
 @cached_morphism(maxsize=32)
 def twist_inverse(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """c_n^-1 = q^(-3n/2) rho_n^-n."""
-    if n == 0:
-        return identity(0, dom=dom)
-    return (commutor_inverse(n - 1, 1, dom) ** n).scale(dom.s_power(-6 * n))
+    return _rotation_power(n, crossing_indices(n - 1, 1)[::-1], t_inv, -1, dom)
 
 
 def en(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
@@ -106,10 +114,8 @@ def verify_twist_axiom(max_total: int, dom: CoeffDomain = GENERIC) -> Verificati
         for r in range(0, total + 1):
             s = total - r
             lhs = twist_element(total, dom)
-            rhs = (
-                commutor(s, r, dom=dom)
-                .compose(commutor(r, s, dom=dom))
-                .compose(twist_element(r, dom).tensor(twist_element(s, dom)))
+            rhs = double_braiding(r, s, dom).compose(
+                twist_element(r, dom).tensor(twist_element(s, dom))
             )
             rep.check("twist condition", {"r": r, "s": s}, lhs, rhs)
     # the two commutor-shuffling identities used to prove the twist condition

@@ -2,12 +2,26 @@ import random
 
 import pytest
 
-from tlcat.diagram import enumerate_diagrams
+from tlcat.diagram import Diagram, enumerate_diagrams
 
 
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """A list that grows by one entry per ``Diagram.compose`` call."""
+    calls = []
+    compose = Diagram.compose
+
+    def counting(self, other):
+        calls.append(None)
+        return compose(self, other)
+
+    monkeypatch.setattr(Diagram, "compose", counting)
+    return calls
 
 
 def random_diagram(rng, n, m, dilute=False):

@@ -9,6 +9,7 @@ import tlcat.braid
 from tlcat.braid import (
     commutor,
     commutor_inverse,
+    double_braiding,
     monodromy_noncentral_witness,
     verify_braid_relations,
     verify_braiding_lemmas,
@@ -17,8 +18,8 @@ from tlcat.braid import (
 )
 from tlcat.diagram import enumerate_diagrams
 from tlcat.dilute import verify_dilute_braiding
-from tlcat.morphism import GENERIC, Morphism, e, identity, t, t_inv
-from tlcat.scalar import Scalar
+from tlcat.morphism import GENERIC, Morphism, domain_for, e, identity, t, t_inv
+from tlcat.scalar import Scalar, Specialization
 
 
 def test_crossing_definition_and_inverse():
@@ -89,6 +90,17 @@ def test_commutor_small_explicit():
     assert commutor(1, 1) == t(1, 2)
     assert commutor(0, 3) == identity(3)
     assert commutor(3, 0) == identity(3)
+
+
+@pytest.mark.parametrize("spec", ["generic", "rational:5/3", "root:3"])
+def test_double_braiding_is_the_product_of_the_commutors(spec):
+    # the one-word double braiding against the dense product of the two
+    # commutors, including m = 0 or n = 0, where its word is empty
+    dom = domain_for(Specialization.parse(spec))
+    for m in range(0, 6):
+        for n in range(0, 6 - m):
+            expected = commutor(n, m, dom=dom).compose(commutor(m, n, dom=dom))
+            assert double_braiding(m, n, dom) == expected
 
 
 def test_naturality_exhaustive_small_and_sampled():

@@ -3,6 +3,7 @@ agreement with a rational point), monodromy eigenvalues and route
 agreement, Jordan structure at roots."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,7 +19,7 @@ from tlcat.fusion import (
     verify_fusion_suite,
     verify_root_examples,
 )
-from tlcat.morphism import GENERIC, domain_for, identity
+from tlcat.morphism import GENERIC, CoeffDomain, domain_for, identity
 from tlcat.scalar import Scalar, Specialization
 from tlcat.standard import RegularModule, StandardModule, standard_dimension
 from tlcat.twist import twist_inverse
@@ -78,7 +79,7 @@ def test_route_agreement_detects_a_wrong_factor_twist(monkeypatch):
 
 
 def test_route_agreement_detects_a_wrong_factor_twist_with_warm_caches(monkeypatch):
-    # the cached c_1^-1, c_2 and commutors are built before the fault is
+    # the cached c_1^-1, c_2 and double braiding are built before the fault is
     # planted; the twist route must still pick up the wrong factor
     fused = FusedModule(StandardModule(1, 1, GENERIC),
                         StandardModule(1, 1, GENERIC))
@@ -89,6 +90,23 @@ def test_route_agreement_detects_a_wrong_factor_twist_with_warm_caches(monkeypat
     fused = FusedModule(StandardModule(1, 1, GENERIC),
                         StandardModule(1, 1, GENERIC))
     assert fused.monodromy_matrix("braiding") != fused.monodromy_matrix("twist")
+
+
+def test_braiding_route_composes_crossings_onto_dense_morphisms(compose_calls):
+    # eta_{3,3} eta_{3,3} is one word of 2mn = 18 crossings: 17 products of
+    # a crossing (two terms) with a dense morphism of End(6), each at most
+    # 2 Catalan(6) diagram compositions, then one leg composition of at
+    # most Catalan(6) per column.  The dense product of the two commutors
+    # takes about 14,000.  The point 37/23 is used nowhere else, so no
+    # cached double braiding is reused.
+    dom = CoeffDomain(Specialization.rational(Fraction(37, 23)))
+    m, n = 3, 3
+    fused = FusedModule(StandardModule(m, 3, dom), StandardModule(n, 1, dom))
+    assert fused.dim == 14
+    compose_calls.clear()
+    fused.monodromy_matrix("braiding")
+    catalan = comb(2 * (m + n), m + n) // (m + n + 1)
+    assert len(compose_calls) <= 2 * (2 * m * n - 1) * catalan + fused.dim * catalan
 
 
 def _outcomes(rep):

@@ -178,6 +178,12 @@ CALL_FORMS = {
         lambda f: f(2, 1, dom=_dom()),
         lambda f: f(r=2, s=1, dom=_dom(), dilute=False),
     ),
+    "double_braiding": (
+        braid.double_braiding,
+        lambda f: f(2, 1, _dom()),
+        lambda f: f(2, 1, dom=_dom()),
+        lambda f: f(n=1, m=2, dom=_dom()),
+    ),
 }
 for _name in ("twist_element", "twist_inverse"):
     CALL_FORMS[_name] = (

@@ -1,8 +1,13 @@
 """Twist element: centrality, the twist condition, naturality, cyclic
 rotation identities, and eigenvalues on standard modules."""
 
-from tlcat.morphism import Morphism, e, identity, t, t_inv, word
-from tlcat.scalar import Scalar
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from tlcat.morphism import CoeffDomain, domain_for, e, identity, t, t_inv, word
+from tlcat.scalar import Scalar, Specialization
 from tlcat.standard import StandardModule, eigenvalue_on_standard
 from tlcat.twist import (
     e0,
@@ -38,9 +43,9 @@ def test_twist_words_are_explicit_rotation_powers():
         rho_inv = word([t_inv(i, n) for i in down], n)
         lam_inv = word([t_inv(i, n) for i in up], n)
         q32n = Scalar.s_power(6 * n)
-        assert twist_element(n) == (rho ** n).scale(q32n)
-        assert twist_element_reversed(n) == (lam ** n).scale(q32n)
-        assert twist_inverse(n) == (rho_inv ** n).scale(Scalar.s_power(-6 * n))
+        assert twist_element(n) == word([rho] * n, n).scale(q32n)
+        assert twist_element_reversed(n) == word([lam] * n, n).scale(q32n)
+        assert twist_inverse(n) == word([rho_inv] * n, n).scale(Scalar.s_power(-6 * n))
         if n >= 2:
             assert en(n) == rho * e(n - 1, n) * rho_inv
             assert e0(n) == lam * e(1, n) * lam_inv
@@ -50,6 +55,26 @@ def test_centrality_and_inverse():
     for n in (2, 3, 4):
         assert verify_centrality(n).ok
         assert twist_element(n) * twist_inverse(n) == identity(n)
+
+
+@pytest.mark.parametrize("spec", ["rational:5/3", "root:3"])
+def test_twist_inverse_at_points(spec):
+    dom = domain_for(Specialization.parse(spec))
+    for n in range(0, 6):
+        assert twist_inverse(n, dom).compose(twist_element(n, dom)) == identity(n, dom=dom)
+
+
+def test_twist_is_built_from_crossing_times_dense_products(compose_calls):
+    # c_6 is one word of n(n-1) = 30 crossings, and a crossing (two terms)
+    # times a dense morphism of End(6) takes at most 2 Catalan(6) diagram
+    # compositions; a power of rho_6 by squaring takes about 20,000.  The
+    # point 31/17 is used nowhere else, so no cached twist is reused.
+    dom = CoeffDomain(Specialization.rational(Fraction(31, 17)))
+    n = 6
+    c6 = twist_element(n, dom)
+    catalan = comb(2 * n, n) // (n + 1)
+    assert len(c6.terms) == catalan
+    assert len(compose_calls) <= 2 * n * (n - 1) * catalan
 
 
 def test_twist_condition():
