@@ -1,9 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are polynomials in zeta_N with rational coefficients, reduced
-modulo the N-th cyclotomic polynomial, so the stored degree is always
-< phi(N) and equality is coefficient-wise.  A coefficient is an int when
-it is integral and a Fraction otherwise, as in ``Scalar``.
+An element is a polynomial in zeta_N with rational coefficients, reduced
+modulo the N-th cyclotomic polynomial Phi_N and stored sparsely as
+``terms``: a dict {exponent: nonzero coefficient} with every exponent
+< phi(N), the same normal form ``Scalar`` uses.  Equality is equality of
+these dicts.  A coefficient is an int when it is integral and a Fraction
+otherwise.
+
+Most elements met in practice are monomials zeta^k or binomials such as
+beta = -zeta^4 - zeta^-4, so a product multiplies only the nonzero terms.
+Exponents >= phi(N) are folded back through the field's reduction rows
+x^(phi(N)+k) mod Phi_N, which are kept sparse too: for N a power of 2,
+Phi_N = x^(N/2) + 1 and every row is a single term; for N = 24 every row
+has at most 2.  A product of a and b so costs about nnz(a)*nnz(b) steps.
 """
 
 from __future__ import annotations
@@ -43,138 +52,128 @@ class CycloField:
             return cls._cache[N]
         self = super().__new__(cls)
         self.N = N
-        phi = cyclotomic_polynomial(N)
-        self.modulus = tuple(phi)
-        self._phi = {i: c for i, c in enumerate(phi) if c}
-        self.degree = len(phi) - 1
-        d = self.degree
-        # reduction rows: x^(d+k) mod Phi_N for k = 0 .. d-2
-        rows = []
-        cur = [-phi[i] for i in range(d)]  # x^d
-        rows.append(list(cur))
-        for _ in range(d - 2):
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                for i in range(d):
-                    cur[i] -= top * phi[i]
-            rows.append(list(cur))
-        self._red = [tuple(r) for r in rows]
+        self._phi = _cyclotomic_sparse(N)
+        self.degree = d = max(self._phi)
+        self.modulus = tuple(self._phi.get(i, 0) for i in range(d + 1))
+        # reduction rows: x^(d+k) mod Phi_N for k = 0 .. d-2, the exponents a
+        # product of two reduced elements can reach
+        self._rows = [_u_divmod({d + k: 1}, self._phi)[1] for k in range(d - 1)]
         self._zeta_pows = {}
         cls._cache[N] = self
         return self
 
     def zero(self) -> "CycloElement":
-        return CycloElement(self, (0,) * self.degree)
+        return _element(self, {})
 
     def one(self) -> "CycloElement":
         return self.from_rational(1)
 
     def from_rational(self, r) -> "CycloElement":
-        coeffs = [0] * self.degree
-        coeffs[0] = r if r.__class__ is int else _exact(Fraction(r))
-        return CycloElement(self, tuple(coeffs))
+        if r.__class__ is not int:
+            r = _exact(Fraction(r))
+        return _element(self, {0: r} if r else {})
 
     def zeta(self, k: int = 1) -> "CycloElement":
+        """zeta_N^k: the remainder of x^(k mod N) by Phi_N."""
         k %= self.N
-        if k in self._zeta_pows:
-            return self._zeta_pows[k]
-        z = self.one()
-        base = [0] * self.degree
-        if self.degree == 1:
-            base[0] = self.modulus[0] * -1  # zeta_1 = 1, zeta_2 = -1
-            zel = CycloElement(self, tuple(base))
-        else:
-            base[1] = 1
-            zel = CycloElement(self, tuple(base))
-        for _ in range(k):
-            z = z * zel
-        self._zeta_pows[k] = z
+        z = self._zeta_pows.get(k)
+        if z is None:
+            z = self._zeta_pows[k] = _element(self, _u_divmod({k: 1}, self._phi)[1])
         return z
 
     def __repr__(self):
         return f"CycloField({self.N})"
 
 
-def _ints(coeffs) -> tuple:
-    """The coefficients as a tuple, each integral Fraction turned into an int."""
-    return tuple(c if c.__class__ is int else _exact(c) for c in coeffs)
-
-
 class CycloElement(FieldOps):
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "terms")
 
     def __init__(self, field: CycloField, coeffs: tuple):
+        """The element sum_i coeffs[i] * zeta^i, from at most phi(N) dense
+        coefficients."""
+        if len(coeffs) > field.degree:
+            raise ValueError(f"{len(coeffs)} coefficients for a field of degree {field.degree}")
         self.field = field
-        self.coeffs = coeffs
+        self.terms = {i: _exact(c) for i, c in enumerate(coeffs) if c}
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+    @property
+    def coeffs(self) -> tuple:
+        """The phi(N) dense coefficients, index = exponent."""
+        return tuple(self.terms.get(i, 0) for i in range(self.field.degree))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.terms)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloElement(
-            self.field, _ints(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        out = dict(self.terms)
+        for i, c in other.terms.items():
+            c2 = out.get(i, 0) + c
+            if c2:
+                out[i] = c2 if c2.__class__ is int else _exact(c2)
+            else:
+                del out[i]
+        return _element(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.field, tuple(-a for a in self.coeffs))
+        return _element(self.field, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self.field.degree
-        a, b = self.coeffs, other.coeffs
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = prod[:d]
-        red = self.field._red
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
+        field = self.field
+        d = field.degree
+        out: dict = {}
+        high: dict = {}
+        for i, ai in self.terms.items():
+            for j, bj in other.terms.items():
+                k = i + j
+                if k < d:
+                    out[k] = out.get(k, 0) + ai * bj
+                else:
+                    high[k] = high.get(k, 0) + ai * bj
+        rows = field._rows
+        for k, c in high.items():
             if c:
-                row = red[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return CycloElement(self.field, _ints(out))
+                for i, r in rows[k - d].items():
+                    out[i] = out.get(i, 0) + c * r
+        return _element(field, {
+            i: c if c.__class__ is int else _exact(c) for i, c in out.items() if c
+        })
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloElement":
-        if self.is_zero():
+        if not self.terms:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         # extended Euclid in Q[x] against Phi_N, tracking the cofactor of
         # self; Phi_N is irreducible, so the remainders end in a nonzero
         # constant and the cofactor already has degree < phi(N)
-        r0, r1 = self.field._phi, {i: c for i, c in enumerate(self.coeffs) if c}
+        r0, r1 = self.field._phi, self.terms
         s0, s1 = {}, {0: 1}
         while max(r1):
             q, r = _u_divmod(r0, r1)
             r0, r1, s0, s1 = r1, r, s1, _u_sub(s0, _u_mul(q, s1))
         c = r1[0]
-        return CycloElement(
-            self.field, tuple(_div(s1.get(i, 0), c) for i in range(self.field.degree))
-        )
+        return _element(self.field, {i: _div(a, c) for i, a in s1.items()})
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.field.N, self.coeffs))
+        terms = self.terms
+        if terms.keys() <= {0}:
+            # a rational r equals its element, so both hash alike
+            return hash(terms.get(0, 0))
+        return hash((self.field.N, frozenset(terms.items())))
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
@@ -186,12 +185,10 @@ class CycloElement(FieldOps):
         return NotImplemented
 
     def __str__(self):
-        if self.is_zero():
+        if not self.terms:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for i, c in sorted(self.terms.items()):
             if i == 0:
                 parts.append(str(c))
             elif i == 1:
@@ -202,3 +199,11 @@ class CycloElement(FieldOps):
 
     def __repr__(self):
         return f"CycloElement[{self.field.N}]({self})"
+
+
+def _element(field: CycloField, terms: dict) -> CycloElement:
+    """The element with the given normal-form terms, which it takes over."""
+    x = object.__new__(CycloElement)
+    x.field = field
+    x.terms = terms
+    return x

@@ -336,6 +336,9 @@ class Scalar(FieldOps):
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.num.keys() <= {_ZKEY} and self.den == {0: 1}:
+            # a rational r equals its Scalar, so both hash alike
+            return hash(self.num.get(_ZKEY, 0))
         return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     # -- evaluation ------------------------------------------------------------

@@ -210,3 +210,148 @@ def test_cyclotomic_domain_specializes_s():
     assert dom.s_power(4) + dom.s_power(-4) == F.zeta(4) + F.zeta(8)
     # q = zeta_3 so beta = -q - q^-1 = 1
     assert dom.beta == F.one()
+
+
+# -- Q(zeta_N) against a dense schoolbook oracle --------------------------------
+
+
+def dense_reduce(p: list, N: int) -> list:
+    """p (index = exponent, any length) reduced modulo Phi_N by long
+    division, padded to phi(N) coefficients."""
+    phi = cyclotomic_polynomial(N)
+    d = len(phi) - 1
+    p = list(p)
+    for top in range(len(p) - 1, d - 1, -1):
+        c = p[top]
+        if c:
+            for i, f in enumerate(phi):
+                p[top - d + i] -= c * f
+    return (p + [0] * d)[:d]
+
+
+def dense_mul(a: list, b: list, N: int) -> list:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return dense_reduce(out, N)
+
+
+def dense_str(p: list) -> str:
+    parts = []
+    for i, c in enumerate(p):
+        if not c:
+            continue
+        mono = "" if i == 0 else "z" if i == 1 else f"z^{i}"
+        if not mono:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(mono if c == 1 else "-" + mono)
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def assert_normal_form(x: CycloElement):
+    assert all(0 <= i < x.field.degree for i in x.terms), x.terms
+    for c in x.terms.values():
+        assert c, x.terms
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), x.terms
+
+
+@st.composite
+def cyclo_operand(draw, N: int) -> list:
+    """Unreduced dense coefficients of zero, c*zeta^k (k < N), a binomial, or
+    a dense element with Fraction coefficients."""
+    F = CycloField(N)
+    kind = draw(st.sampled_from(("zero", "monomial", "binomial", "dense")))
+    p = [0] * N
+    if kind in ("monomial", "binomial"):
+        for _ in range(1 if kind == "monomial" else 2):
+            c = draw(st.sampled_from((1, -1, 2)) | coeff.filter(bool))
+            p[draw(st.integers(0, N - 1))] += c
+    elif kind == "dense":
+        p[:F.degree] = draw(st.lists(coeff, min_size=F.degree, max_size=F.degree))
+    return p
+
+
+@st.composite
+def cyclo_operands(draw):
+    N = draw(st.sampled_from(CYCLO_ORDERS))
+    return N, draw(cyclo_operand(N)), draw(cyclo_operand(N))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclo_operands())
+def test_cyclotomic_arithmetic_matches_the_dense_oracle(operands):
+    N, pa, pb = operands
+    F = CycloField(N)
+    da, db = dense_reduce(pa, N), dense_reduce(pb, N)
+    a, b = CycloElement(F, tuple(da)), CycloElement(F, tuple(db))
+    for x, p in [(a, pa), (b, pb)]:
+        # the same element built from powers of zeta
+        assert sum((c * F.zeta(k) for k, c in enumerate(p) if c), F.zero()) == x
+    results = [
+        (a, da),
+        (a + b, [x + y for x, y in zip(da, db)]),
+        (a - b, [x - y for x, y in zip(da, db)]),
+        (-a, [-x for x in da]),
+        (a * b, dense_mul(da, db, N)),
+        (b * a, dense_mul(db, da, N)),
+        (a * a, dense_mul(da, da, N)),
+    ]
+    if any(da):
+        ai = a.inv()
+        assert dense_mul(da, list(ai.coeffs), N) == dense_reduce([1], N)
+        results.append((ai, list(ai.coeffs)))
+    for x, p in results:
+        assert_normal_form(x)
+        assert x.coeffs == tuple(p)
+        assert str(x) == dense_str(p)
+        assert x == CycloElement(F, tuple(p))
+        assert hash(x) == hash(CycloElement(F, tuple(p)))
+        if not any(p[1:]):
+            # a rational value compares and hashes as that rational
+            assert x == p[0] and hash(x) == hash(p[0])
+    assert (a == b) == (da == db)
+    assert (a != b) == (da != db)
+
+
+def test_sparse_normal_form_and_reduction_rows():
+    F = CycloField(32)
+    assert len(F._rows) == F.degree - 1
+    assert all(len(row) == 1 for row in F._rows)
+    for N in (16, 24):
+        assert all(1 <= len(row) <= 2 for row in CycloField(N)._rows)
+    assert (F.zeta(5) * F.zeta(20)).terms == {9: -1}
+    assert len(domain_for(Specialization.parse("root:4")).beta.terms) == 2
+    assert F.zero().terms == {} and F.one().terms == {0: 1}
+
+
+@pytest.mark.parametrize("N", CYCLO_ORDERS)
+def test_zeta_powers_are_iterated_products(N):
+    F = CycloField(N)
+    z, power = F.zeta(), F.one()
+    for k in range(2 * N):
+        x = F.zeta(k)
+        assert x == power, (k, x, power)
+        assert x.coeffs == tuple(dense_reduce([0] * k + [1], N))
+        assert F.zeta(-k) == x.inv()
+        assert_normal_form(x)
+        power = power * z
+    assert power == F.one()
+
+
+def test_rational_values_hash_as_rationals():
+    s = Scalar.s_power(1)
+    for r in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+        samples = [Scalar(r), Scalar.from_rational(r), (s + r) - s, (r * s) / s]
+        samples += [CycloField(N).from_rational(r) for N in CYCLO_ORDERS]
+        samples += [CycloField(N).zeta(3) * r * CycloField(N).zeta(-3) for N in CYCLO_ORDERS]
+        for x in samples:
+            assert x == r and hash(x) == hash(r), repr(x)
+            assert x in {r} and r in {x}
+    assert hash(Scalar(Fraction(6, 3))) == hash(2)
+    # q = e^{i pi/3}: beta = -q - q^-1 = -1, found by arithmetic in Q(zeta_24)
+    beta = domain_for(Specialization.parse("root:3")).beta
+    assert beta == -1 and hash(beta) == hash(-1)
