@@ -89,6 +89,9 @@ def _write_json(path: str, payload: dict):
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 1:
+        print("error: --max-n must be at least 1", file=sys.stderr)
+        return 2
     try:
         spec = Specialization.parse(args.spec)
     except ValueError as exc:

@@ -361,7 +361,7 @@ def _noncrossing_matchings(points: tuple):
                 yield ((first, partner),) + mi + mo
 
 
-def enumerate_diagrams(n: int, m: int, dilute: bool = False, through=None) -> list:
+def enumerate_diagrams(n: int, m: int, dilute: bool = False) -> list:
     """All planar (m,n)-diagrams in Hom(n,m), deterministically ordered
     (lexicographic on the sorted pairing list)."""
     total = m + n
@@ -372,9 +372,7 @@ def enumerate_diagrams(n: int, m: int, dilute: bool = False, through=None) -> li
         for a, b in match:
             link[a] = b
             link[b] = a
-        d = Diagram(m, n, tuple(link), dilute)
-        if through is None or d.through == through:
-            out.append(d)
+        out.append(Diagram(m, n, tuple(link), dilute))
 
     if dilute:
         allpts = tuple(range(total))

@@ -5,18 +5,15 @@ elements must support +, -, *, /, ``**0`` for the unit, ==, and
 truthiness for zero-testing.
 
 Row reduction is sparse: a row is a dict {column: nonzero entry}, so the
-cost follows the nonzeros rather than the width.  ``rref`` also takes
-dense rows (lists); the matrix helpers below stay dense.
+cost follows the nonzeros rather than the width.  ``rref`` and ``det`` read
+one forward elimination; ``mat_mul`` and ``mat_shift`` stay dense.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = [
     "rref",
     "rank",
-    "nullspace",
     "det",
     "mat_mul",
     "mat_shift",
@@ -42,19 +39,15 @@ def _eliminate(row: dict, prow: dict, col: int) -> dict:
     return row
 
 
-def rref(rows: list, ncols: int) -> tuple:
-    """Reduced row echelon form of the matrix with the given rows, each a
-    dense list or a dict {column: entry}; zero entries are dropped.
-
-    Columns are taken in order; the pivot of a column is the first row not
-    yet used as a pivot that holds it.  Returns (reduced nonzero rows as
-    dicts, pivot column list), row i having its leading 1 at pivots[i].
-    """
+def _pivot_rows(rows: list, ncols: int):
+    """Forward elimination over the columns in order; a column's pivot is
+    the first pending (nonzero, not yet pivot) row that holds it.  Yields
+    (column, that row's position among the pending rows, pivot value, the
+    row scaled to a leading 1) once the column is cleared from the rest."""
     pending = [r for r in map(_sparse, rows) if r]
-    red, pivots = [], []
     for col in range(ncols):
         if not pending:
-            break
+            return
         piv = next((i for i, r in enumerate(pending) if col in r), None)
         if piv is None:
             continue
@@ -64,10 +57,22 @@ def rref(rows: list, ncols: int) -> tuple:
         if pval != one:
             inv = one / pval
             prow = {c: x * inv for c, x in prow.items()}
+        pending = [r for r in pending if col not in r or _eliminate(r, prow, col)]
+        yield col, piv, pval, prow
+
+
+def rref(rows: list, ncols: int) -> tuple:
+    """Reduced row echelon form of the matrix with the given rows, each a
+    dense list or a dict {column: entry}; zero entries are dropped.
+
+    Returns (reduced nonzero rows as dicts, pivot column list), row i
+    having its leading 1 at pivots[i] and zeros in every other pivot column.
+    """
+    red, pivots = [], []
+    for col, _, _, prow in _pivot_rows(rows, ncols):
         for row in red:
             if col in row:
                 _eliminate(row, prow, col)
-        pending = [r for r in pending if col not in r or _eliminate(r, prow, col)]
         red.append(prow)
         pivots.append(col)
     return red, pivots
@@ -77,52 +82,16 @@ def rank(rows: list, ncols: int) -> int:
     return len(rref(rows, ncols)[0])
 
 
-def nullspace(rows: list, ncols: int) -> list:
-    """Basis of the right kernel of the matrix, as dense vectors."""
-    red, pivots = rref(rows, ncols)
-    entries = (x for r in rows for x in (r.values() if isinstance(r, dict) else r))
-    one = next(entries, Fraction(1)) ** 0
-    zero = one - one
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for prow, pc in zip(red, pivots):
-            c = prow.get(fc)
-            if c:
-                vec[pc] = -c
-        basis.append(vec)
-    return basis
-
-
 def det(rows: list):
-    """Determinant by fraction-producing Gaussian elimination."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
+    """Determinant of a square matrix of dense rows: the product of the
+    pivots, each negated when its row was popped from an odd position.  A
+    nonsingular matrix has no zero row to skip, so the positions are exact."""
     one = rows[0][0] ** 0
-    result = one
-    sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return one - one
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pval = rows[col][col]
-        result = result * pval
-        inv = one / pval
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return result if sign > 0 else -result
+    result, found = one, 0
+    for _, piv, pval, _ in _pivot_rows(rows, len(rows)):
+        result = -(result * pval) if piv % 2 else result * pval
+        found += 1
+    return result if found == len(rows) else one - one
 
 
 def mat_mul(a: list, b: list) -> list:

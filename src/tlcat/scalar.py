@@ -578,6 +578,8 @@ class Specialization:
             raise ValueError(f"unknown specialization kind {self.kind!r}")
         if self.kind == "cyclotomic" and self.N < 1:
             raise ValueError("cyclotomic order must be positive")
+        if self.kind == "rational" and not self.s0:
+            raise ValueError("rational point s0 must be nonzero")
 
     @staticmethod
     def generic() -> "Specialization":
@@ -604,7 +606,10 @@ class Specialization:
                 raise ValueError("root order must be >= 1")
             return Specialization.cyclotomic(8 * ell, 1)
         if kind == "rational":
-            return Specialization.rational(Fraction(arg))
+            try:
+                return Specialization.rational(Fraction(arg))
+            except ZeroDivisionError:
+                raise ValueError(f"rational point {arg!r} has a zero denominator") from None
         raise ValueError(f"cannot parse specialization {text!r}")
 
     def describe(self) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 
 from .diagram import Diagram, enumerate_diagrams
-from .linalg import nullspace
+from .linalg import rank
 from .morphism import GENERIC, CoeffDomain, Morphism, big_cap, big_cup, domain_for, e, identity
 from .report import VerificationReport
 from .scalar import PoleAtSpecialization, Specialization
@@ -184,9 +184,7 @@ def annihilated_line_dimension(m: int, spec: Specialization | None = None) -> in
                 for dd, c in prod.terms.items():
                     block[index[dd]][j] = c
             rows.extend(block)
-    if not rows:
-        return nd
-    return len(nullspace(rows, nd))
+    return nd - rank(rows, nd)
 
 
 def verify_rigidity(m: int, dom: CoeffDomain = GENERIC) -> VerificationReport:

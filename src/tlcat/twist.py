@@ -230,8 +230,6 @@ def verify_det_t1(max_n: int) -> VerificationReport:
         t1 = t(1, n)
         for k in range(n % 2, n + 1, 2):
             module = StandardModule(n, k)
-            if module.dim == 0:
-                continue
             rep.check("det t_1 on S_{n,k}", {"n": n, "k": k},
                       det(act(t1, module)), det_t1_closed_form(n, k))
     return rep

@@ -30,6 +30,15 @@ def test_usage_errors(capsys, tmp_path):
         assert code == 2
         assert "repr" in err and "fusion" in err
         assert not out.exists()
+    # s0 = 0 and a zero denominator are not points; --max-n is at least 1
+    for argv in (("fusion", "--spec", "rational:0"), ("fusion", "--spec", "rational:1/0"),
+                 ("repr", "--max-n", "-3"), ("repr", "--max-n", "0")):
+        out = tmp_path / "bad.json"
+        code, _, err = run(capsys, "verify", *argv, "--out", str(out))
+        assert code == 2 and err.startswith("error:")
+        assert not out.exists()
+    code, _, _ = run(capsys, "fusion-table", "1", "1", "1", "1", "--spec", "rational:0")
+    assert code == 2
     code, _, err = run(capsys, "eigen", "--module", "3", "2")
     assert code == 2
     code, _, _ = run(capsys, "fusion-table", "2", "1", "1", "1")

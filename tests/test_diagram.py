@@ -84,13 +84,6 @@ def test_parity_empty_hom():
     assert enumerate_diagrams(0, 1) == []
 
 
-def test_through_line_filter():
-    for n in range(0, 7):
-        for k in range(n % 2, n + 1, 2):
-            diags = [d for d in enumerate_diagrams(n, n) if d.through == k]
-            assert diags == enumerate_diagrams(n, n, through=k)
-
-
 def test_identity_and_e_compose():
     one = identity_diagram(3)
     ed = e_diagram(1, 3)

@@ -13,12 +13,14 @@ from tlcat.fusion import (
     FusedModule,
     expected_summands,
     fusion_decomposition_generic,
+    fusion_summands,
     generic_rational_spec,
     jordan_type,
     monodromy_eigenvalue,
     verify_fusion_suite,
     verify_root_examples,
 )
+from tlcat.linalg import rref
 from tlcat.morphism import GENERIC, CoeffDomain, domain_for, identity
 from tlcat.scalar import Scalar, Specialization
 from tlcat.standard import RegularModule, StandardModule, standard_dimension
@@ -47,6 +49,60 @@ def test_decomposition_dimension_oracle():
         expected = {k: 1 for k in expected_summands(k1, k2) if k <= N}
         assert found == expected
         assert fused.dim == sum(standard_dimension(N, k) for k in expected)
+
+
+def test_fusion_rule_check_fails_on_a_wrong_multiplicity(monkeypatch):
+    # {0: 2} fills S_{1,1} x S_{1,1} (two copies of the one-dimensional
+    # S_{2,0}) with an expected k, but breaks the generic fusion rule
+    right = fusion_summands
+
+    def wrong(fused):
+        found = right(fused)
+        return {0: 2} if (fused.N, fused.left.k, fused.right.k) == (2, 1, 1) else found
+
+    monkeypatch.setattr("tlcat.fusion.fusion_summands", wrong)
+    rep = verify_fusion_suite(max_total=3)
+    failed = [c["params"] for c in rep.failures()
+              if c["identity"] == "summands account for the fusion product"]
+    assert failed == [{"n1": 1, "k1": 1, "n2": 1, "k2": 1}]
+
+
+def pivot_by_pivot(red, pivots, free, vec, zero):
+    """Residue of a raw vector by eliminating its pivot coordinates one at
+    a time in pivot order, each against its reduced row; correct for any
+    echelon form, fully reduced or not."""
+    pending = dict(vec)
+    for row, p in zip(red, pivots):
+        c = pending.pop(p, zero)
+        if c:
+            for j, x in row.items():
+                if j != p:
+                    pending[j] = pending.get(j, zero) - c * x
+    return [pending.get(f, zero) for f in free]
+
+
+@pytest.mark.parametrize("spec", ["generic", "rational:5/3", "root:3"])
+def test_reduce_matches_pivot_by_pivot_elimination(spec, rng, monkeypatch):
+    dom = domain_for(Specialization.parse(spec))
+    relations = []
+
+    def recording_rref(rows, ncols):
+        relations.append(rows)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr("tlcat.fusion.rref", recording_rref)
+    for n1, k1, n2, k2 in [(2, 2, 1, 1), (2, 0, 2, 0), (3, 1, 1, 1), (2, 0, 3, 1)]:
+        relations.clear()
+        fused = FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
+        (rows,) = relations
+        red, pivots = rref(rows, fused.raw_dim)
+        assert fused.free == sorted(set(range(fused.raw_dim)) - set(pivots))
+        zero = [dom.zero] * fused.dim
+        assert all(fused._reduce(row) == zero for row in rows)
+        for _ in range(20):
+            support = rng.sample(range(fused.raw_dim), rng.randint(1, min(6, fused.raw_dim)))
+            vec = {j: dom.s_power(rng.randint(-4, 4)) * rng.randint(-3, 3) for j in support}
+            assert fused._reduce(vec) == pivot_by_pivot(red, pivots, fused.free, vec, dom.zero)
 
 
 def test_monodromy_eigenvalue_formula():

@@ -142,8 +142,11 @@ def test_specialization_parse():
     assert sp.kind == "cyclotomic" and sp.N == 24
     sp = Specialization.parse("rational:5/3")
     assert sp.kind == "rational" and sp.s0 == Fraction(5, 3)
+    for text in ("nonsense:1", "rational:0", "rational:1/0"):
+        with pytest.raises(ValueError):
+            Specialization.parse(text)
     with pytest.raises(ValueError):
-        Specialization.parse("nonsense:1")
+        Specialization.rational(0)
 
 
 def test_cyclotomic_polynomials():
