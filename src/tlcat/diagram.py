@@ -7,7 +7,8 @@ planarity is the classical no-interleaving test on a line: no two pairs
 (a,b), (c,d) with a < c < b < d.
 
 Dilute diagrams additionally allow vacancies: nodes carrying no string.
-Composing a string end onto a vacancy annihilates the whole composite.
+Composing a string end onto a vacancy annihilates the whole composite, so
+gluing returns either (diagram, loops) or None.
 
 Internally a diagram stores a 0-based link table; the public pairing view
 is 1-based to match the text serialization {m}x{n}:[(a,b),...].
@@ -20,7 +21,6 @@ from itertools import combinations
 
 __all__ = [
     "Diagram",
-    "ComposeOutcome",
     "InterfaceMismatch",
     "identity_diagram",
     "cup_diagram",
@@ -95,22 +95,18 @@ class Diagram:
 
     # -- operations -------------------------------------------------------------
 
-    def compose(self, other: "Diagram") -> "ComposeOutcome":
-        """self after other: glue self's source column onto other's destination."""
+    def compose(self, other: "Diagram"):
+        """self after other: glue self's source column onto other's
+        destination.  Returns (diagram, closed loop count), or None when a
+        string end meets a vacancy; a cache hit returns the stored result
+        itself."""
         if self.src != other.dst:
             raise InterfaceMismatch(
                 f"cannot compose: src {self.src} != dst {other.dst}"
             )
         if self.dilute != other.dilute:
             raise InterfaceMismatch("cannot mix dilute and ordinary diagrams")
-        link, loops, dead = _compose_cached(
-            self.dst, self.src, other.src, self.link, other.link
-        )
-        if dead:
-            return ComposeOutcome(None, 0, True)
-        return ComposeOutcome(
-            Diagram(self.dst, other.src, link, self.dilute), loops, False
-        )
+        return _compose_cached(self, other)
 
     def tensor(self, other: "Diagram") -> "Diagram":
         """Stack self on top of other."""
@@ -193,20 +189,6 @@ class Diagram:
         return f"Diagram({self.to_text()})"
 
 
-class ComposeOutcome:
-    __slots__ = ("diagram", "loops", "annihilated")
-
-    def __init__(self, diagram, loops: int, annihilated: bool):
-        self.diagram = diagram
-        self.loops = loops
-        self.annihilated = annihilated
-
-    def __repr__(self):
-        if self.annihilated:
-            return "ComposeOutcome(annihilated)"
-        return f"ComposeOutcome({self.diagram!r}, loops={self.loops})"
-
-
 # ---------------------------------------------------------------------------
 # the composition kernel
 #
@@ -220,12 +202,12 @@ def compose_links(kdst: int, mid: int, nsrc: int, c_link: tuple, b_link: tuple):
     c's right column runs bottom to top, b's left column top to bottom, so
     middle height r joins c node kdst+r with b node mid-1-r.
 
-    Returns (result_link tuple or None, loop count, annihilated flag).
+    Returns (result link tuple, loop count), or None when a string end
+    meets a vacancy, which kills the whole composite.
     """
-    # a string end meeting a vacancy kills the whole composite
     for r in range(mid):
         if (c_link[kdst + r] >= 0) != (b_link[mid - 1 - r] >= 0):
-            return None, 0, True
+            return None
 
     total = kdst + nsrc
     out = [-2] * total
@@ -281,12 +263,18 @@ def compose_links(kdst: int, mid: int, nsrc: int, c_link: tuple, b_link: tuple):
                     break
                 seen_c[r] = True
                 side, node = 0, kdst + r
-    return tuple(out), loops, False
+    return tuple(out), loops
 
 
 @lru_cache(maxsize=1 << 18)
-def _compose_cached(kdst, mid, nsrc, c_link, b_link):
-    return compose_links(kdst, mid, nsrc, c_link, b_link)
+def _compose_cached(c: Diagram, b: Diagram):
+    """Diagram.compose without its checks, keyed on the two diagrams (whose
+    hashes are precomputed); the glued Diagram itself is stored."""
+    glued = compose_links(c.dst, c.src, b.src, c.link, b.link)
+    if glued is None:
+        return None
+    link, loops = glued
+    return Diagram(c.dst, b.src, link, c.dilute), loops
 
 
 # ---------------------------------------------------------------------------

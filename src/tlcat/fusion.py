@@ -14,19 +14,22 @@ built as a sparse dict {raw index: coefficient}; the sparse exact row
 reduction of ``linalg.rref`` yields the quotient, whose basis is the set
 of non-pivot raw coordinates.
 
-Every matrix on the quotient is built by one column builder,
+Every column on the quotient comes from one builder,
 ``FusedModule._column``: ``Morphism.compose`` composes a morphism h of
 End(m+n) onto the diagram leg of a free basis vector, each diagram of the
 result is mapped to its raw coordinate, and ``_reduce`` takes that vector
-to free coordinates.  The induced action composes h on the left; the
-double braiding composes eta_{n,m} o eta_{m,n} on the right.  The
-twist-ratio route of the monodromy composes c_{m+n} on the right and,
-before reducing, applies the factor twists c_m^-1 (x) c_n^-1 to the
-(x, y) coordinates as one linear map; the two routes agree only because
-the quotient is the balanced tensor product.  Both structural morphisms
-are single words of elementary crossings (``braid.double_braiding`` and
-``twist.twist_element``), so building one costs a crossing times a dense
-morphism per letter, never a dense times a dense product.  Everything
+to free coordinates.  The induced action composes h on the left; it is
+the module's ``act_on_element``, so ``standard.act`` builds its matrices
+as for a standard or regular module, and a fused module can itself be a
+factor of another.  The double braiding composes eta_{n,m} o eta_{m,n}
+on the right.  The twist-ratio route of the monodromy composes c_{m+n}
+on the right and, before reducing, applies the factor twists
+c_m^-1 (x) c_n^-1 to the (x, y) coordinates as one linear map; the two
+routes agree only because the quotient is the balanced tensor product.
+Both structural morphisms are single words of elementary crossings
+(``braid.double_braiding`` and ``twist.twist_element``), so building one
+costs a crossing times a dense morphism per letter, never a dense times a
+dense product.  Everything
 downstream - the central-element spectrum, Jordan data at roots of unity -
 is matrix arithmetic over the exact coefficient field of the spec,
 resolved by ``morphism.domain_for``: Q(s) for a generic spec, so a generic
@@ -44,7 +47,7 @@ from .linalg import mat_mul, mat_shift, rank, rref
 from .morphism import CoeffDomain, Morphism, domain_for, e
 from .report import VerificationReport
 from .scalar import Specialization
-from .standard import RegularModule, StandardModule, standard_dimension
+from .standard import RegularModule, StandardModule, act, standard_dimension
 from .twist import gamma_eigenvalue, twist_element, twist_inverse
 
 __all__ = [
@@ -95,16 +98,19 @@ def expected_summands(k1: int, k2: int) -> list:
 
 
 class FusedModule:
+    """left x_f right, a module over TL_n with n = left.n + right.n like any
+    other: its basis is the free raw coordinates of the quotient, and
+    ``act`` builds its action matrices.  Either factor may itself be fused."""
+
     def __init__(self, left, right):
         if left.dom != right.dom:
             raise ValueError("factor modules live over different coefficient domains")
         self.left = left
         self.right = right
         self.dom = left.dom
-        self.m = left.n
-        self.n = right.n
-        self.N = self.m + self.n
-        self.diagrams = enumerate_diagrams(self.N, self.N)
+        self.n = left.n + right.n
+        self.k = None
+        self.diagrams = enumerate_diagrams(self.n, self.n)
         self._dindex = {d: i for i, d in enumerate(self.diagrams)}
         self.dl = left.dim
         self.dr = right.dim
@@ -118,16 +124,17 @@ class FusedModule:
     def _build_quotient(self):
         dom = self.dom
         rows = []
-        gens = [("L", i, e_diagram(i, self.N)) for i in range(1, self.m)]
-        gens += [("R", j, e_diagram(self.m + j, self.N)) for j in range(1, self.n)]
+        m = self.left.n
+        gens = [("L", i, e_diagram(i, self.n)) for i in range(1, m)]
+        gens += [("R", j, e_diagram(m + j, self.n)) for j in range(1, self.right.n)]
         for side, idx, ghat in gens:
             module = self.left if side == "L" else self.right
             gmor = e(idx, module.n, dom)
             actions = [module.act_on_element(gmor, v) for v in module.basis]
             for di, d in enumerate(self.diagrams):
-                res = d.compose(ghat)
-                dgi = self._dindex[res.diagram]
-                cg = dom.beta_power(res.loops) if res.loops else dom.one
+                dg, loops = d.compose(ghat)
+                dgi = self._dindex[dg]
+                cg = dom.beta_power(loops) if loops else dom.one
                 for xi in range(self.dl):
                     for yi in range(self.dr):
                         row = {self._ri(dgi, xi, yi): cg}
@@ -139,9 +146,9 @@ class FusedModule:
                             rows.append(row)
         red, pivots = rref(rows, self.raw_dim) if rows else ([], [])
         pivset = set(pivots)
-        self.free = [i for i in range(self.raw_dim) if i not in pivset]
-        self._free_pos = {f: i for i, f in enumerate(self.free)}
-        self.dim = len(self.free)
+        self.basis = [i for i in range(self.raw_dim) if i not in pivset]
+        self._free_pos = {f: i for i, f in enumerate(self.basis)}
+        self.dim = len(self.basis)
         # a reduced row is zero in every other pivot column, so a pivot
         # coordinate is minus its row on the free coordinates
         self._pivot_image = {p: {self._free_pos[j]: x for j, x in row.items() if j != p}
@@ -184,22 +191,22 @@ class FusedModule:
                     out[kk] = out.get(kk, zero) + ccl * cr
         return out
 
-    def _matrix(self, h: Morphism, side: str, factors=None) -> list:
-        """Matrix on the quotient of h composed on the given side, followed
-        by the factor-module maps (left, right) when given."""
+    def act_on_element(self, h: Morphism, b: int) -> dict:
+        """Column of the induced left action of h on the basis vector b (a
+        free raw coordinate), as index in this module's basis -> coefficient."""
+        col = self._reduce(self._column(h, b, "left"))
+        return {i: c for i, c in enumerate(col) if c}
+
+    def _matrix(self, h: Morphism, factors=None) -> list:
+        """Matrix on the quotient of h composed on the right of the diagram
+        leg, followed by the factor-module maps (left, right) when given."""
         cols = []
-        for f in self.free:
-            vec = self._column(h, f, side)
+        for f in self.basis:
+            vec = self._column(h, f, "right")
             if factors is not None:
                 vec = self._on_factors(vec, *factors)
             cols.append(self._reduce(vec))
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
-    def action_matrix(self, h: Morphism) -> list:
-        """Matrix of the induced left TL_{m+n} action of h on the quotient."""
-        if h.dst != self.N or h.src != self.N:
-            raise ValueError("action morphism must live in End(m+n)")
-        return self._matrix(h, "left")
 
     def monodromy_matrix(self, route: str = "braiding") -> list:
         """The double braiding on the fused module.
@@ -212,28 +219,23 @@ class FusedModule:
         """
         dom = self.dom
         if route == "braiding":
-            return self._matrix(double_braiding(self.m, self.n, dom), "right")
+            return self._matrix(double_braiding(self.left.n, self.right.n, dom))
         if route == "twist":
-            inv_l = twist_inverse(self.m, dom)
-            inv_r = twist_inverse(self.n, dom)
+            inv_l = twist_inverse(self.left.n, dom)
+            inv_r = twist_inverse(self.right.n, dom)
             factors = (
                 [self.left.act_on_element(inv_l, x) for x in self.left.basis],
                 [self.right.act_on_element(inv_r, y) for y in self.right.basis],
             )
-            return self._matrix(twist_element(self.N, dom), "right", factors)
+            return self._matrix(twist_element(self.n, dom), factors)
         raise ValueError(f"unknown monodromy route {route!r}")
 
-    def central_matrix(self) -> list:
-        return self.action_matrix(twist_element(self.N, self.dom))
-
     def verify_representation(self, rep: VerificationReport | None = None) -> VerificationReport:
-        """Defining relations of TL_{m+n} hold on the induced action."""
+        """Defining relations of TL_n hold on the induced action."""
         if rep is None:
             rep = VerificationReport("fusion.representation")
         dom = self.dom
-        mats = {
-            i: self.action_matrix(e(i, self.N, dom)) for i in range(1, self.N)
-        }
+        mats = {i: act(e(i, self.n, dom), self) for i in range(1, self.n)}
         beta = dom.beta
         for i, mi in mats.items():
             sq = mat_mul(mi, mi)
@@ -264,8 +266,8 @@ def fusion_summands(fused: FusedModule) -> dict:
     product of standard modules, read off the spectrum of c_N."""
     dom = fused.dom
     k1, k2 = fused.left.k, fused.right.k
-    cmat = fused.central_matrix()
-    expected = [k for k in expected_summands(k1, k2) if k <= fused.N]
+    cmat = act(twist_element(fused.n, dom), fused)
+    expected = [k for k in expected_summands(k1, k2) if k <= fused.n]
     gammas = {k: gamma_eigenvalue(k, dom) for k in expected}
     if len(set(gammas.values())) != len(gammas):
         raise AmbiguousEigenvalue(
@@ -277,11 +279,11 @@ def fusion_summands(fused: FusedModule) -> dict:
         shifted = mat_shift(cmat, gammas[k])
         eigdim = fused.dim - rank(shifted, fused.dim) if fused.dim else 0
         if eigdim:
-            sk = standard_dimension(fused.N, k)
+            sk = standard_dimension(fused.n, k)
             if eigdim % sk:
                 raise AmbiguousEigenvalue(
                     f"eigenspace of gamma_{k} has dimension {eigdim}, "
-                    f"not a multiple of dim S_{fused.N},{k} = {sk}"
+                    f"not a multiple of dim S_{fused.n},{k} = {sk}"
                 )
             found[k] = eigdim // sk
         total += eigdim
@@ -358,7 +360,7 @@ def verify_root_examples(rep: VerificationReport | None = None) -> VerificationR
     if rep is None:
         rep = VerificationReport("fusion.roots")
     for name, order, factors, dim, mu_exponent, expected in _ROOT_EXAMPLES:
-        dom = domain_for(Specialization.cyclotomic(order, 1))
+        dom = domain_for(Specialization.cyclotomic(order))
         fused = FusedModule(*(cls(*args, dom) for cls, *args in factors))
         params = {"spec": dom.spec.describe()}
         rep.add(f"{name} dimension", params, fused.dim == dim, {"dim": fused.dim})

@@ -43,7 +43,6 @@ __all__ = [
     "spectral_power",
     "verify_spectral_identities",
     "verify_ybe",
-    "determine_ik_ybe_convention",
     "verify_inversion",
     "verify_boundary_ybe",
     "transfer_matrix",
@@ -205,43 +204,19 @@ def verify_spectral_identities(family: str = "ordinary", dom: CoeffDomain = GENE
     return rep
 
 
-def verify_ybe(
-    family: str = "ordinary",
-    dom: CoeffDomain = GENERIC,
-    convention=("u", "v", "v/u"),
-) -> VerificationReport:
-    """X_1(a) X_2(b) X_1(c) = X_2(c) X_1(b) X_2(a) in End(3), symbolically."""
+def verify_ybe(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> VerificationReport:
+    """X_1(u) X_2(v) X_1(v/u) = X_2(v/u) X_1(v) X_2(u) in End(3),
+    symbolically: the ratio convention, for every family."""
     rep = VerificationReport(f"integrable.ybe[{family}]")
-    a, b, c = convention
     x1, x2 = face(1, 3, family, dom), face(2, 3, family, dom)
-    lhs = x1(a) * x2(b) * x1(c)
-    rhs = x2(c) * x1(b) * x2(a)
-    rep.check("yang-baxter", {"args": list(convention)}, lhs, rhs)
+    lhs = x1("u") * x2("v") * x1("v/u")
+    rhs = x2("v/u") * x1("v") * x2("u")
+    rep.check("yang-baxter", {"args": ["u", "v", "v/u"]}, lhs, rhs)
     # the degenerate point u = v reduces the ratio argument to 1
-    if convention == ("u", "v", "v/u"):
-        lhs1 = x1("u") * x2("u") * x1((0, 0, 0))
-        rhs1 = x2((0, 0, 0)) * x1("u") * x2("u")
-        rep.check("degenerate u = v case", {}, lhs1, rhs1)
+    lhs1 = x1("u") * x2("u") * x1((0, 0, 0))
+    rhs1 = x2((0, 0, 0)) * x1("u") * x2("u")
+    rep.check("degenerate u = v case", {}, lhs1, rhs1)
     return rep
-
-
-_IK_CONVENTIONS = [
-    ("ratio (u, v, v/u)", ("u", "v", "v/u")),
-    ("product (u, u*v, v)", ("u", "u*v", "v")),
-]
-
-
-def determine_ik_ybe_convention(dom: CoeffDomain = GENERIC):
-    """Try the candidate spectral-argument conventions for the five-term
-    dilute face and return (name, convention, report) for the first that
-    satisfies the Yang-Baxter equation."""
-    last = None
-    for name, convention in _IK_CONVENTIONS:
-        rep = verify_ybe("dilute-IK", dom, convention)
-        last = (name, convention, rep)
-        if rep.ok:
-            return last
-    return last
 
 
 def verify_inversion(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> VerificationReport:
@@ -364,14 +339,12 @@ def verify_integrable_suite(
     and (for the ordinary family) transfer-matrix commutation."""
     rep = VerificationReport(f"integrable.{family}")
     rep.extend(verify_spectral_identities(family, dom))
+    ybe = verify_ybe(family, dom)
+    rep.extend(ybe)
     if family == "dilute-IK":
-        name, convention, conv_rep = determine_ik_ybe_convention(dom)
-        rep.extend(conv_rep)
         rep.add("a spectral-argument convention satisfies yang-baxter",
-                {"family": family}, conv_rep.ok,
-                {"convention": name, "args": list(convention)})
-    else:
-        rep.extend(verify_ybe(family, dom))
+                {"family": family}, ybe.ok,
+                {"convention": "ratio (u, v, v/u)", "args": ["u", "v", "v/u"]})
     rep.extend(verify_inversion(family, dom))
     rep.extend(verify_boundary_ybe(family, dom))
     if family == "ordinary":

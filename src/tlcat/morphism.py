@@ -70,7 +70,7 @@ class CoeffDomain:
             from .cyclotomic import CycloField
 
             field = CycloField(spec.N)
-            self._spow = lambda k: field.zeta(spec.a * k)
+            self._spow = field.zeta
         self.one = self._spow(0)
         self.zero = self.one - self.one
         self.beta = -self._spow(4) - self._spow(-4)
@@ -205,13 +205,13 @@ class Morphism:
             # sum c2 * beta^loops per result diagram, then multiply c1 in once
             groups: dict = {}
             for d2, c2 in other.terms.items():
-                res = d1.compose(d2)
-                if res.annihilated:
+                glued = d1.compose(d2)
+                if glued is None:
                     continue
-                if res.loops:
-                    b = dom.beta_power(res.loops)
+                d, loops = glued
+                if loops:
+                    b = dom.beta_power(loops)
                     c2 = b if c2 is one else c2 * b
-                d = res.diagram
                 g = groups.get(d)
                 groups[d] = c2 if g is None else g + c2
             for d, g in groups.items():

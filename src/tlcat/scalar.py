@@ -564,13 +564,12 @@ class Specialization:
 
     kinds:
       generic           keep everything symbolic in s
-      cyclotomic(N, a)  s -> zeta_N^a, exact arithmetic in Q(zeta_N)
+      cyclotomic(N)     s -> zeta_N, exact arithmetic in Q(zeta_N)
       rational(s0)      s -> a rational number, exact Fractions
     """
 
     kind: str
     N: int = 0
-    a: int = 1
     s0: object = None
 
     def __post_init__(self):
@@ -586,8 +585,8 @@ class Specialization:
         return Specialization("generic")
 
     @staticmethod
-    def cyclotomic(N: int, a: int = 1) -> "Specialization":
-        return Specialization("cyclotomic", N=N, a=a)
+    def cyclotomic(N: int) -> "Specialization":
+        return Specialization("cyclotomic", N=N)
 
     @staticmethod
     def rational(s0) -> "Specialization":
@@ -604,7 +603,7 @@ class Specialization:
             ell = int(arg)
             if ell < 1:
                 raise ValueError("root order must be >= 1")
-            return Specialization.cyclotomic(8 * ell, 1)
+            return Specialization.cyclotomic(8 * ell)
         if kind == "rational":
             try:
                 return Specialization.rational(Fraction(arg))
@@ -616,5 +615,6 @@ class Specialization:
         if self.kind == "generic":
             return "generic"
         if self.kind == "cyclotomic":
-            return f"cyclotomic(N={self.N}, s=zeta^{self.a})"
+            # s is always zeta_N itself; the report bytes keep the exponent
+            return f"cyclotomic(N={self.N}, s=zeta^1)"
         return f"rational(s={self.s0})"

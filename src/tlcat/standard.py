@@ -94,18 +94,15 @@ class RegularModule:
         return f"RegularModule(End({self.n}), dim={self.dim})"
 
 
-def act(f: Morphism, module: StandardModule):
-    """Matrix of f: S_{n,k} -> S_{m,k} on the diagram bases (rows = target)."""
-    if f.src != module.n:
-        raise ValueError(f"morphism source {f.src} != module size {module.n}")
-    if f.dst == module.n:
-        target = module
-    else:
-        target = StandardModule(f.dst, module.k, module.dom)
+def act(f: Morphism, module) -> list:
+    """Matrix of f in End(n) on a module over TL_n - standard, regular or
+    fused: anything with n, dom, dim, basis and act_on_element."""
+    if f.src != module.n or f.dst != module.n:
+        raise ValueError(f"morphism {f.dst}<-{f.src} is not in End({module.n})")
     zero = module.dom.zero
-    mat = [[zero] * module.dim for _ in range(target.dim)]
+    mat = [[zero] * module.dim for _ in range(module.dim)]
     for j, v in enumerate(module.basis):
-        for i, coeff in target.act_on_element(f, v).items():
+        for i, coeff in module.act_on_element(f, v).items():
             mat[i][j] = coeff
     return mat
 

@@ -66,8 +66,7 @@ def test_criterion_2_braiding_suite():
 
 def test_criterion_3_twist_suite():
     t0 = time.time()
-    rep = verify_twist_suite(max_n=6, axiom_total=6, naturality_side=5,
-                             cyclic_max=5)
+    rep = verify_twist_suite(max_n=6)
     _finish("criterion 3 (twist suite)", 180, t0, rep.ok,
             f"{rep.n_pass}/{len(rep.cases)} checks")
 

@@ -9,6 +9,7 @@ import pytest
 from tlcat.diagram import (
     Diagram,
     InterfaceMismatch,
+    _compose_cached,
     e_diagram,
     enumerate_diagrams,
     identity_diagram,
@@ -87,10 +88,20 @@ def test_parity_empty_hom():
 def test_identity_and_e_compose():
     one = identity_diagram(3)
     ed = e_diagram(1, 3)
-    res = one.compose(ed)
-    assert res.diagram == ed and res.loops == 0
-    res = ed.compose(ed)
-    assert res.diagram == ed and res.loops == 1
+    assert one.compose(ed) == (ed, 0)
+    assert ed.compose(ed) == (ed, 1)
+
+
+def test_gluing_returns_the_cached_result():
+    # the cache is keyed on the diagrams' values and stores the glued
+    # (diagram, loops) itself, so a hit allocates nothing
+    c, b = e_diagram(2, 5), e_diagram(3, 5)
+    first = c.compose(b)
+    hits = _compose_cached.cache_info().hits
+    assert c.compose(b) is first
+    assert _compose_cached.cache_info().hits == hits + 1
+    assert Diagram.from_text(c.to_text()).compose(b) is first
+    assert first == (Diagram.from_text("5x5:[(1,10),(2,3),(4,9),(5,6),(7,8)]"), 0)
 
 
 def test_interface_mismatch():
@@ -111,12 +122,12 @@ def test_composition_associative():
         if not (fs and gs and hs):
             continue
         f, g, h = rng.choice(fs), rng.choice(gs), rng.choice(hs)
-        fg = f.compose(g)
-        gh = g.compose(h)
-        left = fg.diagram.compose(h)
-        right = f.compose(gh.diagram)
-        assert left.diagram == right.diagram
-        assert fg.loops + left.loops == gh.loops + right.loops
+        fg, fg_loops = f.compose(g)
+        gh, gh_loops = g.compose(h)
+        left, left_loops = fg.compose(h)
+        right, right_loops = f.compose(gh)
+        assert left == right
+        assert fg_loops + left_loops == gh_loops + right_loops
 
 
 def test_transpose_involution_and_antihomomorphism():
@@ -131,10 +142,10 @@ def test_transpose_involution_and_antihomomorphism():
             continue
         c, b = rng.choice(cs), rng.choice(bs)
         assert c.transpose().transpose() == c
-        lhs = c.compose(b)
-        rhs = b.transpose().compose(c.transpose())
-        assert lhs.diagram.transpose() == rhs.diagram
-        assert lhs.loops == rhs.loops
+        lhs, lhs_loops = c.compose(b)
+        rhs, rhs_loops = b.transpose().compose(c.transpose())
+        assert lhs.transpose() == rhs
+        assert lhs_loops == rhs_loops
 
 
 def test_text_round_trip():
@@ -148,5 +159,4 @@ def test_text_round_trip():
 def test_dilute_annihilation():
     vacant = Diagram.from_pairs(2, 2, [], dilute=True)
     full = identity_diagram(2, dilute=True)
-    res = full.compose(vacant)
-    assert res.annihilated and res.diagram is None
+    assert full.compose(vacant) is None

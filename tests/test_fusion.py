@@ -3,6 +3,7 @@ agreement with a rational point), monodromy eigenvalues and route
 agreement, Jordan structure at roots."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -20,11 +21,11 @@ from tlcat.fusion import (
     verify_fusion_suite,
     verify_root_examples,
 )
-from tlcat.linalg import rref
+from tlcat.linalg import mat_shift, rank, rref
 from tlcat.morphism import GENERIC, CoeffDomain, domain_for, identity
 from tlcat.scalar import Scalar, Specialization
-from tlcat.standard import RegularModule, StandardModule, standard_dimension
-from tlcat.twist import twist_inverse
+from tlcat.standard import RegularModule, StandardModule, act, standard_dimension
+from tlcat.twist import gamma_eigenvalue, twist_element, twist_inverse
 
 
 def test_expected_summands():
@@ -58,7 +59,7 @@ def test_fusion_rule_check_fails_on_a_wrong_multiplicity(monkeypatch):
 
     def wrong(fused):
         found = right(fused)
-        return {0: 2} if (fused.N, fused.left.k, fused.right.k) == (2, 1, 1) else found
+        return {0: 2} if (fused.n, fused.left.k, fused.right.k) == (2, 1, 1) else found
 
     monkeypatch.setattr("tlcat.fusion.fusion_summands", wrong)
     rep = verify_fusion_suite(max_total=3)
@@ -96,13 +97,13 @@ def test_reduce_matches_pivot_by_pivot_elimination(spec, rng, monkeypatch):
         fused = FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
         (rows,) = relations
         red, pivots = rref(rows, fused.raw_dim)
-        assert fused.free == sorted(set(range(fused.raw_dim)) - set(pivots))
+        assert fused.basis == sorted(set(range(fused.raw_dim)) - set(pivots))
         zero = [dom.zero] * fused.dim
         assert all(fused._reduce(row) == zero for row in rows)
         for _ in range(20):
             support = rng.sample(range(fused.raw_dim), rng.randint(1, min(6, fused.raw_dim)))
             vec = {j: dom.s_power(rng.randint(-4, 4)) * rng.randint(-3, 3) for j in support}
-            assert fused._reduce(vec) == pivot_by_pivot(red, pivots, fused.free, vec, dom.zero)
+            assert fused._reduce(vec) == pivot_by_pivot(red, pivots, fused.basis, vec, dom.zero)
 
 
 def test_monodromy_eigenvalue_formula():
@@ -215,6 +216,33 @@ def test_fused_representation_relations():
     dom = domain_for(spec)
     fused = FusedModule(StandardModule(2, 2, dom), StandardModule(1, 1, dom))
     assert fused.verify_representation().ok
+
+
+def test_triple_products_agree_in_both_bracketings():
+    # a fused module is a factor like any other: (A x B) x C and
+    # A x (B x C) over Q(s) have equal dimension and equal eigenspaces of
+    # c_N, which fill the module with the iterated generic fusion rule
+    count = 0
+    for ns in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]:
+        N = sum(ns)
+        cn = twist_element(N, GENERIC)
+        for ks in product(*(range(n % 2, n + 1, 2) for n in ns)):
+            a, b, c = (StandardModule(n, k, GENERIC) for n, k in zip(ns, ks))
+            rule = [0] * (N + 1)
+            for j in expected_summands(ks[0], ks[1]):
+                for k in expected_summands(j, ks[2]):
+                    rule[k] += standard_dimension(N, k)
+            eigdims = []
+            for fused in (FusedModule(FusedModule(a, b), c), FusedModule(a, FusedModule(b, c))):
+                assert fused.n == N
+                mat = act(cn, fused)
+                eigdims.append([fused.dim - rank(mat_shift(mat, gamma_eigenvalue(k, GENERIC)),
+                                                 fused.dim)
+                                for k in range(N % 2, N + 1, 2)])
+                assert sum(eigdims[-1]) == fused.dim
+            assert eigdims[0] == eigdims[1] == rule[N % 2::2]
+            count += 1
+    assert count == 7
 
 
 def test_regular_fusion_dimension():

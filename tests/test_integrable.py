@@ -5,7 +5,6 @@ import pytest
 
 from tlcat.dilute import dilute_diagram
 from tlcat.integrable import (
-    determine_ik_ybe_convention,
     face,
     spectral_power,
     transfer_matrix,
@@ -43,9 +42,7 @@ def test_spectral_identities():
 def test_ybe_all_families():
     assert verify_ybe("ordinary").ok
     assert verify_ybe("dilute-braid").ok
-    name, convention, rep = determine_ik_ybe_convention()
-    assert rep.ok
-    assert convention == ("u", "v", "v/u")
+    assert verify_ybe("dilute-IK").ok
 
 
 def test_ordinary_inversion_scalar():

@@ -100,7 +100,7 @@ def test_integral_coefficients_are_ints():
     for N in (1, 2, 3, 8, 12, 16):
         F = CycloField(N)
         assert all(type(c) is int for c in F.modulus)
-        dom = domain_for(Specialization.cyclotomic(N, 1))
+        dom = domain_for(Specialization.cyclotomic(N))
         z = F.zeta()
         for x in [F.zero(), F.one(), F.from_rational(Fraction(6, 3)), z, F.zeta(N - 1),
                   dom.beta, dom.s_power(-3), z * z + 1, dom.beta * z - dom.beta,

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from tlcat.diagram import enumerate_diagrams
+from tlcat.fusion import FusedModule
 from tlcat.linalg import mat_mul
-from tlcat.morphism import Morphism, e, identity
+from tlcat.morphism import Morphism, domain_for, e, identity
 from tlcat.scalar import Scalar, Specialization
 from tlcat.standard import (
     NotScalarAction,
@@ -44,18 +45,20 @@ def test_dimension_sum_rule():
 
 
 def test_action_is_algebra_map():
+    # act builds the matrices of standard, regular and fused modules alike
     rng = random.Random(2)
-    for n in (2, 3, 4):
-        diags = enumerate_diagrams(n, n)
-        for k in range(n % 2, n + 1, 2):
-            module = StandardModule(n, k)
-            if module.dim == 0:
-                continue
-            for _ in range(6):
-                f = Morphism.from_diagram(rng.choice(diags))
-                g = Morphism.from_diagram(rng.choice(diags))
-                assert act(f * g, module) == mat_mul(act(f, module),
-                                                     act(g, module))
+    modules = [StandardModule(n, k) for n in (2, 3, 4) for k in range(n % 2, n + 1, 2)]
+    modules.append(RegularModule(3))
+    for spec in ("generic", "rational:5/3", "root:3"):
+        dom = domain_for(Specialization.parse(spec))
+        modules.append(FusedModule(StandardModule(2, 2, dom), StandardModule(1, 1, dom)))
+    for module in modules:
+        diags = enumerate_diagrams(module.n, module.n)
+        for _ in range(6):
+            f = Morphism.from_diagram(rng.choice(diags), module.dom)
+            g = Morphism.from_diagram(rng.choice(diags), module.dom)
+            assert act(f * g, module) == mat_mul(act(f, module),
+                                                 act(g, module))
 
 
 def test_regular_module_matches_left_multiplication():

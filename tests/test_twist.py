@@ -8,7 +8,7 @@ import pytest
 
 from tlcat.morphism import CoeffDomain, domain_for, e, identity, t, t_inv, word
 from tlcat.scalar import Scalar, Specialization
-from tlcat.standard import StandardModule, eigenvalue_on_standard
+from tlcat.standard import NotScalarAction, StandardModule, eigenvalue_on_standard
 from tlcat.twist import (
     e0,
     en,
@@ -108,6 +108,28 @@ def test_gamma_on_standard_modules():
             assert got == Scalar.q_power(  # q^{k(k+2)/2}
                 __import__("fractions").Fraction(k * (k + 2), 2))
     assert verify_gamma_consistency(5).ok
+
+
+@pytest.mark.parametrize("raised", [NotScalarAction, TypeError])
+def test_gamma_consistency_records_only_a_non_scalar_action(raised, monkeypatch):
+    # a non-scalar action fails exactly its own case, with the error as its
+    # witness; any other exception is a fault in the program and propagates
+    right = eigenvalue_on_standard
+
+    def faulty(central, module):
+        if (module.n, module.k) == (3, 1):
+            raise raised("planted")
+        return right(central, module)
+
+    monkeypatch.setattr("tlcat.twist.eigenvalue_on_standard", faulty)
+    if raised is TypeError:
+        with pytest.raises(TypeError, match="planted"):
+            verify_gamma_consistency(4)
+        return
+    rep = verify_gamma_consistency(4)
+    assert [(c["params"], c.get("witness")) for c in rep.failures()] == [
+        ({"n": 3, "k": 1}, {"error": "planted"})]
+    assert len(rep.cases) == 9
 
 
 def test_gamma_example():
