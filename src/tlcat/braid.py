@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import random
 
-from .morphism import GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, t, t_inv, word, z
+from .morphism import (
+    GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, require_generic,
+    t, t_inv, word, z,
+)
 from .diagram import enumerate_diagrams
 from .report import VerificationReport
 
@@ -79,18 +82,16 @@ def double_braiding(m: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
 # verifiers
 
 
-def verify_hexagons(
-    max_total: int, dom: CoeffDomain = GENERIC, dilute: bool = False
-) -> VerificationReport:
+def verify_hexagons(max_total: int, dilute: bool = False) -> VerificationReport:
     """Closed forms, inverses and both hexagons of eta for ordinary or
     dilute strands."""
     rep = VerificationReport("braid.hexagons")
 
     def eta(r, s, form="left-nested"):
-        return commutor(r, s, form, dom, dilute)
+        return commutor(r, s, form, dilute=dilute)
 
     def one(n):
-        return identity(n, dilute, dom)
+        return identity(n, dilute)
 
     for total in range(0, max_total + 1):
         for r in range(0, total + 1):
@@ -104,7 +105,7 @@ def verify_hexagons(
             rep.check(
                 "inverse",
                 {"r": r, "s": s},
-                eta(r, s).compose(commutor_inverse(r, s, dom, dilute)),
+                eta(r, s).compose(commutor_inverse(r, s, dilute=dilute)),
                 one(r + s),
             )
     for total in range(0, max_total + 1):
@@ -120,13 +121,13 @@ def verify_hexagons(
     return rep
 
 
-def _naturality_case(rep, r, s, n, m, c_diag, d_diag, dom):
+def _naturality_case(rep, r, s, n, m, c_diag, d_diag):
     """One naturality check; the strand family is that of the diagrams."""
-    cm = Morphism.from_diagram(c_diag, dom)
-    dm = Morphism.from_diagram(d_diag, dom)
+    cm = Morphism.from_diagram(c_diag)
+    dm = Morphism.from_diagram(d_diag)
     dilute = c_diag.dilute
-    lhs = commutor(r, s, dom=dom, dilute=dilute).compose(cm.tensor(dm))
-    rhs = dm.tensor(cm).compose(commutor(n, m, dom=dom, dilute=dilute))
+    lhs = commutor(r, s, dilute=dilute).compose(cm.tensor(dm))
+    rhs = dm.tensor(cm).compose(commutor(n, m, dilute=dilute))
     return rep.check(
         "naturality",
         {"r": r, "s": s, "n": n, "m": m,
@@ -136,12 +137,7 @@ def _naturality_case(rep, r, s, n, m, c_diag, d_diag, dom):
     )
 
 
-def verify_naturality(
-    max_total: int = 6,
-    samples: int = 0,
-    seed: int = 0,
-    dom: CoeffDomain = GENERIC,
-) -> VerificationReport:
+def verify_naturality(max_total: int = 6, samples: int = 0, seed: int = 0) -> VerificationReport:
     """eta_{r,s} (c tensor d) = (d tensor c) eta_{n,m} for c in Hom(n,r),
     d in Hom(m,s); exhaustive for r+s and n+m up to max_total, plus random
     larger pairs when samples > 0.  The samples draw r, s, n, m from 0..4,
@@ -163,7 +159,7 @@ def verify_naturality(
                     ds = enumerate_diagrams(m, s)
                     for c_diag in cs:
                         for d_diag in ds:
-                            _naturality_case(rep, r, s, n, m, c_diag, d_diag, dom)
+                            _naturality_case(rep, r, s, n, m, c_diag, d_diag)
     rng = random.Random(seed)
     done = 0
     while done < samples:
@@ -177,16 +173,16 @@ def verify_naturality(
         ds = enumerate_diagrams(m, s)
         if not cs or not ds:
             continue
-        _naturality_case(rep, r, s, n, m, rng.choice(cs), rng.choice(ds), dom)
+        _naturality_case(rep, r, s, n, m, rng.choice(cs), rng.choice(ds))
         done += 1
     return rep
 
 
-def verify_braid_relations(n: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_braid_relations(n: int) -> VerificationReport:
     rep = VerificationReport("braid.relations")
     for i in range(1, n - 1):
-        ti, tj = t(i, n, dom), t(i + 1, n, dom)
-        ei, ej = e(i, n, dom), e(i + 1, n, dom)
+        ti, tj = t(i, n), t(i + 1, n)
+        ei, ej = e(i, n), e(i + 1, n)
         rep.check("t t e = e e (lower)", {"n": n, "i": i}, ti * tj * ei, ej * ei)
         rep.check("e e = e t t (lower)", {"n": n, "i": i}, ej * ei, ej * ti * tj)
         rep.check("t t e = e e (upper)", {"n": n, "i": i}, tj * ti * ej, ei * ej)
@@ -196,7 +192,7 @@ def verify_braid_relations(n: int, dom: CoeffDomain = GENERIC) -> VerificationRe
         for j in range(i + 2, n):
             rep.check(
                 "far commutation", {"n": n, "i": i, "j": j},
-                t(i, n, dom) * t(j, n, dom), t(j, n, dom) * t(i, n, dom),
+                t(i, n) * t(j, n), t(j, n) * t(i, n),
             )
     # palindome words t_i ... t_{n-1} ... t_i = t_{n-1} ... t_i ... t_{n-1}
     for i in range(1, n):
@@ -205,48 +201,49 @@ def verify_braid_relations(n: int, dom: CoeffDomain = GENERIC) -> VerificationRe
         word1 = up + up[-2::-1]
         down = list(range(top, i - 1, -1))
         word2 = down + down[-2::-1]
-        lhs = word([t(k, n, dom) for k in word1], n, dom=dom)
-        rhs = word([t(k, n, dom) for k in word2], n, dom=dom)
+        lhs = word([t(k, n) for k in word1], n)
+        rhs = word([t(k, n) for k in word2], n)
         rep.check("palindrome", {"n": n, "i": i}, lhs, rhs)
     return rep
 
 
-def verify_braiding_lemmas(max_total: int = 6, dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_braiding_lemmas(max_total: int = 6) -> VerificationReport:
     """The e-transport and bubble identities of the braiding construction."""
     rep = VerificationReport("braid.lemmas")
     for total in range(2, max_total + 1):
         for n in range(0, total + 1):
             m = total - n
-            eta = commutor(n, m, dom=dom)
+            eta = commutor(n, m)
             for i in range(1, n):
                 rep.check(
                     "eta e_i = e_{m+i} eta", {"n": n, "m": m, "i": i},
-                    eta * e(i, total, dom), e(m + i, total, dom) * eta,
+                    eta * e(i, total), e(m + i, total) * eta,
                 )
             for j in range(1, m):
                 rep.check(
                     "eta e_{n+j} = e_j eta", {"n": n, "m": m, "j": j},
-                    eta * e(n + j, total, dom), e(j, total, dom) * eta,
+                    eta * e(n + j, total), e(j, total) * eta,
                 )
     for n in range(0, max_total - 1):
         for p in range(1, (max_total - n) // 2 + 1):
-            zp = z(dom)
+            zp = z()
             for _ in range(p - 1):
-                zp = zp.tensor(z(dom))
-            lhs = commutor(n, 2 * p, dom=dom).compose(identity(n, dom=dom).tensor(zp))
-            rhs = zp.tensor(identity(n, dom=dom))
+                zp = zp.tensor(z())
+            lhs = commutor(n, 2 * p).compose(identity(n).tensor(zp))
+            rhs = zp.tensor(identity(n))
             rep.check("bubble: eta_{n,2p} (1 x z^p) = z^p x 1", {"n": n, "p": p}, lhs, rhs)
     return rep
 
 
-def monodromy_noncentral_witness(dom: CoeffDomain = GENERIC) -> Morphism:
+def monodromy_noncentral_witness() -> Morphism:
     """The exact nonzero commutator showing the double braiding is not central:
     eta_{2,1} eta_{1,2} e_1 - e_1 eta_{2,1} eta_{1,2}
       = q^-2 (q - q^-1)(e_1 e_2 - e_2 e_1)."""
-    mono = double_braiding(1, 2, dom)
-    e1, e2 = e(1, 3, dom), e(2, 3, dom)
+    mono = double_braiding(1, 2)
+    e1, e2 = e(1, 3), e(2, 3)
     witness = mono * e1 - e1 * mono
-    coeff = dom.s_power(-8) * (dom.s_power(4) - dom.s_power(-4))
+    sp = GENERIC.s_power
+    coeff = sp(-8) * (sp(4) - sp(-4))
     expected = (e1 * e2 - e2 * e1).scale(coeff)
     if witness != expected:
         raise AssertionError("non-centrality witness does not match the closed form")
@@ -256,14 +253,15 @@ def monodromy_noncentral_witness(dom: CoeffDomain = GENERIC) -> Morphism:
 def verify_braid_suite(
     max_total: int = 6, samples: int = 200, seed: int = 0, dom: CoeffDomain = GENERIC
 ) -> VerificationReport:
+    require_generic(dom)
     rep = VerificationReport("braid")
-    rep.extend(verify_hexagons(max_total, dom))
-    rep.extend(verify_naturality(max_total, samples=samples, seed=seed, dom=dom))
+    rep.extend(verify_hexagons(max_total))
+    rep.extend(verify_naturality(max_total, samples=samples, seed=seed))
     for n in range(2, max_total + 1):
-        rep.extend(verify_braid_relations(n, dom))
-    rep.extend(verify_braiding_lemmas(max_total, dom))
+        rep.extend(verify_braid_relations(n))
+    rep.extend(verify_braiding_lemmas(max_total))
     try:
-        w = monodromy_noncentral_witness(dom)
+        w = monodromy_noncentral_witness()
         rep.add("noncentral-witness", {}, not w.is_zero, {"witness": w.to_text()})
     except AssertionError as exc:
         rep.add("noncentral-witness", {}, False, {"error": str(exc)})

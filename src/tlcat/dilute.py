@@ -28,6 +28,7 @@ from .morphism import (
     dilute_eta11_inverse,
     dilute_identity,
     dilute_sum,
+    require_generic,
 )
 from .report import VerificationReport
 
@@ -58,9 +59,10 @@ def verify_dilute_braiding(
     samples: int = 50,
     seed: int = 0,
 ) -> VerificationReport:
+    require_generic(dom)
     rep = VerificationReport("dilute.braiding")
-    eta = dilute_eta11(dom)
-    one = dom.one
+    eta = dilute_eta11()
+    sp, one = GENERIC.s_power, GENERIC.one
 
     # basic counting and unit facts
     rep.add(
@@ -71,24 +73,24 @@ def verify_dilute_braiding(
     rep.check(
         "eta11 inverse",
         {},
-        eta.compose(dilute_eta11_inverse(dom)),
-        dilute_identity(2, dom),
+        eta.compose(dilute_eta11_inverse()),
+        dilute_identity(2),
     )
 
     # coefficient constraints: a1 = q^{1/2}, a5 = q^{-1/2}, a2 = a3 = a4 = 1
-    a1, a5 = dom.s_power(2), dom.s_power(-2)
+    a1, a5 = sp(2), sp(-2)
     rep.add(
         "a1^2 + a1 a5 beta + a5^2 = 0",
         {},
-        not (a1 * a1 + a1 * a5 * dom.beta + a5 * a5),
+        not (a1 * a1 + a1 * a5 * GENERIC.beta + a5 * a5),
     )
     rep.add("a2^2 = a3^2 = a4^2 = a1 a5", {}, one * one == a1 * a5)
 
     # occupation-pattern transport: dashed span = line + vacancies
-    top_solid = dilute_sum(2, 2, [((1, 4), (2, 3)), ((1, 4),)], dom)
-    bottom_solid = dilute_sum(2, 2, [((1, 4), (2, 3)), ((2, 3),)], dom)
-    top_vacant = dilute_sum(2, 2, [((2, 3),), ()], dom)
-    bottom_vacant = dilute_sum(2, 2, [((1, 4),), ()], dom)
+    top_solid = dilute_sum(2, 2, [((1, 4), (2, 3)), ((1, 4),)])
+    bottom_solid = dilute_sum(2, 2, [((1, 4), (2, 3)), ((2, 3),)])
+    top_vacant = dilute_sum(2, 2, [((2, 3),), ()])
+    bottom_vacant = dilute_sum(2, 2, [((1, 4),), ()])
     for name, (x, y) in {
         "solid top -> solid bottom": (top_solid, bottom_solid),
         "solid bottom -> solid top": (bottom_solid, top_solid),
@@ -98,11 +100,11 @@ def verify_dilute_braiding(
         rep.check("occupation transport: " + name, {}, eta.compose(x), y.compose(eta))
 
     # the interchange conditions that pinned the coefficients
-    one_strand = dilute_identity(1, dom)
-    eta12 = dilute_commutor(1, 2, dom=dom)
-    eta21 = dilute_commutor(2, 1, dom=dom)
+    one_strand = dilute_identity(1)
+    eta12 = dilute_commutor(1, 2)
+    eta21 = dilute_commutor(2, 1)
     for bname in ("cupcap", "left-cup", "right-cap"):
-        b = Morphism.from_diagram(dilute_diagram(bname), dom)
+        b = Morphism.from_diagram(dilute_diagram(bname))
         rep.check(
             "eta_{1,2} interchange",
             {"b": bname},
@@ -115,9 +117,9 @@ def verify_dilute_braiding(
             eta21.compose(b.tensor(one_strand)),
             one_strand.tensor(b).compose(eta21),
         )
-    vac_node = Morphism.from_diagram(Diagram.from_pairs(1, 0, (), dilute=True), dom)
-    strand = Morphism.from_diagram(Diagram.from_pairs(1, 1, ((1, 2),), dilute=True), dom)
-    vac_strand = Morphism.from_diagram(Diagram.from_pairs(1, 1, (), dilute=True), dom)
+    vac_node = Morphism.from_diagram(Diagram.from_pairs(1, 0, (), dilute=True))
+    strand = Morphism.from_diagram(Diagram.from_pairs(1, 1, ((1, 2),), dilute=True))
+    vac_strand = Morphism.from_diagram(Diagram.from_pairs(1, 1, (), dilute=True))
     for aname, a in (("line", strand), ("vacancy", vac_strand)):
         rep.check(
             "eta_{1,1} absorbs a single boundary node",
@@ -132,7 +134,7 @@ def verify_dilute_braiding(
             a.tensor(vac_node),
         )
 
-    rep.extend(verify_hexagons(max_total, dom, dilute=True))
+    rep.extend(verify_hexagons(max_total, dilute=True))
 
     # naturality on sampled dilute diagrams
     rng = random.Random(seed)
@@ -149,5 +151,5 @@ def verify_dilute_braiding(
         ds = enumerate_diagrams(m, s, dilute=True)
         if not cs or not ds:
             continue
-        _naturality_case(rep, r, s, n, m, rng.choice(cs), rng.choice(ds), dom)
+        _naturality_case(rep, r, s, n, m, rng.choice(cs), rng.choice(ds))
     return rep

@@ -263,11 +263,13 @@ class FusedModule:
 
 def fusion_summands(fused: FusedModule) -> dict:
     """Multiset {k: multiplicity} of the summands S_{N,k} of a fusion
-    product of standard modules, read off the spectrum of c_N."""
+    product, read off the spectrum of c_N: at the k of the generic fusion
+    rule for two standard factors, else at every k <= N with N - k even."""
     dom = fused.dom
     k1, k2 = fused.left.k, fused.right.k
     cmat = act(twist_element(fused.n, dom), fused)
-    expected = [k for k in expected_summands(k1, k2) if k <= fused.n]
+    ks = range(fused.n % 2, fused.n + 1, 2)
+    expected = list(ks) if None in (k1, k2) else [k for k in expected_summands(k1, k2) if k in ks]
     gammas = {k: gamma_eigenvalue(k, dom) for k in expected}
     if len(set(gammas.values())) != len(gammas):
         raise AmbiguousEigenvalue(

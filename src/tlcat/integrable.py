@@ -7,8 +7,9 @@ Three face-operator families are provided:
 * dilute-IK     the five-term Boltzmann-weight face (Izergin-Korepin /
                 Nienhuis) on dilute strands
 
-All spectral dependence is kept exact: coefficients live in the Laurent
-ring over s with the extra invertible variables u, v, w.  The transfer
+Everything is exact and lives in the Laurent ring over s with the extra
+invertible variables u, v, w, so an identity proved here holds at every
+specialisation and no other coefficient domain is taken.  The transfer
 matrix D_n(u) is a word of 2n faces on n+2 strands capped by a cup and a
 cap on the two auxiliary strands; commutation of D_n(u) and D_n(v) is
 proved by computing both products symbolically.
@@ -16,7 +17,9 @@ proved by computing both products symbolically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .diagram import dilute_diagram
 from .morphism import (
@@ -28,6 +31,7 @@ from .morphism import (
     dilute_sum,
     identity,
     on_strands,
+    require_generic,
     t,
     t_inv,
     word,
@@ -81,10 +85,11 @@ def spectral_power(arg):
     return upow
 
 
-def _ik_weights(dom: CoeffDomain):
-    """The five End(2) Boltzmann-weight morphisms y+, w+, z, w-, y-."""
-    sp = dom.s_power
-    one = dom.one
+@functools.lru_cache(maxsize=1)
+def _ik_weights() -> tuple:
+    """The five End(2) Boltzmann-weight morphisms y+, w+, z, w-, y-, built
+    once; their terms are read-only, as cached_morphism makes them."""
+    sp, one = GENERIC.s_power, GENERIC.one
 
     def y(sign: int):
         # -q^{±3/4} / ((q^{1/2}-q^{-1/2})(q^{3/4}-q^{-3/4}))
@@ -97,7 +102,7 @@ def _ik_weights(dom: CoeffDomain):
             "diag-down": one,
             "diag-up": one,
             "vacant": one,
-        }, dom).scale(pref)
+        }).scale(pref)
 
     def w(sign: int):
         pref = (sp(3) - sp(-3)).inv()
@@ -108,7 +113,7 @@ def _ik_weights(dom: CoeffDomain):
             "top-line": sp(3 * sign),
             "left-cup": -one,
             "right-cap": -one,
-        }, dom).scale(pref)
+        }).scale(pref)
 
     zpref = ((sp(1) - sp(-1)) * (sp(3) - sp(-3))).inv()
     zmid = dilute_end2({
@@ -117,8 +122,11 @@ def _ik_weights(dom: CoeffDomain):
         "cupcap": -one,
         "diag-down": sp(2) - one + sp(-2),
         "diag-up": sp(2) - one + sp(-2),
-    }, dom).scale(zpref)
-    return y(1), w(1), zmid, w(-1), y(-1)
+    }).scale(zpref)
+    weights = (y(1), w(1), zmid, w(-1), y(-1))
+    for m in weights:
+        m.terms = MappingProxyType(m.terms)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -129,13 +137,12 @@ class FaceOperator:
     i: int
     n: int
     family: str
-    dom: CoeffDomain = GENERIC
 
     def __call__(self, arg="u") -> Morphism:
         upow = spectral_power(arg)
-        i, n, dom = self.i, self.n, self.dom
+        i, n = self.i, self.n
         if self.family == "dilute-IK":
-            yp, wp, zm, wm, ym = _ik_weights(dom)
+            yp, wp, zm, wm, ym = _ik_weights()
             local = (
                 yp.scale(upow(-2))
                 + wp.scale(upow(-1))
@@ -146,26 +153,26 @@ class FaceOperator:
             return on_strands(local, i, n)
         dilute = self.family == "dilute-braid"
         return (
-            t(i, n, dom, dilute).scale(dom.s_power(2) * upow(-1))
-            - t_inv(i, n, dom, dilute).scale(dom.s_power(-2) * upow(1))
+            t(i, n, dilute=dilute).scale(GENERIC.s_power(2) * upow(-1))
+            - t_inv(i, n, dilute=dilute).scale(GENERIC.s_power(-2) * upow(1))
         )
 
 
-def face(i: int, n: int, family: str = "ordinary", dom: CoeffDomain = GENERIC) -> FaceOperator:
+def face(i: int, n: int, family: str = "ordinary") -> FaceOperator:
     if not 1 <= i < n:
         raise ValueError(f"face index {i} out of range for {n} strands")
     if family not in ("ordinary", "dilute-braid", "dilute-IK"):
         raise ValueError(f"unknown face family {family!r}")
-    return FaceOperator(i, n, family, dom)
+    return FaceOperator(i, n, family)
 
 
-def verify_spectral_identities(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_spectral_identities(family: str = "ordinary") -> VerificationReport:
     """The crossing identities in End(3) that make the Yang-Baxter
     equation work, plus the four-term cancellation."""
     rep = VerificationReport(f"integrable.identities[{family}]")
     dilute = family != "ordinary"
-    t1, t2 = t(1, 3, dom, dilute), t(2, 3, dom, dilute)
-    s1, s2 = t_inv(1, 3, dom, dilute), t_inv(2, 3, dom, dilute)
+    t1, t2 = t(1, 3, dilute=dilute), t(2, 3, dilute=dilute)
+    s1, s2 = t_inv(1, 3, dilute=dilute), t_inv(2, 3, dilute=dilute)
     cases = [
         ("t1 t2 t1 = t2 t1 t2", t1 * t2 * t1, t2 * t1 * t2),
         ("t2 t1 t2^-1 = t1^-1 t2 t1", t2 * t1 * s2, s1 * t2 * t1),
@@ -180,7 +187,7 @@ def verify_spectral_identities(family: str = "ordinary", dom: CoeffDomain = GENE
         "t^-1-sandwich difference = q * t-sandwich difference",
         {},
         (s1 * t2 * s1) - (s2 * t1 * s2),
-        ((t1 * s2 * t1) - (t2 * s1 * t2)).scale(dom.s_power(4)),
+        ((t1 * s2 * t1) - (t2 * s1 * t2)).scale(GENERIC.s_power(4)),
     )
 
     # Y_i(u) = u^-1 t_i - u t_i^-1: all but four terms of the triple-product
@@ -204,11 +211,11 @@ def verify_spectral_identities(family: str = "ordinary", dom: CoeffDomain = GENE
     return rep
 
 
-def verify_ybe(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_ybe(family: str = "ordinary") -> VerificationReport:
     """X_1(u) X_2(v) X_1(v/u) = X_2(v/u) X_1(v) X_2(u) in End(3),
     symbolically: the ratio convention, for every family."""
     rep = VerificationReport(f"integrable.ybe[{family}]")
-    x1, x2 = face(1, 3, family, dom), face(2, 3, family, dom)
+    x1, x2 = face(1, 3, family), face(2, 3, family)
     lhs = x1("u") * x2("v") * x1("v/u")
     rhs = x2("v/u") * x1("v") * x2("u")
     rep.check("yang-baxter", {"args": ["u", "v", "v/u"]}, lhs, rhs)
@@ -219,23 +226,23 @@ def verify_ybe(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> Verifica
     return rep
 
 
-def verify_inversion(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_inversion(family: str = "ordinary") -> VerificationReport:
     """X(u) X(1/u) in End(2): scalar for the ordinary and five-term dilute
     families, scalar plus an explicit defect for the dilute crossing face."""
     rep = VerificationReport(f"integrable.inversion[{family}]")
-    x = face(1, 2, family, dom)
+    x = face(1, 2, family)
     prod = x("u") * x("1/u")
-    sp = dom.s_power
+    sp = GENERIC.s_power
     u2 = Scalar.var_power("u", 2)
     if family == "ordinary":
         rho = sp(8) + sp(-8) - u2 - u2.inv()
         rep.check("inversion scalar", {"rho": str(rho)},
-                  prod, identity(2, dom=dom).scale(rho))
+                  prod, identity(2).scale(rho))
     elif family == "dilute-braid":
         rho = sp(4) + sp(-4) - u2 - u2.inv()
         defect_coeff = sp(8) - sp(4) - sp(-4) + sp(-8)
-        expected = dilute_identity(2, dom).scale(rho) + Morphism.from_diagram(
-            dilute_diagram("parallel"), dom
+        expected = dilute_identity(2).scale(rho) + Morphism.from_diagram(
+            dilute_diagram("parallel")
         ).scale(defect_coeff)
         rep.check(
             "inversion defect",
@@ -245,9 +252,9 @@ def verify_inversion(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> Ve
         )
         rep.add("inversion fails (defect nonzero)", {}, bool(defect_coeff))
     elif family == "dilute-IK":
-        ident = dilute_identity(2, dom)
+        ident = dilute_identity(2)
         some = next(iter(ident.terms))
-        rho_hat = prod.terms.get(some, dom.zero)
+        rho_hat = prod.terms.get(some, GENERIC.zero)
         rep.check(
             "inversion scalar",
             {"rho_hat": str(rho_hat)},
@@ -257,10 +264,10 @@ def verify_inversion(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> Ve
     return rep
 
 
-def _boundary(dom: CoeffDomain, kind: str) -> Morphism:
+def _boundary(kind: str) -> Morphism:
     """Boundary condition in Hom(0,4)."""
     if kind == "ordinary":
-        zz = z(dom)
+        zz = z()
         return zz.tensor(zz)
     # Double arcs close the four strands pairwise in the planar-nested way
     # (1,4),(2,3), matching the nested big-cup convention of the category.
@@ -270,26 +277,26 @@ def _boundary(dom: CoeffDomain, kind: str) -> Morphism:
         "dashed double arc": [((1, 4), (2, 3)), ((1, 4),), ((2, 3),), ()],
         "asymmetric single arc": [((1, 2),)],
     }[kind]
-    return dilute_sum(4, 0, arcs, dom)
+    return dilute_sum(4, 0, arcs)
 
 
-def verify_boundary_ybe(family: str = "ordinary", dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_boundary_ybe(family: str = "ordinary") -> VerificationReport:
     """X_2(u) X_3(v) (boundary) = X_2(u) X_1(v) (boundary) on four strands."""
     rep = VerificationReport(f"integrable.boundary-ybe[{family}]")
-    x1, x2, x3 = (face(i, 4, family, dom) for i in (1, 2, 3))
+    x1, x2, x3 = (face(i, 4, family) for i in (1, 2, 3))
 
     def holds(boundary: Morphism) -> bool:
         return (x2("u") * x3("v") * boundary) == (x2("u") * x1("v") * boundary)
 
     if family == "ordinary":
-        rep.add("cup boundary", {"boundary": "z (x) z"}, holds(_boundary(dom, "ordinary")))
+        rep.add("cup boundary", {"boundary": "z (x) z"}, holds(_boundary("ordinary")))
     elif family == "dilute-braid":
         for kind in ("solid double arc", "all vacancies", "dashed double arc"):
-            rep.add("boundary holds", {"boundary": kind}, holds(_boundary(dom, kind)))
+            rep.add("boundary holds", {"boundary": kind}, holds(_boundary(kind)))
         rep.add(
             "asymmetric boundary fails",
             {"boundary": "asymmetric single arc"},
-            not holds(_boundary(dom, "asymmetric single arc")),
+            not holds(_boundary("asymmetric single arc")),
         )
     else:
         # The five-term face is compatible with exactly one of the candidate
@@ -304,7 +311,7 @@ def verify_boundary_ybe(family: str = "ordinary", dom: CoeffDomain = GENERIC) ->
             rep.add(
                 "boundary status",
                 {"boundary": kind, "holds": want},
-                holds(_boundary(dom, kind)) == want,
+                holds(_boundary(kind)) == want,
             )
     return rep
 
@@ -312,21 +319,20 @@ def verify_boundary_ybe(family: str = "ordinary", dom: CoeffDomain = GENERIC) ->
 def transfer_matrix(n: int, family: str = "ordinary", arg="u", dom: CoeffDomain = GENERIC) -> Morphism:
     """D_n(u): 2n faces on n+2 strands, the two auxiliary strands closed by
     a cup and a cap."""
-    faces = [face(i, n + 2, family, dom)(arg) for i in range(1, n + 1)]
+    require_generic(dom)
+    faces = [face(i, n + 2, family)(arg) for i in range(1, n + 1)]
     # the word X_n ... X_1 X_1 ... X_n
-    bulk = word(faces[::-1] + faces, n + 2, dom=dom)
-    cap = identity(n, dom=dom).tensor(zt(dom))
-    cup = identity(n, dom=dom).tensor(z(dom))
+    bulk = word(faces[::-1] + faces, n + 2)
+    cap = identity(n).tensor(zt())
+    cup = identity(n).tensor(z())
     return cap.compose(bulk).compose(cup)
 
 
-def verify_transfer_commute(
-    n: int, family: str = "ordinary", dom: CoeffDomain = GENERIC
-) -> VerificationReport:
+def verify_transfer_commute(n: int, family: str = "ordinary") -> VerificationReport:
     """[D_n(u), D_n(v)] = 0, by direct symbolic computation."""
     rep = VerificationReport(f"integrable.transfer[{family}]")
-    du = transfer_matrix(n, family, "u", dom)
-    dv = transfer_matrix(n, family, "v", dom)
+    du = transfer_matrix(n, family, "u")
+    dv = transfer_matrix(n, family, "v")
     rep.check("transfer matrices commute", {"n": n, "mode": "symbolic"},
               du.compose(dv), dv.compose(du))
     return rep
@@ -337,17 +343,18 @@ def verify_integrable_suite(
 ) -> VerificationReport:
     """Spectral identities, Yang-Baxter, inversion, boundary reflection,
     and (for the ordinary family) transfer-matrix commutation."""
+    require_generic(dom)
     rep = VerificationReport(f"integrable.{family}")
-    rep.extend(verify_spectral_identities(family, dom))
-    ybe = verify_ybe(family, dom)
+    rep.extend(verify_spectral_identities(family))
+    ybe = verify_ybe(family)
     rep.extend(ybe)
     if family == "dilute-IK":
         rep.add("a spectral-argument convention satisfies yang-baxter",
                 {"family": family}, ybe.ok,
                 {"convention": "ratio (u, v, v/u)", "args": ["u", "v", "v/u"]})
-    rep.extend(verify_inversion(family, dom))
-    rep.extend(verify_boundary_ybe(family, dom))
+    rep.extend(verify_inversion(family))
+    rep.extend(verify_boundary_ybe(family))
     if family == "ordinary":
         for n in range(2, min(max_n, 4) + 1):
-            rep.extend(verify_transfer_commute(n, family, dom))
+            rep.extend(verify_transfer_commute(n, family))
     return rep

@@ -5,8 +5,8 @@ elements must support +, -, *, /, ``**0`` for the unit, ==, and
 truthiness for zero-testing.
 
 Row reduction is sparse: a row is a dict {column: nonzero entry}, so the
-cost follows the nonzeros rather than the width.  ``rref`` and ``det`` read
-one forward elimination; ``mat_mul`` and ``mat_shift`` stay dense.
+cost follows the nonzeros, not the width.  ``rref``, ``rank`` and ``det``
+read one forward elimination; ``mat_mul`` and ``mat_shift`` stay dense.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def rref(rows: list, ncols: int) -> tuple:
 
 
 def rank(rows: list, ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
+    return sum(1 for _ in _pivot_rows(rows, ncols))
 
 
 def det(rows: list):

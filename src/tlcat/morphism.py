@@ -33,6 +33,7 @@ __all__ = [
     "CoeffDomain",
     "GENERIC",
     "domain_for",
+    "require_generic",
     "Morphism",
     "identity",
     "e",
@@ -104,6 +105,13 @@ def domain_for(spec: Specialization) -> CoeffDomain:
     if spec not in _domains:
         _domains[spec] = CoeffDomain(spec)
     return _domains[spec]
+
+
+def require_generic(dom: CoeffDomain) -> None:
+    """Raise ValueError unless dom is generic: the braid, dilute and
+    integrable suites prove over Q(s) (with u, v, w), so at every point."""
+    if dom.spec.kind != "generic":
+        raise ValueError(f"this suite runs over Q(s) only, not at {dom.spec.describe()}")
 
 
 class Morphism:

@@ -457,6 +457,7 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
         if g == {0: 1}:
             break
     if max(g) > 0:
+        # den and so g and den/g have a nonzero constant term: no shift is needed
         den, _ = _u_divmod(den, g)
         num = {}
         for spec, sl in slices.items():
@@ -465,10 +466,6 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
             q, _ = _u_divmod(poly, g)
             for e, c in q.items():
                 num[(e + smin, *spec)] = c
-        dmin = min(den)
-        if dmin:
-            den = {e - dmin: c for e, c in den.items()}
-            num = {(k[0] - dmin, k[1], k[2], k[3]): c for k, c in num.items()}
     lc = den[max(den)]
     if lc != 1:
         den = {e: _div(c, lc) for e, c in den.items()}

@@ -134,9 +134,8 @@ def wenzl_jones(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
     condition at each step rather than taken from any closed form."""
     if m < 0:
         raise ValueError("need m >= 0")
-    wj = identity(max(m, 0), dom=dom) if m <= 1 else None
-    if wj is not None:
-        return wj
+    if m <= 1:
+        return identity(m, dom=dom)
     wj = identity(1, dom=dom)
     for size in range(2, m + 1):
         w1 = wj.tensor(identity(1, dom=dom))
@@ -147,7 +146,7 @@ def wenzl_jones(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
         # recursion coefficient, and it vanishing signals a root of unity
         d0, c0 = next(iter(a.terms.items()))
         num = b.terms.get(d0)
-        if num is None or not num:
+        if not num:
             raise PoleAtSpecialization(
                 f"projector recursion breaks at size {size}: quantum integer vanishes"
             )

@@ -98,80 +98,68 @@ def gamma_eigenvalue(k: int, dom: CoeffDomain = GENERIC):
 # verifiers
 
 
-def verify_centrality(n: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_centrality(n: int) -> VerificationReport:
     rep = VerificationReport("twist.centrality")
-    c = twist_element(n, dom)
+    c = twist_element(n)
     for i in range(1, n):
-        ei = e(i, n, dom)
+        ei = e(i, n)
         rep.check("c_n e_i = e_i c_n", {"n": n, "i": i}, c.compose(ei), ei.compose(c))
-    rep.check(
-        "c_n invertible", {"n": n}, c.compose(twist_inverse(n, dom)), identity(n, dom=dom)
-    )
+    rep.check("c_n invertible", {"n": n}, c.compose(twist_inverse(n)), identity(n))
     return rep
 
 
-def verify_twist_axiom(max_total: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_twist_axiom(max_total: int) -> VerificationReport:
     rep = VerificationReport("twist.axiom")
     for total in range(0, max_total + 1):
         for r in range(0, total + 1):
             s = total - r
-            lhs = twist_element(total, dom)
-            rhs = double_braiding(r, s, dom).compose(
-                twist_element(r, dom).tensor(twist_element(s, dom))
-            )
+            lhs = twist_element(total)
+            rhs = double_braiding(r, s).compose(twist_element(r).tensor(twist_element(s)))
             rep.check("twist condition", {"r": r, "s": s}, lhs, rhs)
     # the two commutor-shuffling identities used to prove the twist condition
     for total in range(2, max_total + 1):
         for r in range(1, total):
             s = total - r
-            lhs = commutor(s + 1, r - 1, dom=dom).compose(
-                commutor(s, 1, dom=dom).tensor(identity(r - 1, dom=dom))
-            )
-            rhs = commutor(s, r, dom=dom).compose(
-                identity(s, dom=dom).tensor(commutor(1, r - 1, dom=dom))
-            )
+            lhs = commutor(s + 1, r - 1).compose(commutor(s, 1).tensor(identity(r - 1)))
+            rhs = commutor(s, r).compose(identity(s).tensor(commutor(1, r - 1)))
             rep.check("shuffle (s,1) into (s+1,r-1)", {"r": r, "s": s}, lhs, rhs)
-            lhs2 = commutor(r - 1, s + 1, dom=dom).compose(
-                identity(r - 1, dom=dom).tensor(commutor(1, s, dom=dom))
-            )
-            rhs2 = commutor(r, s, dom=dom).compose(
-                commutor(r - 1, 1, dom=dom).tensor(identity(s, dom=dom))
-            )
+            lhs2 = commutor(r - 1, s + 1).compose(identity(r - 1).tensor(commutor(1, s)))
+            rhs2 = commutor(r, s).compose(commutor(r - 1, 1).tensor(identity(s)))
             rep.check("shuffle (1,s) into (r-1,s+1)", {"r": r, "s": s}, lhs2, rhs2)
     # c_{2p} fixes the p-fold cup
     for p in (1, 2):
-        zp = z(dom)
+        zp = z()
         for _ in range(p - 1):
-            zp = zp.tensor(z(dom))
-        rep.check("c_{2p} z^p = z^p", {"p": p}, twist_element(2 * p, dom).compose(zp), zp)
+            zp = zp.tensor(z())
+        rep.check("c_{2p} z^p = z^p", {"p": p}, twist_element(2 * p).compose(zp), zp)
     return rep
 
 
-def verify_cyclic_lemma(n: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_cyclic_lemma(n: int) -> VerificationReport:
     rep = VerificationReport("twist.cyclic")
-    r, ri = commutor(n - 1, 1, dom=dom), commutor_inverse(n - 1, 1, dom)
-    l, li = commutor(1, n - 1, dom=dom), commutor_inverse(1, n - 1, dom)
-    beta = dom.beta
-    e_n, e_0 = en(n, dom), e0(n, dom)
+    r, ri = commutor(n - 1, 1), commutor_inverse(n - 1, 1)
+    l, li = commutor(1, n - 1), commutor_inverse(1, n - 1)
+    beta = GENERIC.beta
+    e_n, e_0 = en(n), e0(n)
     for i in range(1, n - 1):
         rep.check(
             "rho e_i rho^-1 = e_{i+1}", {"n": n, "i": i},
-            r.compose(e(i, n, dom)).compose(ri), e(i + 1, n, dom),
+            r.compose(e(i, n)).compose(ri), e(i + 1, n),
         )
     for i in range(2, n):
         rep.check(
             "lam e_i lam^-1 = e_{i-1}", {"n": n, "i": i},
-            l.compose(e(i, n, dom)).compose(li), e(i - 1, n, dom),
+            l.compose(e(i, n)).compose(li), e(i - 1, n),
         )
-    rep.check("rho e_n rho^-1 = e_1", {"n": n}, r.compose(e_n).compose(ri), e(1, n, dom))
-    rep.check("lam e_0 lam^-1 = e_{n-1}", {"n": n}, l.compose(e_0).compose(li), e(n - 1, n, dom))
+    rep.check("rho e_n rho^-1 = e_1", {"n": n}, r.compose(e_n).compose(ri), e(1, n))
+    rep.check("lam e_0 lam^-1 = e_{n-1}", {"n": n}, l.compose(e_0).compose(li), e(n - 1, n))
     rep.check("e_n^2 = beta e_n", {"n": n}, e_n.compose(e_n), e_n.scale(beta))
     rep.check("e_0^2 = beta e_0", {"n": n}, e_0.compose(e_0), e_0.scale(beta))
     if n >= 3:
         # at n = 2 the wrapped generator coincides with e_1 and the
         # adjacent-index relations do not apply
-        em1 = e(n - 1, n, dom)
-        e1 = e(1, n, dom)
+        em1 = e(n - 1, n)
+        e1 = e(1, n)
         rep.check("e_{n-1} e_n e_{n-1} = e_{n-1}", {"n": n}, em1.compose(e_n).compose(em1), em1)
         rep.check("e_n e_{n-1} e_n = e_n", {"n": n}, e_n.compose(em1).compose(e_n), e_n)
         rep.check("e_1 e_0 e_1 = e_1", {"n": n}, e1.compose(e_0).compose(e1), e1)
@@ -179,16 +167,16 @@ def verify_cyclic_lemma(n: int, dom: CoeffDomain = GENERIC) -> VerificationRepor
     return rep
 
 
-def verify_twist_naturality_exhaustive(max_side: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_twist_naturality_exhaustive(max_side: int) -> VerificationReport:
     rep = VerificationReport("twist.naturality")
     for m in range(0, max_side + 1):
-        twist_m = twist_element(m, dom)
+        twist_m = twist_element(m)
         for n in range(0, max_side + 1):
             if (m + n) % 2:
                 continue
-            twist_n = twist_element(n, dom)
+            twist_n = twist_element(n)
             for d in enumerate_diagrams(n, m):
-                f = Morphism.from_diagram(d, dom)
+                f = Morphism.from_diagram(d)
                 rep.check(
                     "theta_dst f = f theta_src",
                     {"dst": m, "src": n, "f": d.to_text()},
@@ -198,20 +186,20 @@ def verify_twist_naturality_exhaustive(max_side: int, dom: CoeffDomain = GENERIC
     return rep
 
 
-def verify_gamma_consistency(max_n: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_gamma_consistency(max_n: int) -> VerificationReport:
     """c_n acts on S_{n,k} as the scalar gamma_{n,k}; a non-scalar action
     is a failed case."""
     rep = VerificationReport("twist.gamma")
     for n in range(0, max_n + 1):
-        c = twist_element(n, dom)
+        c = twist_element(n)
         for k in range(n % 2, n + 1, 2):
             params = {"n": n, "k": k}
             try:
-                lamv = eigenvalue_on_standard(c, StandardModule(n, k, dom))
+                lamv = eigenvalue_on_standard(c, StandardModule(n, k))
             except NotScalarAction as exc:
                 rep.add("gamma_{n,k} = q^{k(k+2)/2}", params, False, {"error": str(exc)})
                 continue
-            ok = lamv == gamma_eigenvalue(k, dom)
+            ok = lamv == gamma_eigenvalue(k)
             rep.add("gamma_{n,k} = q^{k(k+2)/2}", params, ok,
                     None if ok else {"got": str(lamv)})
     return rep
@@ -240,20 +228,19 @@ _NATURALITY_SIDE = 5
 _CYCLIC_MAX = 5
 
 
-def verify_twist_suite(max_n: int = 6, dom: CoeffDomain = GENERIC) -> VerificationReport:
+def verify_twist_suite(max_n: int = 6) -> VerificationReport:
     rep = VerificationReport("twist")
     for n in range(2, max_n + 1):
-        rep.extend(verify_centrality(n, dom))
-    rep.extend(verify_twist_axiom(_AXIOM_TOTAL, dom))
-    rep.extend(verify_twist_naturality_exhaustive(_NATURALITY_SIDE, dom))
+        rep.extend(verify_centrality(n))
+    rep.extend(verify_twist_axiom(_AXIOM_TOTAL))
+    rep.extend(verify_twist_naturality_exhaustive(_NATURALITY_SIDE))
     for n in range(2, _CYCLIC_MAX + 1):
-        rep.extend(verify_cyclic_lemma(n, dom))
+        rep.extend(verify_cyclic_lemma(n))
     for n in range(0, _CYCLIC_MAX + 1):
         rep.check(
             "c_n = y_n (both product forms)", {"n": n},
-            twist_element(n, dom), twist_element_reversed(n, dom),
+            twist_element(n), twist_element_reversed(n),
         )
-    rep.extend(verify_gamma_consistency(max_n, dom))
-    if dom is GENERIC:
-        rep.extend(verify_det_t1(min(max_n, 5)))
+    rep.extend(verify_gamma_consistency(max_n))
+    rep.extend(verify_det_t1(min(max_n, 5)))
     return rep

@@ -1,14 +1,32 @@
 """Every name a tlcat module exports in ``__all__`` exists, so a deletion
-cannot leave a stale export behind."""
+cannot leave a stale export behind.  The verifiers of the braid, twist,
+dilute and integrable suites prove their identities over Q(s) (with u, v,
+w) and take no coefficient domain; the four entry points the benchmark
+passes ``dom=`` to accept the generic domain alone."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import tlcat
+from tlcat.braid import verify_braid_suite
+from tlcat.dilute import verify_dilute_braiding
+from tlcat.integrable import FaceOperator, transfer_matrix, verify_integrable_suite
+from tlcat.morphism import domain_for
+from tlcat.scalar import Specialization
 
 MODULES = ["tlcat"] + [f"tlcat.{m.name}" for m in pkgutil.iter_modules(tlcat.__path__)]
+GENERIC_ONLY = ["tlcat.braid", "tlcat.twist", "tlcat.dilute", "tlcat.integrable"]
+KEEPS_DOM = {
+    "verify_braid_suite": lambda dom: verify_braid_suite(dom=dom),
+    "verify_dilute_braiding": lambda dom: verify_dilute_braiding(dom=dom),
+    "verify_integrable_suite": lambda dom: verify_integrable_suite(dom=dom),
+    "transfer_matrix": lambda dom: transfer_matrix(2, dom=dom),
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -16,3 +34,24 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", GENERIC_ONLY)
+def test_generic_only_verifiers_take_no_domain(name):
+    module = importlib.import_module(name)
+    names = [n for n, f in vars(module).items()
+             if inspect.isfunction(f) and f.__module__ == name
+             and (n.startswith("verify_") or n in ("face", "monodromy_noncentral_witness"))]
+    assert names
+    with_dom = [n for n in names if "dom" in inspect.signature(getattr(module, n)).parameters]
+    assert sorted(with_dom) == sorted(n for n in KEEPS_DOM if n in names)
+
+
+def test_face_operator_has_no_domain():
+    assert "dom" not in {f.name for f in dataclasses.fields(FaceOperator)}
+
+
+@pytest.mark.parametrize("name", sorted(KEEPS_DOM))
+def test_benchmark_entry_points_refuse_a_specialised_domain(name):
+    with pytest.raises(ValueError, match="Q\\(s\\) only"):
+        KEEPS_DOM[name](domain_for(Specialization.rational(Fraction(5, 3))))

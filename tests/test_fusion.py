@@ -251,6 +251,10 @@ def test_regular_fusion_dimension():
     fused = FusedModule(RegularModule(1, dom), RegularModule(1, dom))
     # End(1) x_f End(1) is the regular module of End(2), dimension 2
     assert fused.dim == 2
+    # a factor with no k: the summands are read at every k <= N, N - k even
+    assert fusion_summands(fused) == {0: 1, 2: 1}
+    s11 = StandardModule(1, 1, dom)
+    assert fusion_summands(FusedModule(FusedModule(s11, s11), s11)) == {1: 2, 3: 1}
 
 
 def test_jordan_type_oracle():

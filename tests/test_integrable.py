@@ -14,7 +14,7 @@ from tlcat.integrable import (
     verify_transfer_commute,
     verify_ybe,
 )
-from tlcat.morphism import identity
+from tlcat.morphism import dilute_end2, identity
 from tlcat.scalar import Scalar
 
 
@@ -43,6 +43,24 @@ def test_ybe_all_families():
     assert verify_ybe("ordinary").ok
     assert verify_ybe("dilute-braid").ok
     assert verify_ybe("dilute-IK").ok
+
+
+def test_ik_weights_are_built_once(monkeypatch):
+    # two dilute-IK Yang-Baxter runs call the five-term face 24 times and
+    # build its weights once; the shared weights cannot be modified
+    import tlcat.integrable
+
+    built = []
+    monkeypatch.setattr(tlcat.integrable, "dilute_end2",
+                        lambda *a: built.append(a) or dilute_end2(*a))
+    tlcat.integrable._ik_weights.cache_clear()
+    assert verify_ybe("dilute-IK").ok and verify_ybe("dilute-IK").ok
+    assert len(built) == 5
+    info = tlcat.integrable._ik_weights.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 23, 1)
+    for weight in tlcat.integrable._ik_weights():
+        with pytest.raises(TypeError):
+            weight.terms[next(iter(weight.terms))] = Scalar.from_rational(0)
 
 
 def test_ordinary_inversion_scalar():
