@@ -171,8 +171,6 @@ def verify_naturality(max_total: int = 6, samples: int = 0, seed: int = 0) -> Ve
             continue
         cs = enumerate_diagrams(n, r)
         ds = enumerate_diagrams(m, s)
-        if not cs or not ds:
-            continue
         _naturality_case(rep, r, s, n, m, rng.choice(cs), rng.choice(ds))
         done += 1
     return rep

@@ -34,6 +34,8 @@ from .scalar import Specialization
 from .standard import StandardModule, standard_dimension, verify_rigidity
 from .twist import det_t1_closed_form, gamma_eigenvalue, gamma_exponent, verify_twist_suite
 
+__all__ = ["main"]
+
 SUITES = ("braid", "twist", "repr", "fusion", "integrable", "dilute", "all")
 # the suites that compute at --spec; the others always compute generically
 SPEC_SUITES = ("repr", "fusion")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import FieldOps, _div, _exact, _u_divmod, _u_mul, _u_sub
+from .scalar import _FieldOps, _div, _exact, _u_divmod, _u_mul, _u_sub
 
 __all__ = ["CycloField", "CycloElement", "cyclotomic_polynomial"]
 
@@ -85,7 +85,7 @@ class CycloField:
         return f"CycloField({self.N})"
 
 
-class CycloElement(FieldOps):
+class CycloElement(_FieldOps):
     __slots__ = ("field", "terms")
 
     def __init__(self, field: CycloField, coeffs: tuple):

@@ -10,14 +10,17 @@ Dilute diagrams additionally allow vacancies: nodes carrying no string.
 Composing a string end onto a vacancy annihilates the whole composite, so
 gluing returns either (diagram, loops) or None.
 
-Internally a diagram stores a 0-based link table; the public pairing view
-is 1-based to match the text serialization {m}x{n}:[(a,b),...].
+A diagram is an immutable value (a NamedTuple), so it can key the gluing
+cache and the terms of a Morphism.  Internally it stores a 0-based link
+table; the public pairing view is 1-based to match the text serialization
+{m}x{n}:[(a,b),...].
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 __all__ = [
     "Diagram",
@@ -29,7 +32,6 @@ __all__ = [
     "dilute_diagram",
     "DILUTE_END2_NAMES",
     "enumerate_diagrams",
-    "compose_links",
     "KERNEL",
 ]
 
@@ -41,15 +43,15 @@ class InterfaceMismatch(ValueError):
     """Composition attempted across unequal middle node counts."""
 
 
-class Diagram:
-    __slots__ = ("dst", "src", "link", "dilute", "_hash")
+class Diagram(NamedTuple):
+    """A planar diagram in Hom(src, dst).  The link table pairs the boundary
+    nodes 0..(dst+src-1): link[i] is the partner of node i, or -1 for a
+    vacancy (dilute only)."""
 
-    def __init__(self, dst: int, src: int, link: tuple, dilute: bool = False):
-        self.dst = dst
-        self.src = src
-        self.link = link
-        self.dilute = dilute
-        self._hash = hash((dst, src, link, dilute))
+    dst: int
+    src: int
+    link: tuple
+    dilute: bool = False
 
     @staticmethod
     def from_pairs(dst: int, src: int, pairs, dilute: bool = False) -> "Diagram":
@@ -119,15 +121,13 @@ class Diagram:
         def shift1(i):  # self keeps the top block of both columns
             return i if i < m1 else i + m2 + n2
 
-        def shift2(i):  # other sits below on the left, before self on the right
-            return i + m1 if i < m2 else i + m1
-
         for i, j in enumerate(self.link):
             if j >= 0:
                 link[shift1(i)] = shift1(j)
+        # other sits below on the left, before self on the right
         for i, j in enumerate(other.link):
             if j >= 0:
-                link[shift2(i)] = shift2(j)
+                link[i + m1] = j + m1
         return Diagram(dst, src, tuple(link), self.dilute)
 
     def transpose(self) -> "Diagram":
@@ -173,38 +173,27 @@ class Diagram:
     def key(self):
         return (self.pairs(), self.vacancies())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Diagram)
-            and self.dst == other.dst
-            and self.src == other.src
-            and self.link == other.link
-            and self.dilute == other.dilute
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"Diagram({self.to_text()})"
 
 
 # ---------------------------------------------------------------------------
 # the composition kernel
-#
-# A link table encodes a pairing on the boundary nodes 0..(dst+src-1):
-# link[i] is the partner of node i, or -1 for a vacancy (dilute only).
 
 
-def compose_links(kdst: int, mid: int, nsrc: int, c_link: tuple, b_link: tuple):
-    """Glue c in Hom(mid, kdst) onto b in Hom(nsrc, mid).
+@lru_cache(maxsize=1 << 18)
+def _compose_cached(c: Diagram, b: Diagram):
+    """Diagram.compose without its checks: glue c in Hom(mid, kdst) onto b
+    in Hom(nsrc, mid), keyed on the two diagrams.
 
     c's right column runs bottom to top, b's left column top to bottom, so
     middle height r joins c node kdst+r with b node mid-1-r.
 
-    Returns (result link tuple, loop count), or None when a string end
-    meets a vacancy, which kills the whole composite.
+    Returns (glued Diagram, loop count), or None when a string end meets a
+    vacancy, which kills the whole composite; the result itself is stored.
     """
+    kdst, mid, nsrc = c.dst, c.src, b.src
+    c_link, b_link = c.link, b.link
     for r in range(mid):
         if (c_link[kdst + r] >= 0) != (b_link[mid - 1 - r] >= 0):
             return None
@@ -263,18 +252,7 @@ def compose_links(kdst: int, mid: int, nsrc: int, c_link: tuple, b_link: tuple):
                     break
                 seen_c[r] = True
                 side, node = 0, kdst + r
-    return tuple(out), loops
-
-
-@lru_cache(maxsize=1 << 18)
-def _compose_cached(c: Diagram, b: Diagram):
-    """Diagram.compose without its checks, keyed on the two diagrams (whose
-    hashes are precomputed); the glued Diagram itself is stored."""
-    glued = compose_links(c.dst, c.src, b.src, c.link, b.link)
-    if glued is None:
-        return None
-    link, loops = glued
-    return Diagram(c.dst, b.src, link, c.dilute), loops
+    return Diagram(kdst, nsrc, tuple(out), c.dilute), loops
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +264,17 @@ def identity_diagram(n: int, dilute: bool = False) -> Diagram:
     return Diagram(n, n, link, dilute)
 
 
-def cup_diagram(dilute: bool = False) -> Diagram:
+def cup_diagram() -> Diagram:
     """The (2,0)-diagram z: a single arc on the left column."""
-    return Diagram(2, 0, (1, 0), dilute)
+    return Diagram(2, 0, (1, 0))
 
 
-def cap_diagram(dilute: bool = False) -> Diagram:
+def cap_diagram() -> Diagram:
     """The (0,2)-diagram z^t."""
-    return Diagram(0, 2, (1, 0), dilute)
+    return Diagram(0, 2, (1, 0))
 
 
-def e_diagram(i: int, n: int, dilute: bool = False) -> Diagram:
+def e_diagram(i: int, n: int) -> Diagram:
     """The TL generator diagram: arcs joining neighbours i, i+1 on both columns."""
     if not (1 <= i <= n - 1):
         raise ValueError(f"e_{i} undefined in End({n})")
@@ -305,7 +283,7 @@ def e_diagram(i: int, n: int, dilute: bool = False) -> Diagram:
     link[a], link[b] = b, a
     ra, rb = 2 * n - 1 - a, 2 * n - 1 - b
     link[ra], link[rb] = rb, ra
-    return Diagram(n, n, tuple(link), dilute)
+    return Diagram(n, n, tuple(link))
 
 
 # The nine diagrams of the dilute End(2).  Left nodes are 1 (top) and

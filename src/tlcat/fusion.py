@@ -48,7 +48,7 @@ from .morphism import CoeffDomain, Morphism, domain_for, e
 from .report import VerificationReport
 from .scalar import Specialization
 from .standard import RegularModule, StandardModule, act, standard_dimension
-from .twist import gamma_eigenvalue, twist_element, twist_inverse
+from .twist import gamma_eigenvalue, gamma_exponent, twist_element, twist_inverse
 
 __all__ = [
     "FusedModule",
@@ -60,6 +60,8 @@ __all__ = [
     "EigenvalueMismatch",
     "generic_rational_spec",
     "expected_summands",
+    "verify_root_examples",
+    "verify_fusion_suite",
 ]
 
 
@@ -89,8 +91,7 @@ def generic_rational_spec(seed: int = 0) -> Specialization:
 
 def monodromy_eigenvalue(k1: int, k2: int, k: int, dom: CoeffDomain):
     """mu_{k1,k2,k} = q^{k(k/2+1) - k1(k1/2+1) - k2(k2/2+1)}."""
-    expo = 2 * k * (k + 2) - 2 * k1 * (k1 + 2) - 2 * k2 * (k2 + 2)
-    return dom.s_power(expo)
+    return dom.s_power(gamma_exponent(k) - gamma_exponent(k1) - gamma_exponent(k2))
 
 
 def expected_summands(k1: int, k2: int) -> list:
@@ -230,10 +231,9 @@ class FusedModule:
             return self._matrix(twist_element(self.n, dom), factors)
         raise ValueError(f"unknown monodromy route {route!r}")
 
-    def verify_representation(self, rep: VerificationReport | None = None) -> VerificationReport:
+    def verify_representation(self) -> VerificationReport:
         """Defining relations of TL_n hold on the induced action."""
-        if rep is None:
-            rep = VerificationReport("fusion.representation")
+        rep = VerificationReport("fusion.representation")
         dom = self.dom
         mats = {i: act(e(i, self.n, dom), self) for i in range(1, self.n)}
         beta = dom.beta
@@ -356,11 +356,10 @@ _ROOT_EXAMPLES = (
 )
 
 
-def verify_root_examples(rep: VerificationReport | None = None) -> VerificationReport:
+def verify_root_examples() -> VerificationReport:
     """The two worked root-of-unity fusion products with non-semisimple
     monodromy, checked against their exact Jordan structure."""
-    if rep is None:
-        rep = VerificationReport("fusion.roots")
+    rep = VerificationReport("fusion.roots")
     for name, order, factors, dim, mu_exponent, expected in _ROOT_EXAMPLES:
         dom = domain_for(Specialization.cyclotomic(order))
         fused = FusedModule(*(cls(*args, dom) for cls, *args in factors))
@@ -407,7 +406,8 @@ def verify_fusion_suite(
                   {"spec": dom.spec.describe(), "modules": "S_{2,2} x S_{1,1}"},
                   fused.monodromy_matrix("braiding"),
                   fused.monodromy_matrix("twist"))
-        return verify_root_examples(rep)
+        rep.extend(verify_root_examples())
+        return rep
 
     rep.add("mu_{2,1,3} = q^2", {"spec": dom.spec.describe()},
             monodromy_eigenvalue(2, 1, 3, dom) == dom.s_power(8), None)

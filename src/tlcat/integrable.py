@@ -51,6 +51,7 @@ __all__ = [
     "verify_boundary_ybe",
     "transfer_matrix",
     "verify_transfer_commute",
+    "verify_integrable_suite",
 ]
 
 

@@ -285,11 +285,6 @@ class Morphism:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash(
-            (self.dst, self.src, self.dilute, frozenset(self.terms.items()))
-        )
-
     # -- text form ----------------------------------------------------------------------
 
     def to_text(self) -> str:
@@ -427,14 +422,14 @@ def t_inv(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> M
     return Morphism(n, n, terms, False, dom, _clean=True)
 
 
-def z(dom: CoeffDomain = GENERIC) -> Morphism:
+def z() -> Morphism:
     """Cup in Hom(0,2)."""
-    return Morphism.from_diagram(cup_diagram(), dom)
+    return Morphism.from_diagram(cup_diagram())
 
 
-def zt(dom: CoeffDomain = GENERIC) -> Morphism:
+def zt() -> Morphism:
     """Cap in Hom(2,0)."""
-    return Morphism.from_diagram(cap_diagram(), dom)
+    return Morphism.from_diagram(cap_diagram())
 
 
 def big_cup(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
@@ -467,11 +462,11 @@ def dilute_end2(coeffs: dict, dom: CoeffDomain = GENERIC) -> Morphism:
     return Morphism(2, 2, terms, True, dom)
 
 
-def dilute_sum(dst: int, src: int, pair_sets, dom: CoeffDomain = GENERIC) -> Morphism:
+def dilute_sum(dst: int, src: int, pair_sets) -> Morphism:
     """The sum, with coefficient one, of the dilute diagrams in Hom(src, dst)
     whose arcs are each listed set of node pairs."""
-    terms = {Diagram.from_pairs(dst, src, pairs, dilute=True): dom.one for pairs in pair_sets}
-    return Morphism(dst, src, terms, True, dom)
+    terms = {Diagram.from_pairs(dst, src, pairs, dilute=True): GENERIC.one for pairs in pair_sets}
+    return Morphism(dst, src, terms, True)
 
 
 def dilute_eta11(dom: CoeffDomain = GENERIC) -> Morphism:

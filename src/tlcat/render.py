@@ -12,7 +12,7 @@ import html
 import string
 
 from .diagram import Diagram
-from .morphism import Morphism
+from .morphism import Morphism, parse_morphism
 
 __all__ = ["render_ascii", "render_svg", "parse_renderable"]
 
@@ -20,8 +20,6 @@ __all__ = ["render_ascii", "render_svg", "parse_renderable"]
 def parse_renderable(text: str):
     """Accept either a plain diagram ('{m}x{n}[d]:[(a,b),...]') or a full
     linear combination ('{m}<-{n}[d]: [coeff] * diag + ...')."""
-    from .morphism import parse_morphism
-
     text = text.strip()
     if "<-" in text.partition(":")[0]:
         return parse_morphism(text)
@@ -118,8 +116,6 @@ def render_svg(obj) -> str:
     terms = ([(None, obj)] if isinstance(obj, Diagram)
              else [(str(obj.terms[d]), d)
                    for d in sorted(obj.terms, key=lambda g: g.key())])
-    if not terms:
-        terms = []
     elems = []
     height = 2 * _MARGIN
     x0 = 0.0

@@ -145,7 +145,7 @@ def _u_eval(p: dict, x: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class FieldOps:
+class _FieldOps:
     """Subtraction, division and integer powers, derived from a coefficient
     type's own +, unary -, *, inv() and _coerce (which returns
     NotImplemented for a foreign operand)."""
@@ -189,7 +189,7 @@ class FieldOps:
         return out
 
 
-class Scalar(FieldOps):
+class Scalar(_FieldOps):
     __slots__ = ("num", "den")
 
     def __init__(self, num=None, den=None, _canonical: bool = False):

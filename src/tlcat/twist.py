@@ -37,6 +37,7 @@ __all__ = [
     "verify_centrality",
     "verify_twist_axiom",
     "verify_cyclic_lemma",
+    "verify_twist_naturality_exhaustive",
     "verify_gamma_consistency",
     "verify_det_t1",
     "verify_twist_suite",
@@ -59,9 +60,9 @@ def twist_element(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return _rotation_power(n, crossing_indices(n - 1, 1), t, 1, dom)
 
 
-def twist_element_reversed(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
+def twist_element_reversed(n: int) -> Morphism:
     """y_n = q^(3n/2) lambda_n^n; equals c_n (verified, not assumed)."""
-    return _rotation_power(n, crossing_indices(1, n - 1), t, 1, dom)
+    return _rotation_power(n, crossing_indices(1, n - 1), t, 1, GENERIC)
 
 
 @cached_morphism(maxsize=32)
@@ -70,18 +71,14 @@ def twist_inverse(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return _rotation_power(n, crossing_indices(n - 1, 1)[::-1], t_inv, -1, dom)
 
 
-def en(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
+def en(n: int) -> Morphism:
     """The extra generator e_n = rho e_{n-1} rho^{-1}."""
-    return commutor(n - 1, 1, dom=dom).compose(e(n - 1, n, dom)).compose(
-        commutor_inverse(n - 1, 1, dom)
-    )
+    return commutor(n - 1, 1).compose(e(n - 1, n)).compose(commutor_inverse(n - 1, 1))
 
 
-def e0(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
+def e0(n: int) -> Morphism:
     """The extra generator e_0 = lambda e_1 lambda^{-1}."""
-    return commutor(1, n - 1, dom=dom).compose(e(1, n, dom)).compose(
-        commutor_inverse(1, n - 1, dom)
-    )
+    return commutor(1, n - 1).compose(e(1, n)).compose(commutor_inverse(1, n - 1))
 
 
 def gamma_exponent(k: int) -> int:

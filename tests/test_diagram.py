@@ -104,6 +104,15 @@ def test_gluing_returns_the_cached_result():
     assert first == (Diagram.from_text("5x5:[(1,10),(2,3),(4,9),(5,6),(7,8)]"), 0)
 
 
+@pytest.mark.parametrize("field", ["dst", "src", "link", "dilute"])
+def test_diagram_is_an_immutable_value(field):
+    # diagrams key the gluing cache and every Morphism's terms
+    d = e_diagram(1, 2)
+    with pytest.raises(AttributeError):
+        setattr(d, field, getattr(identity_diagram(2), field))
+    assert d == e_diagram(1, 2) and hash(d) == hash(e_diagram(1, 2))
+
+
 def test_interface_mismatch():
     with pytest.raises(InterfaceMismatch):
         identity_diagram(2).compose(identity_diagram(3))

@@ -1,8 +1,10 @@
 """Every name a tlcat module exports in ``__all__`` exists, so a deletion
-cannot leave a stale export behind.  The verifiers of the braid, twist,
-dilute and integrable suites prove their identities over Q(s) (with u, v,
-w) and take no coefficient domain; the four entry points the benchmark
-passes ``dom=`` to accept the generic domain alone."""
+cannot leave a stale export behind, and every public function or class a
+module defines is in its ``__all__``, so an entry point cannot fall out.
+The verifiers of the braid, twist, dilute and integrable suites prove
+their identities over Q(s) (with u, v, w) and take no coefficient domain;
+the four entry points the benchmark passes ``dom=`` to accept the generic
+domain alone."""
 
 import dataclasses
 import importlib
@@ -34,6 +36,16 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_are_exported(name):
+    module = importlib.import_module(name)
+    unlisted = [n for n, obj in vars(module).items()
+                if (inspect.isfunction(obj) or inspect.isclass(obj))
+                and obj.__module__ == name and not n.startswith("_")
+                and n not in module.__all__]
+    assert not unlisted
 
 
 @pytest.mark.parametrize("name", GENERIC_ONLY)

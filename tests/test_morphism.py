@@ -13,6 +13,7 @@ from tlcat.morphism import (
     Morphism,
     dilute_eta11,
     domain_for,
+    e,
     on_strands,
     t,
 )
@@ -30,6 +31,12 @@ def test_tensor_drops_cancelled_terms(monkeypatch):
     prod = f.tensor(g)
     assert prod.terms == {}
     assert prod.is_zero
+
+
+def test_morphism_is_unhashable():
+    # its terms dict is mutable, so it cannot key a cache
+    with pytest.raises(TypeError):
+        hash(e(1, 2))
 
 
 class _CountingOne:
