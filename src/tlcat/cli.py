@@ -214,6 +214,11 @@ def _cmd_eigen(args) -> int:
         return 2
     dim = standard_dimension(n, k)
     s_exponent = gamma_exponent(k)
+    try:
+        gamma, det_t1 = gamma_eigenvalue(k), det_t1_closed_form(n, k)
+    except OverflowError as exc:
+        print(f"error: module too large: {exc}", file=sys.stderr)
+        return 2
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "eigen",
@@ -222,10 +227,10 @@ def _cmd_eigen(args) -> int:
             "s_exponent": s_exponent,
             # q = s^4, so the q-exponent is s_exponent / 4, written over 2
             "q_exponent": f"{s_exponent // 2}/2",
-            "value": str(gamma_eigenvalue(k)),
+            "value": str(gamma),
         },
         "det_t1": {
-            "value": str(det_t1_closed_form(n, k)),
+            "value": str(det_t1),
             "form": "q^(dim/2) * (-q^-2)^(dim of the (n-2,k) module)",
         },
     }

@@ -11,11 +11,22 @@ hoc square roots are ever introduced.
 
 Representation is canonical:
 
-* numerator: dict mapping exponent 4-tuples (e_s, e_u, e_v, e_w) to a
-  rational coefficient, no zero values stored;
+* numerator: dict mapping a packed exponent key to a rational coefficient,
+  no zero values stored.  The key of s^a u^b v^c w^d is
+  a + b*2^W + c*2^(2W) + d*2^(3W); packing is linear, so a product's key is
+  the sum of its factors' keys and an s-shift adds to the key;
 * denominator: dict mapping s-exponent to a rational coefficient with lowest
   exponent 0 and leading coefficient 1, coprime to the numerator's s-content;
 * zero is {} / {0: 1}.
+
+Every stored exponent e, of the numerator and of the denominator, lies in the
+box -2^(W-2) <= e < 2^(W-2).  One add-and-mask tests a key, and a box it tests
+has an even width, hence the asymmetry.  A product, sum or inverse whose
+result leaves the box raises OverflowError, and parse_scalar ValueError, so
+keys never wrap.
+
+The dicts of a Scalar are never mutated once it is built, so results share
+them.
 
 A coefficient is an int when it is integral and a Fraction otherwise; every
 structure constant of the braid, twist and integrable suites is an integer,
@@ -40,8 +51,17 @@ __all__ = [
 ]
 
 VARS = ("s", "u", "v", "w")
-_SPECTRAL = VARS[1:]
-_ZKEY = (0, 0, 0, 0)
+_W = 16  # bits per exponent field of a packed key
+_LIMIT = 1 << (_W - 2)
+_FIELD = (1 << _W) - 1
+_ONES = sum(1 << (_W * i) for i in range(4))
+# a key k is in the box iff k + _BIAS has bits only in the low W-1 bits of
+# each field; that test is exact while every exponent has |e| < 3 * _LIMIT,
+# which a sum of two keys in the box or a shift by a degree below 2*_LIMIT keeps
+_BIAS = _LIMIT * _ONES
+_OUT = ~((2 * _LIMIT - 1) * _ONES)
+_BOX = f"an exponent leaves the box [-{_LIMIT}, {_LIMIT})"
+_DEN1 = {0: 1}
 
 
 class NotInvertibleInRing(ArithmeticError):
@@ -135,11 +155,38 @@ def _u_gcd(a: dict, b: dict) -> dict:
     return a
 
 
-def _u_eval(p: dict, x: Fraction) -> Fraction:
-    acc = 0
-    for e, c in p.items():
-        acc += c * x**e
-    return acc
+# ---------------------------------------------------------------------------
+# packed exponent keys
+
+
+def _pack(exps) -> int:
+    """The key of the monomial with exponent tuple (e_s, e_u, e_v, e_w)."""
+    key = 0
+    for i, e in enumerate(exps):
+        if not -_LIMIT <= e < _LIMIT:
+            raise OverflowError(_BOX)
+        key += e << (_W * i)
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    """The exponent tuple (e_s, e_u, e_v, e_w) of a key in the box."""
+    t = key + _BIAS
+    return tuple(((t >> (_W * i)) & _FIELD) - _LIMIT for i in range(4))
+
+
+def _s_exp(key: int) -> int:
+    """The s-exponent of a key whose s-exponent lies in [-2*_LIMIT, 2*_LIMIT);
+    key - _s_exp(key) is the key of its spectral part."""
+    return ((key + 2 * _LIMIT) & _FIELD) - 2 * _LIMIT
+
+
+def _boxed(num: dict) -> dict:
+    """num, once every exponent of every key is checked to lie in the box."""
+    for k in num:
+        if (k + _BIAS) & _OUT:
+            raise OverflowError(_BOX)
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +231,28 @@ class _FieldOps:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
 
 class Scalar(_FieldOps):
+    """num: a rational, or a dict {packed key: rational}; den: a dict
+    {s-exponent: rational}.  Both are brought to the canonical form."""
+
     __slots__ = ("num", "den")
 
-    def __init__(self, num=None, den=None, _canonical: bool = False):
+    def __init__(self, num=None, den=None):
         if num is None:
             num = {}
         elif isinstance(num, (int, Fraction)):
-            num = {_ZKEY: num} if num else {}
+            num = {0: num} if num else {}
         if den is None:
-            den = {0: 1}
-        if _canonical:
-            self.num = num
-            self.den = den
-        else:
-            self.num, self.den = _canonicalize(num, den)
+            den = _DEN1
+        elif not all(-_LIMIT <= e < _LIMIT for e in den):
+            raise OverflowError(_BOX)
+        self.num, self.den = _canonicalize(_boxed(num), den)
 
     # -- constructors -------------------------------------------------------
 
@@ -211,30 +260,23 @@ class Scalar(_FieldOps):
     def from_rational(r) -> "Scalar":
         if r.__class__ is not int:
             r = _exact(Fraction(r))
-        return Scalar({_ZKEY: r} if r else {}, None, _canonical=True)
+        return _make({0: r} if r else {}, _DEN1)
 
     @staticmethod
     def s_power(k: int) -> "Scalar":
-        return Scalar({(k, 0, 0, 0): 1}, None, _canonical=True)
-
-    @staticmethod
-    def q_power(k) -> "Scalar":
-        """q^k with k a (half-)integer; q = s^4 so the s-exponent is 4k."""
-        e = Fraction(k) * 4
-        if e.denominator != 1:
-            raise ValueError(f"q^{k} is not a monomial in s")
-        return Scalar.s_power(int(e))
+        if not -_LIMIT <= k < _LIMIT:
+            raise OverflowError(_BOX)
+        return _make({k: 1}, _DEN1)
 
     @staticmethod
     def var_power(name: str, k: int) -> "Scalar":
         i = VARS.index(name)
-        key = tuple(k if j == i else 0 for j in range(4))
-        return Scalar({key: 1}, None, _canonical=True)
+        return _make({_pack(k if j == i else 0 for j in range(4)): 1}, _DEN1)
 
     @staticmethod
     def beta() -> "Scalar":
         """Loop weight -q - q^-1 = -s^4 - s^-4."""
-        return Scalar({(4, 0, 0, 0): -1, (-4, 0, 0, 0): -1}, None, _canonical=True)
+        return _make({4: -1, -4: -1}, _DEN1)
 
     # -- predicates ----------------------------------------------------------
 
@@ -244,16 +286,6 @@ class Scalar(_FieldOps):
 
     def __bool__(self):
         return bool(self.num)
-
-    def variables(self) -> set:
-        out = set()
-        for key in self.num:
-            for i, e in enumerate(key):
-                if e:
-                    out.add(VARS[i])
-        if self.den != {0: 1}:
-            out.add("s")
-        return out
 
     # -- ring operations -----------------------------------------------------
 
@@ -269,9 +301,9 @@ class Scalar(_FieldOps):
                     num[k] = c2 if c2.__class__ is int else _exact(c2)
                 elif k in num:
                     del num[k]
-            if self.den == {0: 1}:
-                return Scalar(num, None, _canonical=True)
-            return Scalar(num, dict(self.den))
+            if self.den == _DEN1:
+                return _make(num, _DEN1)
+            return _make(*_canonicalize(num, self.den))
         g = _u_gcd(self.den, other.den)
         d1r, _ = _u_divmod(self.den, g)
         d2r, _ = _u_divmod(other.den, g)
@@ -282,12 +314,12 @@ class Scalar(_FieldOps):
                 num[k] = c2
             elif k in num:
                 del num[k]
-        return Scalar(num, _u_mul(self.den, d2r))
+        return _make(*_canonicalize(num, _u_mul(self.den, d2r)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: -c for k, c in self.num.items()}, dict(self.den), _canonical=True)
+        return _make({k: -c for k, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -298,36 +330,37 @@ class Scalar(_FieldOps):
         num: dict = {}
         for k1, c1 in self.num.items():
             for k2, c2 in other.num.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
+                k = k1 + k2
                 c = num.get(k, 0) + c1 * c2
                 if c:
                     num[k] = c
                 elif k in num:
                     del num[k]
-        if self.den == {0: 1} and other.den == {0: 1}:
-            for c in num.values():
+        if self.den == _DEN1 and other.den == _DEN1:
+            for c in _boxed(num).values():
                 if c.__class__ is not int:
                     # a product of Fractions can be integral
                     num = {k: _exact(c) for k, c in num.items()}
                     break
-            return Scalar(num, None, _canonical=True)
-        return Scalar(num, _u_mul(self.den, other.den))
+            return _make(num, _DEN1)
+        return _make(*_canonicalize(num, _u_mul(self.den, other.den)))
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        spec = {k[1:] for k in self.num}
+        es = {k: _s_exp(k) for k in self.num}
+        spec = {k - e for k, e in es.items()}
         if len(spec) > 1:
             raise NotInvertibleInRing(
                 "numerator is not a monomial in the spectral variables"
             )
-        (eu, ev, ew), = spec
-        smin = min(k[0] for k in self.num)
-        new_den = {k[0] - smin: c for k, c in self.num.items()}
-        new_num = {(e - smin, -eu, -ev, -ew): c for e, c in self.den.items()}
-        return Scalar(new_num, new_den)
+        spec, = spec
+        smin = min(es.values())
+        new_den = {es[k] - smin: c for k, c in self.num.items()}
+        new_num = {e - smin - spec: c for e, c in self.den.items()}
+        return _make(*_canonicalize(new_num, new_den))
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -336,70 +369,19 @@ class Scalar(_FieldOps):
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.num.keys() <= {_ZKEY} and self.den == {0: 1}:
+        if self.num.keys() <= {0} and self.den == _DEN1:
             # a rational r equals its Scalar, so both hash alike
-            return hash(self.num.get(_ZKEY, 0))
+            return hash(self.num.get(0, 0))
         return hash((frozenset(self.num.items()), frozenset(self.den.items())))
-
-    # -- evaluation ------------------------------------------------------------
-
-    def subs(self, **values) -> "Scalar":
-        """Substitute rational values for a subset of the variables.
-
-        Substituting s folds the denominator into the numerator; the result
-        is again a Scalar.
-        """
-        vals = {}
-        for name, val in values.items():
-            if name not in VARS:
-                raise KeyError(f"unknown variable {name!r}")
-            vals[VARS.index(name)] = Fraction(val)
-        num: dict = {}
-        for key, c in self.num.items():
-            nk = list(key)
-            for i, val in vals.items():
-                if key[i]:
-                    if val == 0 and key[i] < 0:
-                        raise ZeroDivisionError("negative power of zero")
-                    c = c * val ** key[i]
-                    nk[i] = 0
-            nk = tuple(nk)
-            c2 = num.get(nk, 0) + c
-            if c2:
-                num[nk] = c2
-            elif nk in num:
-                del num[nk]
-        den = self.den
-        if 0 in vals and den != {0: 1}:
-            dval = _u_eval(den, vals[0])
-            if dval == 0:
-                raise PoleAtSpecialization("denominator vanishes at substitution")
-            num = {k: _div(c, dval) for k, c in num.items()}
-            den = {0: 1}
-            return Scalar(num, den, _canonical=True)
-        return Scalar(num, dict(den))
-
-    def eval_rational(self, s=None, u=None, v=None, w=None) -> Fraction | int:
-        """Full evaluation at rational points; every present variable needs a
-        value.  An integral value comes back as an int."""
-        given = {"s": s, "u": u, "v": v, "w": w}
-        need = self.variables()
-        for name in need:
-            if given[name] is None:
-                raise ValueError(f"variable {name} needs a value")
-        out = self.subs(**{n: given[n] for n in need})
-        if out.num and set(out.num) != {_ZKEY}:
-            raise AssertionError("evaluation left symbols behind")
-        return out.num.get(_ZKEY, 0)
 
     # -- text form ------------------------------------------------------------
 
     def __str__(self):
         num = _num_to_text(self.num)
-        if self.den == {0: 1}:
+        if self.den == _DEN1:
             return num
-        den = _num_to_text({(e, 0, 0, 0): c for e, c in self.den.items()})
-        return f"({num}) / ({den})"
+        # an s-exponent below the box limit is its own key
+        return f"({num}) / ({_num_to_text(self.den)})"
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -414,13 +396,22 @@ class Scalar(_FieldOps):
 
 
 _coerce = Scalar._coerce
+_new = object.__new__
+
+
+def _make(num: dict, den: dict) -> Scalar:
+    """The Scalar with canonical numerator num and denominator den, unchecked."""
+    x = _new(Scalar)
+    x.num = num
+    x.den = den
+    return x
 
 
 def _num_mul_upoly(num: dict, p: dict) -> dict:
     out: dict = {}
     for key, c in num.items():
         for e, pc in p.items():
-            k = (key[0] + e, key[1], key[2], key[3])
+            k = key + e
             c2 = out.get(k, 0) + c * pc
             if c2:
                 out[k] = c2
@@ -435,26 +426,27 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {0: 1}
+        return {}, _DEN1
     dmin = min(den)
     if dmin:
         den = {e - dmin: c for e, c in den.items()}
-        num = {(k[0] - dmin, k[1], k[2], k[3]): c for k, c in num.items()}
+        num = {k - dmin: c for k, c in num.items()}
     if len(den) == 1:
         c0 = den[0]
         if c0 != 1:
             num = {k: _div(c, c0) for k, c in num.items()}
-        return num, {0: 1}
+        return _boxed(num), _DEN1
     # gcd-reduce against the s-content of the numerator
     slices: dict = {}
     for key, c in num.items():
-        slices.setdefault(key[1:], {})[key[0]] = c
+        e = _s_exp(key)
+        slices.setdefault(key - e, {})[e] = c
     g = den
     for sl in slices.values():
         smin = min(sl)
         poly = {e - smin: c for e, c in sl.items()}
         g = _u_gcd(g, poly)
-        if g == {0: 1}:
+        if g == _DEN1:
             break
     if max(g) > 0:
         # den and so g and den/g have a nonzero constant term: no shift is needed
@@ -465,14 +457,16 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
             poly = {e - smin: c for e, c in sl.items()}
             q, _ = _u_divmod(poly, g)
             for e, c in q.items():
-                num[(e + smin, *spec)] = c
+                num[e + smin + spec] = c
     lc = den[max(den)]
     if lc != 1:
         den = {e: _div(c, lc) for e, c in den.items()}
         num = {k: _div(c, lc) for k, c in num.items()}
     if len(den) == 1:
-        den = {0: 1}
-    return num, den
+        den = _DEN1
+    elif max(den) >= _LIMIT:
+        raise OverflowError(_BOX)
+    return _boxed(num), den
 
 
 ZERO = Scalar.from_rational(0)
@@ -487,10 +481,9 @@ def _num_to_text(num: dict) -> str:
     if not num:
         return "0"
     parts = []
-    for key in sorted(num):
-        c = num[key]
+    for exps, c in sorted((_unpack(k), c) for k, c in num.items()):
         factors = []
-        for i, e in enumerate(key):
+        for i, e in enumerate(exps):
             if e:
                 factors.append(f"{VARS[i]}^{e}")
         if not factors or abs(c) != 1:
@@ -515,7 +508,7 @@ def _parse_poly(text: str) -> dict:
             sign = -1
             chunk = chunk[1:].strip()
         coeff = Fraction(1)
-        key = [0, 0, 0, 0]
+        exps = [0, 0, 0, 0]
         for factor in chunk.split("*"):
             factor = factor.strip()
             if not factor:
@@ -524,8 +517,8 @@ def _parse_poly(text: str) -> dict:
                 coeff *= Fraction(factor)
             else:
                 name, _, exp = factor.partition("^")
-                key[VARS.index(name)] += int(exp) if exp else 1
-        k = tuple(key)
+                exps[VARS.index(name)] += int(exp) if exp else 1
+        k = _pack(exps)
         c = num.get(k, 0) + sign * coeff
         if c:
             num[k] = c
@@ -535,21 +528,22 @@ def _parse_poly(text: str) -> dict:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of str(Scalar)."""
+    """Inverse of str(Scalar).  Malformed text, a zero denominator and an
+    exponent outside the box raise ValueError."""
     text = text.strip()
-    if text.startswith("(") and ") / (" in text:
-        ntext, _, dtext = text.partition(") / (")
-        num = _parse_poly(ntext[1:])
-        dpoly = _parse_poly(dtext.rstrip()[:-1])
-        den = {}
-        for key, c in dpoly.items():
-            if key[1:] != (0, 0, 0):
+    try:
+        if text.startswith("(") and ") / (" in text:
+            ntext, _, dtext = text.partition(") / (")
+            den = _parse_poly(dtext.rstrip()[:-1])
+            if not all(-_LIMIT <= e < _LIMIT for e in den):
+                # a key with a spectral exponent lies outside the s-range
                 raise ValueError("denominator must involve s only")
-            den[key[0]] = c
-        return Scalar(num, den)
-    if text == "0":
-        return ZERO
-    return Scalar(_parse_poly(text))
+            return Scalar(_parse_poly(ntext[1:]), den)
+        if text == "0":
+            return ZERO
+        return Scalar(_parse_poly(text))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"cannot parse scalar {text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def verify_gamma_consistency(max_n: int) -> VerificationReport:
 def det_t1_closed_form(n: int, k: int) -> Scalar:
     """det of t_1 on S_{n,k}: q^{dim/2} (-q^-2)^{dim S_{n-2,k}}."""
     d2 = standard_dimension(n - 2, k) if n - 2 >= k else 0
-    return Scalar.s_power(2 * standard_dimension(n, k)) * (-Scalar.s_power(-8)) ** d2
+    return Scalar.s_power(2 * standard_dimension(n, k) - 8 * d2) * (-1) ** d2
 
 
 def verify_det_t1(max_n: int) -> VerificationReport:

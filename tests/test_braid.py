@@ -21,6 +21,8 @@ from tlcat.dilute import verify_dilute_braiding
 from tlcat.morphism import GENERIC, Morphism, domain_for, e, identity, t, t_inv
 from tlcat.scalar import Scalar, Specialization
 
+from scalar_oracle import q_power
+
 
 def test_crossing_definition_and_inverse():
     for n in (2, 3, 4):
@@ -160,6 +162,6 @@ def test_braiding_lemmas():
 def test_noncentral_witness_exact():
     w = monodromy_noncentral_witness()
     e1, e2 = e(1, 3), e(2, 3)
-    coeff = Scalar.q_power(-2) * (Scalar.q_power(1) - Scalar.q_power(-1))
+    coeff = q_power(-2) * (q_power(1) - q_power(-1))
     assert w == (e1 * e2 - e2 * e1).scale(coeff)
     assert not w.is_zero

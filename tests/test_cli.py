@@ -45,6 +45,13 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "render", "not a diagram")
     assert code == 2
+    # a zero denominator and an exponent outside the box are not scalars
+    for coeff in ("1/0", "(1) / (0)", "s^99999999"):
+        code, out, err = run(capsys, "render", f"1<-1 : [{coeff}] * 1x1:[(1,2)]")
+        assert code == 2 and not out and err.startswith("error:")
+    # an eigenvalue whose exponent leaves the box
+    code, out, err = run(capsys, "eigen", "--module", "200", "200")
+    assert code == 2 and not out and err.startswith("error:")
 
 
 def test_verify_writes_report_and_passes(capsys, tmp_path):

@@ -10,10 +10,22 @@ from hypothesis import strategies as st
 from tlcat.cyclotomic import CycloElement, CycloField, cyclotomic_polynomial
 from tlcat.morphism import domain_for
 from tlcat.scalar import (
+    _LIMIT,
     NotInvertibleInRing,
     Scalar,
     Specialization,
     parse_scalar,
+)
+
+from scalar_oracle import (
+    ZKEY,
+    Oracle,
+    boxed,
+    decoded,
+    eval_rational,
+    from_tuples,
+    q_power,
+    subs,
 )
 
 # random Laurent polynomials in s: exponent -> small rational
@@ -41,13 +53,13 @@ POINTS = [Fraction(2), Fraction(5, 3), Fraction(-7, 4), Fraction(1, 2)]
 def test_ring_ops_match_rational_evaluation(da, db):
     a, b = build(da), build(db)
     for x in POINTS:
-        assert (a + b).eval_rational(s=x) == eval_oracle(da, x) + eval_oracle(db, x)
-        assert (a - b).eval_rational(s=x) == eval_oracle(da, x) - eval_oracle(db, x)
-        assert (a * b).eval_rational(s=x) == eval_oracle(da, x) * eval_oracle(db, x)
-        assert (1 - a).eval_rational(s=x) == 1 - eval_oracle(da, x)
-        assert (a ** 3).eval_rational(s=x) == eval_oracle(da, x) ** 3
+        assert eval_rational((a + b), s=x) == eval_oracle(da, x) + eval_oracle(db, x)
+        assert eval_rational((a - b), s=x) == eval_oracle(da, x) - eval_oracle(db, x)
+        assert eval_rational((a * b), s=x) == eval_oracle(da, x) * eval_oracle(db, x)
+        assert eval_rational((1 - a), s=x) == 1 - eval_oracle(da, x)
+        assert eval_rational((a ** 3), s=x) == eval_oracle(da, x) ** 3
         if eval_oracle(db, x):
-            assert (a / b).eval_rational(s=x) == eval_oracle(da, x) / eval_oracle(db, x)
+            assert eval_rational((a / b), s=x) == eval_oracle(da, x) / eval_oracle(db, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -68,21 +80,174 @@ def test_text_round_trip(da):
     assert parse_scalar(str(a)) == a
 
 
+# -- packed keys against the tuple-key oracle ------------------------------------
+
+L = _LIMIT
+EDGE = (L - 1, -L)  # the last exponents inside the box
+SMALL = list(range(-6, 7))
+EXP = st.sampled_from(SMALL + list(EDGE))
+nonzero = coeff.filter(bool)
+
+
+@st.composite
+def raw_pair(draw):
+    """Two operands, each a numerator keyed by exponent tuples over a
+    denominator in s (None for 1).  A numerator is multivariate in s, u, v, w,
+    or a spectral monomial times a Laurent polynomial in s, which is a unit.
+    Spectral exponents range over small values and the box edges.  The
+    s-exponents of the pair cluster near 0 or near one edge: a gcd in Q[s]
+    costs the spread of its exponents, not their size.  A few exponents sit
+    just past the edge."""
+    s_at = draw(st.sampled_from((0, 0, L - 5, -L + 5)))
+    den_at = draw(st.sampled_from((0, 0, L - 4, -L)))
+    s_exp = st.sampled_from(SMALL).map(lambda e: s_at + e)
+
+    def operand():
+        if draw(st.booleans()):
+            spec = draw(st.tuples(EXP, EXP, EXP))
+            num = {(draw(s_exp), *spec): draw(nonzero) for _ in range(draw(st.integers(1, 3)))}
+        else:
+            num = draw(st.dictionaries(st.tuples(s_exp, EXP, EXP, EXP), nonzero, max_size=3))
+        den = draw(st.none() | st.dictionaries(st.integers(den_at, den_at + 3), nonzero,
+                                               min_size=1, max_size=3))
+        if num and draw(st.integers(0, 7)) == 0:
+            # a spectral one: s-exponents pass the edge from s_at = +-(L - 5)
+            key, c = num.popitem()
+            i = draw(st.integers(1, 3))
+            num[key[:i] + (draw(st.sampled_from((L, -L - 1))),) + key[i + 1:]] = c
+        return num, den
+
+    return operand(), operand()
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the ArithmeticError it raised."""
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def o_pow(a: Oracle, k: int) -> Oracle:
+    """a ** k by the square-and-multiply of Scalar.__pow__, each product in
+    the box."""
+    if k < 0:
+        return o_pow(boxed(a.inv()), -k)
+    out, base = Oracle({ZKEY: 1}), a
+    while k:
+        if k & 1:
+            out = boxed(out * base)
+        k >>= 1
+        if k:
+            base = boxed(base * base)
+    return out
+
+
+def assert_matches(got, want):
+    """A Scalar (or raised error type) equal to the oracle's result."""
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    assert decoded(got) == want.num and got.den == want.den
+    for c in [*got.num.values(), *got.den.values()]:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    assert str(got) == str(want)
+    assert parse_scalar(str(got)) == got
+    r = want.rational()
+    if r is not None:
+        assert got == r and hash(got) == hash(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pair())
+def test_packed_keys_match_the_tuple_key_oracle(pair):
+    def build(raw):
+        num, den = raw
+        if any(not -L <= e < L for k in num for e in k):
+            raise OverflowError("input outside the box")
+        return boxed(Oracle(num, den))
+
+    values = []
+    for raw in pair:
+        want = outcome(build, raw)
+        got = outcome(from_tuples, *raw)
+        assert_matches(got, want)
+        if outcome(lambda: boxed(Oracle(*raw))) is OverflowError:
+            # the text of a value past the edge does not parse
+            with pytest.raises(ValueError):
+                parse_scalar(str(Oracle(*raw)))
+        values.append((got, want))
+    (a, oa), (b, ob) = values
+    if isinstance(oa, type) or isinstance(ob, type):
+        return
+    cases = [
+        (lambda: a + b, lambda: boxed(oa + ob)),
+        (lambda: a - b, lambda: boxed(oa + -ob)),
+        (lambda: -a, lambda: -oa),
+        (lambda: a * b, lambda: boxed(oa * ob)),
+        (lambda: b * a, lambda: boxed(ob * oa)),
+        (lambda: a.inv(), lambda: boxed(oa.inv())),
+        (lambda: a / b, lambda: boxed(oa * boxed(ob.inv()))),
+        (lambda: a ** 3, lambda: o_pow(oa, 3)),
+        (lambda: b ** -2, lambda: o_pow(ob, -2)),
+    ]
+    for got, want in cases:
+        assert_matches(outcome(got), outcome(want))
+    if outcome(lambda: boxed(oa * ob)) is OverflowError:
+        with pytest.raises(ValueError):
+            parse_scalar(str(oa * ob))
+    same = oa.num == ob.num and oa.den == ob.den
+    assert (a == b) == same and (a != b) == (not same)
+    if same:
+        assert hash(a) == hash(b)
+    if not isinstance(outcome(lambda: a * b), type):
+        assert hash(a * b) == hash(b * a)
+
+
+def test_box_edges():
+    for e in EDGE:
+        x = Scalar.s_power(e)
+        assert decoded(x) == {(e, 0, 0, 0): 1} and parse_scalar(str(x)) == x
+        for name in "uvw":
+            assert parse_scalar(f"{name}^{e}") == Scalar.var_power(name, e)
+    for e in (L, -L - 1):
+        for make in (Scalar.s_power, lambda k: Scalar.var_power("w", k)):
+            with pytest.raises(OverflowError):
+                make(e)
+    s, u = Scalar.s_power(1), Scalar.var_power("u", 1)
+    # a power squares its base no further than it needs
+    assert u.inv() ** L == Scalar.var_power("u", -L)
+    half = Scalar.var_power("u", -(L // 2))
+    for x, y in [(Scalar.s_power(L - 1), s), (half, half / u),
+                 (s / (s + 1), Scalar.s_power(L - 1) / (s + 2))]:
+        with pytest.raises(OverflowError):
+            x * y
+    assert Scalar.s_power(L - 1) * Scalar.s_power(-L) == 1 / s
+    # a denominator of degree L - 1 is inside the box, its square is not
+    d = 1 + Scalar.s_power(L - 1)
+    with pytest.raises(OverflowError):
+        d.inv() * d.inv()
+    for text in (f"s^{L}", f"u^{-L - 1}", "s^99999999", f"(1) / (1 + s^{L})",
+                 f"s^{L - 1} * s", "1/0", "(1) / (0)", "(1) / (u + 1)"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
 def test_integral_coefficients_are_ints():
     def coefficients(x):
-        return list(x.num.values()) + list(x.den.values())
+        return list(decoded(x).values()) + list(x.den.values())
 
     def assert_ints(x):
-        assert all(type(c) is int for c in coefficients(x)), repr(x.num)
+        assert all(type(c) is int for c in coefficients(x)), repr(decoded(x))
 
     s = Scalar.s_power(1)
     a = 3 * s ** 2 - s + 1
     b = s + 2
     for x in [Scalar(4), Scalar.from_rational(Fraction(6, 3)),
-              Scalar({(1, 0, 0, 0): Fraction(4, 2)}),
-              Scalar({(0, 0, 0, 0): Fraction(3)}, {0: Fraction(3), 1: Fraction(3)}),
-              Scalar({(0, 0, 0, 0): Fraction(3, 2)}, {0: Fraction(3, 2), 1: Fraction(3, 2)}),
-              Scalar({(2, 0, 0, 0): Fraction(4, 3)}, {0: Fraction(2, 3)}),
+              from_tuples({(1, 0, 0, 0): Fraction(4, 2)}),
+              from_tuples({(0, 0, 0, 0): Fraction(3)}, {0: Fraction(3), 1: Fraction(3)}),
+              from_tuples({(0, 0, 0, 0): Fraction(3, 2)}, {0: Fraction(3, 2), 1: Fraction(3, 2)}),
+              from_tuples({(2, 0, 0, 0): Fraction(4, 3)}, {0: Fraction(2, 3)}),
               a + b, a * b, a - b, b.inv(), a / b, (2 * b) / 2, (s ** 2 - 1) / (s - 1),
               Fraction(1, 2) * s + Fraction(1, 2) * s, (2 * s) * Fraction(1, 2)]:
         assert_ints(x)
@@ -90,12 +255,12 @@ def test_integral_coefficients_are_ints():
     assert (s ** 2 - 1) / (s - 1) == s + 1
     # a non-integral quotient keeps its Fraction, and only that one
     half = (2 * s + 1) / 2
-    assert half.num == {(1, 0, 0, 0): 1, (0, 0, 0, 0): Fraction(1, 2)}
-    assert type(half.num[(1, 0, 0, 0)]) is int
-    assert type(half.num[(0, 0, 0, 0)]) is Fraction
-    assert parse_scalar(str(half)).num == half.num
-    assert (s / 3).subs(s=3) == 1
-    assert type((s / 3).subs(s=3).num[(0, 0, 0, 0)]) is int
+    assert decoded(half) == {(1, 0, 0, 0): 1, (0, 0, 0, 0): Fraction(1, 2)}
+    assert type(decoded(half)[(1, 0, 0, 0)]) is int
+    assert type(decoded(half)[(0, 0, 0, 0)]) is Fraction
+    assert decoded(parse_scalar(str(half))) == decoded(half)
+    assert subs(s / 3, s=3) == 1
+    assert type(decoded(subs(s / 3, s=3))[(0, 0, 0, 0)]) is int
     # the same normal form in Q(zeta_N)
     for N in (1, 2, 3, 8, 12, 16):
         F = CycloField(N)
@@ -114,11 +279,11 @@ def test_integral_coefficients_are_ints():
 
 
 def test_q_and_beta():
-    assert Scalar.q_power(1) == Scalar.s_power(4)
-    assert Scalar.q_power(Fraction(1, 2)) == Scalar.s_power(2)
+    assert q_power(1) == Scalar.s_power(4)
+    assert q_power(Fraction(1, 2)) == Scalar.s_power(2)
     assert Scalar.beta() == -Scalar.s_power(4) - Scalar.s_power(-4)
     with pytest.raises(ValueError):
-        Scalar.q_power(Fraction(1, 3))
+        q_power(Fraction(1, 3))
 
 
 def test_spectral_variables_commute_and_cancel():
@@ -132,7 +297,7 @@ def test_spectral_variables_commute_and_cancel():
 def test_subs_partial():
     u = Scalar.var_power("u", 1)
     x = Scalar.s_power(4) * u + Scalar.s_power(-4)
-    at = x.subs(u=Fraction(3))
+    at = subs(x, u=Fraction(3))
     assert at == Scalar.s_power(4) * Scalar.from_rational(3) + Scalar.s_power(-4)
 
 

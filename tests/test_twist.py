@@ -24,6 +24,8 @@ from tlcat.twist import (
     verify_twist_naturality_exhaustive,
 )
 
+from scalar_oracle import q_power
+
 
 def test_twist_small_explicit():
     # c_0 = empty identity, c_1 = q^{3/2} 1 (single strand, no crossings)
@@ -105,7 +107,7 @@ def test_gamma_on_standard_modules():
                 continue
             got = eigenvalue_on_standard(twist_element(n), module)
             assert got == gamma_eigenvalue(k)
-            assert got == Scalar.q_power(  # q^{k(k+2)/2}
+            assert got == q_power(  # q^{k(k+2)/2}
                 __import__("fractions").Fraction(k * (k + 2), 2))
     assert verify_gamma_consistency(5).ok
 
