@@ -12,8 +12,14 @@ gluing returns either (diagram, loops) or None.
 
 A diagram is an immutable value (a NamedTuple), so it can key the gluing
 cache and the terms of a Morphism.  Internally it stores a 0-based link
-table; the public pairing view is 1-based to match the text serialization
-{m}x{n}:[(a,b),...].
+table as bytes, whose hash Python caches, with VACANT (255) marking a
+vacancy; so a diagram has at most MAX_NODES (255) boundary nodes, and every
+constructor that packs a link checks that.  The public pairing view is
+1-based to match the text serialization {m}x{n}:[(a,b),...].
+
+Diagram.compose is the gluing cache itself: the lru_cache of the kernel
+_compose_cached, which also checks the interface.  A mismatched pair
+raises on every call and is never stored.
 """
 
 from __future__ import annotations
@@ -33,10 +39,17 @@ __all__ = [
     "DILUTE_END2_NAMES",
     "enumerate_diagrams",
     "KERNEL",
+    "MAX_NODES",
+    "VACANT",
 ]
 
 # the composition kernel in use (pure Python; reported in benchmark output)
 KERNEL = "python"
+
+# the link value of a vacancy; a byte indexes the nodes 0..MAX_NODES-1
+VACANT = 255
+MAX_NODES = 255
+_TOO_MANY = f"a diagram has at most {MAX_NODES} boundary nodes, not {{}}"
 
 
 class InterfaceMismatch(ValueError):
@@ -45,28 +58,38 @@ class InterfaceMismatch(ValueError):
 
 class Diagram(NamedTuple):
     """A planar diagram in Hom(src, dst).  The link table pairs the boundary
-    nodes 0..(dst+src-1): link[i] is the partner of node i, or -1 for a
+    nodes 0..(dst+src-1): link[i] is the partner of node i, or VACANT for a
     vacancy (dilute only)."""
 
     dst: int
     src: int
-    link: tuple
+    link: bytes
     dilute: bool = False
+
+    @staticmethod
+    def from_link(dst: int, src: int, link, dilute: bool = False) -> "Diagram":
+        """The diagram of a 0-based link sequence (VACANT for a vacancy),
+        checked only for at most MAX_NODES nodes."""
+        if len(link) > MAX_NODES:
+            raise ValueError(_TOO_MANY.format(len(link)))
+        return Diagram(dst, src, bytes(link), dilute)
 
     @staticmethod
     def from_pairs(dst: int, src: int, pairs, dilute: bool = False) -> "Diagram":
         total = dst + src
-        link = [-1] * total
+        if total > MAX_NODES:
+            raise ValueError(_TOO_MANY.format(total))
+        link = [VACANT] * total
         for a, b in pairs:
             if not (1 <= a <= total and 1 <= b <= total) or a == b:
                 raise ValueError(f"bad pair ({a},{b}) for {dst}x{src}")
-            if link[a - 1] != -1 or link[b - 1] != -1:
+            if link[a - 1] != VACANT or link[b - 1] != VACANT:
                 raise ValueError(f"node reused in pair ({a},{b})")
             link[a - 1] = b - 1
             link[b - 1] = a - 1
-        if not dilute and -1 in link:
+        if not dilute and VACANT in link:
             raise ValueError("non-dilute diagram must pair every node")
-        d = Diagram(dst, src, tuple(link), dilute)
+        d = Diagram(dst, src, bytes(link), dilute)
         d._check_planar()
         return d
 
@@ -83,32 +106,22 @@ class Diagram(NamedTuple):
         """Sorted 1-based pairs; the canonical key for basis ordering."""
         out = []
         for i, j in enumerate(self.link):
-            if 0 <= i < j:
+            if i < j != VACANT:
                 out.append((i + 1, j + 1))
         return tuple(sorted(out))
 
     def vacancies(self) -> tuple:
-        return tuple(i + 1 for i, j in enumerate(self.link) if j == -1)
+        return tuple(i + 1 for i, j in enumerate(self.link) if j == VACANT)
 
     @property
     def through(self) -> int:
         m = self.dst
-        return sum(1 for i, j in enumerate(self.link) if i < m <= j)
+        return sum(1 for i, j in enumerate(self.link) if i < m <= j != VACANT)
 
     # -- operations -------------------------------------------------------------
 
-    def compose(self, other: "Diagram"):
-        """self after other: glue self's source column onto other's
-        destination.  Returns (diagram, closed loop count), or None when a
-        string end meets a vacancy; a cache hit returns the stored result
-        itself."""
-        if self.src != other.dst:
-            raise InterfaceMismatch(
-                f"cannot compose: src {self.src} != dst {other.dst}"
-            )
-        if self.dilute != other.dilute:
-            raise InterfaceMismatch("cannot mix dilute and ordinary diagrams")
-        return _compose_cached(self, other)
+    # compose(other), self after other, is the gluing cache: it is set to
+    # _compose_cached below the kernel
 
     def tensor(self, other: "Diagram") -> "Diagram":
         """Stack self on top of other."""
@@ -116,19 +129,19 @@ class Diagram(NamedTuple):
             raise InterfaceMismatch("cannot mix dilute and ordinary diagrams")
         m1, n1, m2, n2 = self.dst, self.src, other.dst, other.src
         dst, src = m1 + m2, n1 + n2
-        link = [-1] * (dst + src)
+        link = [VACANT] * (dst + src)
 
         def shift1(i):  # self keeps the top block of both columns
             return i if i < m1 else i + m2 + n2
 
         for i, j in enumerate(self.link):
-            if j >= 0:
+            if j != VACANT:
                 link[shift1(i)] = shift1(j)
         # other sits below on the left, before self on the right
         for i, j in enumerate(other.link):
-            if j >= 0:
+            if j != VACANT:
                 link[i + m1] = j + m1
-        return Diagram(dst, src, tuple(link), self.dilute)
+        return Diagram.from_link(dst, src, link, self.dilute)
 
     def transpose(self) -> "Diagram":
         """Reflect through a vertical axis, swapping source and destination."""
@@ -136,11 +149,11 @@ class Diagram(NamedTuple):
         total = m + n
         # with the numbering running once around the boundary, reflection at
         # the same height is exactly reversal of the numbering
-        link = [-1] * total
+        link = [VACANT] * total
         for i, j in enumerate(self.link):
-            if j >= 0:
+            if j != VACANT:
                 link[total - 1 - i] = total - 1 - j
-        return Diagram(n, m, tuple(link), self.dilute)
+        return Diagram.from_link(n, m, link, self.dilute)
 
     # -- text form ----------------------------------------------------------------
 
@@ -183,27 +196,33 @@ class Diagram(NamedTuple):
 
 @lru_cache(maxsize=1 << 18)
 def _compose_cached(c: Diagram, b: Diagram):
-    """Diagram.compose without its checks: glue c in Hom(mid, kdst) onto b
-    in Hom(nsrc, mid), keyed on the two diagrams.
+    """c after b: glue c's source column onto b's destination, keyed on the
+    two diagrams.  This is Diagram.compose.
+
+    Returns (glued Diagram, closed loop count), or None when a string end
+    meets a vacancy, which kills the whole composite; a cache hit returns
+    the stored result itself.  Raises InterfaceMismatch (never stored) when
+    c's source and b's destination differ or the strand families do.
 
     c's right column runs bottom to top, b's left column top to bottom, so
     middle height r joins c node kdst+r with b node mid-1-r.
-
-    Returns (glued Diagram, loop count), or None when a string end meets a
-    vacancy, which kills the whole composite; the result itself is stored.
     """
+    if c.src != b.dst:
+        raise InterfaceMismatch(f"cannot compose: src {c.src} != dst {b.dst}")
+    if c.dilute != b.dilute:
+        raise InterfaceMismatch("cannot mix dilute and ordinary diagrams")
     kdst, mid, nsrc = c.dst, c.src, b.src
     c_link, b_link = c.link, b.link
     for r in range(mid):
-        if (c_link[kdst + r] >= 0) != (b_link[mid - 1 - r] >= 0):
+        if (c_link[kdst + r] == VACANT) != (b_link[mid - 1 - r] == VACANT):
             return None
 
     total = kdst + nsrc
-    out = [-2] * total
+    out = [-1] * total  # -1: not reached yet
     seen_c = [False] * mid  # middle junctions visited from the boundary
 
     for start in range(total):
-        if out[start] != -2:
+        if out[start] != -1:
             continue
         if start < kdst:
             side, node = 0, start  # side 0 = c, 1 = b
@@ -211,8 +230,8 @@ def _compose_cached(c: Diagram, b: Diagram):
             side, node = 1, mid + (start - kdst)
         while True:
             partner = c_link[node] if side == 0 else b_link[node]
-            if partner < 0:
-                out[start] = -1
+            if partner == VACANT:
+                out[start] = VACANT
                 break
             if side == 0:
                 if partner < kdst:
@@ -234,7 +253,7 @@ def _compose_cached(c: Diagram, b: Diagram):
 
     loops = 0
     for r0 in range(mid):
-        if seen_c[r0] or c_link[kdst + r0] < 0:
+        if seen_c[r0] or c_link[kdst + r0] == VACANT:
             continue
         r = r0
         side = 0
@@ -252,7 +271,10 @@ def _compose_cached(c: Diagram, b: Diagram):
                     break
                 seen_c[r] = True
                 side, node = 0, kdst + r
-    return Diagram(kdst, nsrc, tuple(out), c.dilute), loops
+    return Diagram.from_link(kdst, nsrc, out, c.dilute), loops
+
+
+Diagram.compose = _compose_cached
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +282,17 @@ def _compose_cached(c: Diagram, b: Diagram):
 
 
 def identity_diagram(n: int, dilute: bool = False) -> Diagram:
-    link = tuple(2 * n - 1 - i for i in range(2 * n))
-    return Diagram(n, n, link, dilute)
+    return Diagram.from_link(n, n, range(2 * n - 1, -1, -1), dilute)
 
 
 def cup_diagram() -> Diagram:
     """The (2,0)-diagram z: a single arc on the left column."""
-    return Diagram(2, 0, (1, 0))
+    return Diagram(2, 0, b"\x01\x00")
 
 
 def cap_diagram() -> Diagram:
     """The (0,2)-diagram z^t."""
-    return Diagram(0, 2, (1, 0))
+    return Diagram(0, 2, b"\x01\x00")
 
 
 def e_diagram(i: int, n: int) -> Diagram:
@@ -283,7 +304,7 @@ def e_diagram(i: int, n: int) -> Diagram:
     link[a], link[b] = b, a
     ra, rb = 2 * n - 1 - a, 2 * n - 1 - b
     link[ra], link[rb] = rb, ra
-    return Diagram(n, n, tuple(link))
+    return Diagram.from_link(n, n, link)
 
 
 # The nine diagrams of the dilute End(2).  Left nodes are 1 (top) and
@@ -329,16 +350,21 @@ def _noncrossing_matchings(points: tuple):
 
 def enumerate_diagrams(n: int, m: int, dilute: bool = False) -> list:
     """All planar (m,n)-diagrams in Hom(n,m), deterministically ordered
-    (lexicographic on the sorted pairing list)."""
+    (lexicographic on the sorted pairing list); a new list on every call."""
+    return list(_enumerated(n, m, bool(dilute)))
+
+
+@lru_cache(maxsize=64)
+def _enumerated(n: int, m: int, dilute: bool) -> tuple:
     total = m + n
     out = []
 
     def emit(match):
-        link = [-1] * total
+        link = [VACANT] * total
         for a, b in match:
             link[a] = b
             link[b] = a
-        out.append(Diagram(m, n, tuple(link), dilute))
+        out.append(Diagram(m, n, bytes(link), dilute))
 
     if dilute:
         allpts = tuple(range(total))
@@ -348,8 +374,8 @@ def enumerate_diagrams(n: int, m: int, dilute: bool = False) -> list:
                     emit(match)
     else:
         if total % 2:
-            return []
+            return ()
         for match in _noncrossing_matchings(tuple(range(total))):
             emit(match)
     out.sort(key=Diagram.key)
-    return out
+    return tuple(out)

@@ -5,9 +5,10 @@ A Morphism is a dict Diagram -> coefficient with all diagrams sharing
 by default, or exact specialized values (rationals, cyclotomic numbers).
 Composition extends diagram gluing bilinearly, multiplying in one loop
 weight beta per closed loop; dilute annihilated pairs contribute nothing.
-It distributes each left coefficient: the right terms that glue onto one
-result diagram are summed (each already times its beta power) before the
-left coefficient multiplies that sum once.
+It factors out the coefficients of the operand with fewer terms: for each
+of its terms, the other operand's terms that glue onto one result diagram
+are summed (each already times its beta power) before that coefficient
+multiplies the sum once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import product as _iproduct
 from types import MappingProxyType
 
 from .diagram import (
+    VACANT,
     Diagram,
     InterfaceMismatch,
     cap_diagram,
@@ -204,21 +206,27 @@ class Morphism:
             raise InterfaceMismatch(
                 f"compose: src {self.src} != dst {other.dst}"
             )
-        if self.dilute != other.dilute or self.dom != other.dom:
-            raise InterfaceMismatch("compose: dilute flags or domains differ")
         dom = self.dom
+        if self.dilute != other.dilute or (dom is not other.dom and dom != other.dom):
+            raise InterfaceMismatch("compose: dilute flags or domains differ")
         one = dom.one
+        beta_power = dom.beta_power
+        glue = Diagram.compose
+        # the outer loop runs over the operand with fewer terms
+        left_outer = len(self.terms) <= len(other.terms)
+        outer, inner = (self.terms, other.terms) if left_outer else (other.terms, self.terms)
         out: dict = {}
-        for d1, c1 in self.terms.items():
-            # sum c2 * beta^loops per result diagram, then multiply c1 in once
+        for d1, c1 in outer.items():
+            # sum c2 * beta^loops per result diagram, then multiply the
+            # outer coefficient c1 in once
             groups: dict = {}
-            for d2, c2 in other.terms.items():
-                glued = d1.compose(d2)
+            for d2, c2 in inner.items():
+                glued = glue(d1, d2) if left_outer else glue(d2, d1)
                 if glued is None:
                     continue
                 d, loops = glued
                 if loops:
-                    b = dom.beta_power(loops)
+                    b = beta_power(loops)
                     c2 = b if c2 is one else c2 * b
                 g = groups.get(d)
                 groups[d] = c2 if g is None else g + c2
@@ -305,13 +313,22 @@ class Morphism:
 def cached_morphism(maxsize: int):
     """Memoise a builder of structural morphisms in a bounded LRU cache.
 
-    The key is the call's bound arguments with defaults applied, so the
-    keyword and positional forms of one call share an entry; every argument
-    must be hashable and immutable.  A cached morphism's terms are made
+    The key is the call's full argument tuple, in parameter order with
+    defaults filled in, so the keyword and positional forms of one call
+    share an entry; every argument must be hashable and immutable.  The
+    parameter names and defaults are read once, here, so a call binds its
+    arguments without inspect.  A cached morphism's terms are made
     read-only, because every caller receives the same object."""
 
     def decorate(build):
-        signature = inspect.signature(build)
+        params = inspect.signature(build).parameters.values()
+        if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params):
+            raise TypeError(f"{build.__name__}: only plain parameters can key a cache")
+        names = tuple(p.name for p in params)
+        defaults = tuple(p.default for p in params)
+        index = {name: i for i, name in enumerate(names)}
+        nparams = len(names)
+        empty = inspect.Parameter.empty
 
         @functools.lru_cache(maxsize=maxsize)
         def cached(*key):
@@ -321,9 +338,26 @@ def cached_morphism(maxsize: int):
 
         @functools.wraps(build)
         def builder(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            return cached(*bound.arguments.values())
+            if kwargs or len(args) != nparams:
+                if len(args) > nparams:
+                    raise TypeError(f"{build.__name__}() takes {nparams} arguments, "
+                                    f"{len(args)} given")
+                key = list(args) + list(defaults[len(args):])
+                for name, value in kwargs.items():
+                    i = index.get(name)
+                    if i is None:
+                        raise TypeError(f"{build.__name__}() got an unexpected "
+                                        f"keyword argument {name!r}")
+                    if i < len(args):
+                        raise TypeError(f"{build.__name__}() got multiple values "
+                                        f"for argument {name!r}")
+                    key[i] = value
+                missing = [n for n, v in zip(names, key) if v is empty]
+                if missing:
+                    raise TypeError(f"{build.__name__}() missing arguments: "
+                                    + ", ".join(missing))
+                args = key
+            return cached(*args)
 
         builder.cache_info = cached.cache_info
         return builder
@@ -434,8 +468,7 @@ def zt() -> Morphism:
 
 def big_cup(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """Nested cups in Hom(0,2m): node i arcs to node 2m+1-i."""
-    link = tuple(2 * m - 1 - i for i in range(2 * m))
-    return Morphism.from_diagram(Diagram(2 * m, 0, link), dom)
+    return Morphism.from_diagram(Diagram.from_link(2 * m, 0, range(2 * m - 1, -1, -1)), dom)
 
 
 def big_cap(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
@@ -446,12 +479,12 @@ def dilute_identity(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """The dilute unit: sum over all occupation patterns of parallel strands."""
     terms = {}
     for mask in range(1 << n):
-        link = [-1] * (2 * n)
+        link = [VACANT] * (2 * n)
         for i in range(n):
             if mask >> i & 1:
                 link[i] = 2 * n - 1 - i
                 link[2 * n - 1 - i] = i
-        terms[Diagram(n, n, tuple(link), True)] = dom.one
+        terms[Diagram.from_link(n, n, link, True)] = dom.one
     return Morphism(n, n, terms, True, dom, _clean=True)
 
 

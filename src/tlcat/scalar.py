@@ -142,7 +142,11 @@ def _u_divmod(a: dict, b: dict) -> tuple[dict, dict]:
 
 
 def _u_gcd(a: dict, b: dict) -> dict:
-    """Monic gcd in Q[s]."""
+    """Monic gcd in Q[s].  A coprime pair, the common case, is settled modulo
+    a prime: exact long division of a far above b builds coefficients of
+    about deg a bits."""
+    if _p_coprime(a, b):
+        return dict(_DEN1)
     a, b = dict(a), dict(b)
     while b:
         _, r = _u_divmod(a, b)
@@ -153,6 +157,51 @@ def _u_gcd(a: dict, b: dict) -> dict:
     if lc != 1:
         a = {e: _div(c, lc) for e, c in a.items()}
     return a
+
+
+# ---------------------------------------------------------------------------
+# coprimality modulo the prime _P, with word-sized coefficients
+
+_P = (1 << 61) - 1
+
+
+def _p_poly(a: dict) -> dict | None:
+    """a over Z/_P, or None when a is 0 or _P divides a denominator or the
+    leading coefficient; otherwise a common factor over Q keeps its degree
+    mod _P."""
+    out = {}
+    for e, c in a.items():
+        if not c.denominator % _P:
+            return None
+        c = c.numerator * pow(c.denominator, -1, _P) % _P
+        if c:
+            out[e] = c
+    return out if out and max(out) == max(a) else None
+
+
+def _p_coprime(a: dict, b: dict) -> bool:
+    """True when a and b have no common factor modulo _P, and so none over Q.
+    False decides nothing."""
+    a, b = _p_poly(a), _p_poly(b)
+    if a is None or b is None:
+        return False
+    while b:
+        db = max(b)
+        inv = pow(b[db], -1, _P)
+        while a:
+            da = max(a)
+            if da < db:
+                break
+            f = a[da] * inv % _P
+            for eb, cb in b.items():
+                e = da - db + eb
+                c = (a.get(e, 0) - f * cb) % _P
+                if c:
+                    a[e] = c
+                else:
+                    a.pop(e, None)
+        a, b = b, a
+    return max(a) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,6 +54,11 @@ def test_usage_errors(capsys, tmp_path):
     # an eigenvalue whose exponent leaves the box
     code, out, err = run(capsys, "eigen", "--module", "200", "200")
     assert code == 2 and not out and err.startswith("error:")
+    # a diagram with more boundary nodes than a byte link can index
+    for obj in ("200x100d:[]", "1<-255 : [1] * 1x255d:[]"):
+        code, out, err = run(capsys, "render", obj)
+        assert code == 2 and not out and err.startswith("error:")
+        assert "at most 255 boundary nodes" in err
 
 
 def test_verify_writes_report_and_passes(capsys, tmp_path):
@@ -88,6 +95,22 @@ def test_verify_fusion_does_not_depend_on_seed(capsys, tmp_path):
         assert text.count(f'"seed": {seed},') == 1
         reports.append(text.replace(f'"seed": {seed},', '"seed": SEED,').encode())
     assert reports[0] == reports[1]
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # diagrams hash their bytes link, whose hash is salted per process; no
+    # report byte may follow that order
+    path = [os.path.dirname(os.path.dirname(cli.__file__))]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    for argv in (("braid", "--max-n", "3"), ("fusion", "--max-n", "2", "--spec", "root:3")):
+        reports = []
+        for hashseed in ("0", "1"):
+            out = tmp_path / f"{argv[0]}-{hashseed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=os.pathsep.join(path))
+            subprocess.run([sys.executable, "-m", "tlcat.cli", "verify", *argv,
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 # sha256 of `tlcat verify SUITE --max-n 3 --seed 0`: refactors must keep

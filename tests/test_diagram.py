@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from tlcat.diagram import (
+    MAX_NODES,
     Diagram,
     InterfaceMismatch,
     _compose_cached,
@@ -80,6 +81,14 @@ def test_dilute_counts_are_motzkin():
             assert got == brute_force_count(n, m, dilute=True)
 
 
+def test_enumeration_is_cached_but_returns_a_new_list():
+    first = enumerate_diagrams(3, 3)
+    first.clear()
+    again = enumerate_diagrams(3, 3)
+    assert again is not first and len(again) == catalan(3)
+    assert enumerate_diagrams(n=3, m=3, dilute=False) == again
+
+
 def test_parity_empty_hom():
     assert enumerate_diagrams(2, 3) == []
     assert enumerate_diagrams(0, 1) == []
@@ -116,6 +125,57 @@ def test_diagram_is_an_immutable_value(field):
 def test_interface_mismatch():
     with pytest.raises(InterfaceMismatch):
         identity_diagram(2).compose(identity_diagram(3))
+
+
+def test_gluing_errors_raise_through_the_cache_and_are_never_stored():
+    # Diagram.compose is the cache itself, and its kernel checks the pair
+    assert Diagram.compose is _compose_cached
+    size = _compose_cached.cache_info().currsize
+    pairs = (
+        (identity_diagram(2), identity_diagram(3)),
+        (identity_diagram(2), identity_diagram(2, dilute=True)),
+        (identity_diagram(2, dilute=True), identity_diagram(2)),
+    )
+    for c, b in pairs:
+        for _ in range(2):
+            with pytest.raises(InterfaceMismatch):
+                c.compose(b)
+    assert _compose_cached.cache_info().currsize == size
+
+
+def _nested(dst, src):
+    """Nested arcs, node i to node total-1-i, built by the unchecked
+    NamedTuple constructor with a tuple link, so past the byte limit."""
+    total = dst + src
+    return Diagram(dst, src, tuple(range(total - 1, -1, -1)))
+
+
+def test_link_is_bytes_and_has_a_node_limit():
+    d = Diagram.from_pairs(2, 2, [(1, 4)], dilute=True)
+    assert d.link == bytes([3, 255, 255, 0]) and d.vacancies() == (2, 3)
+    assert d.pairs() == ((1, 4),) and d.through == 1
+    assert MAX_NODES == 255
+    # the limit itself is fine, one node past it is not
+    assert len(Diagram.from_pairs(255, 0, [], dilute=True).link) == 255
+    edge = identity_diagram(127, dilute=True).tensor(Diagram.from_pairs(1, 0, [], dilute=True))
+    assert (edge.dst, edge.src) == (128, 127)
+    big_cups = Diagram.from_link(200, 0, range(199, -1, -1))
+    big_caps = big_cups.transpose()
+    over = (
+        lambda: Diagram.from_pairs(256, 0, [], dilute=True),
+        lambda: Diagram.from_text("128x128:[]"),
+        lambda: Diagram.from_link(256, 0, [255] * 256),
+        lambda: identity_diagram(128),
+        lambda: identity_diagram(127).tensor(identity_diagram(1)),
+        lambda: _nested(200, 100).transpose(),
+        lambda: big_cups.compose(big_caps),
+    )
+    size = _compose_cached.cache_info().currsize
+    for build in over:
+        with pytest.raises(ValueError, match="at most 255 boundary nodes"):
+            build()
+    assert _compose_cached.cache_info().currsize == size
+    assert big_caps.compose(big_cups) == (Diagram(0, 0, b""), 100)
 
 
 def test_composition_associative():

@@ -1,14 +1,24 @@
 """Morphism algebra details not covered by the relation suites."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlcat import braid, twist
-from tlcat.diagram import Diagram, e_diagram, enumerate_diagrams, identity_diagram
+from tlcat.diagram import (
+    Diagram,
+    _compose_cached,
+    e_diagram,
+    enumerate_diagrams,
+    identity_diagram,
+)
 from tlcat.integrable import transfer_matrix
 from tlcat.morphism import (
+    GENERIC,
     CoeffDomain,
     Morphism,
     dilute_eta11,
@@ -140,6 +150,57 @@ def test_compose_matches_the_bilinear_sum(spec):
     assert prod.terms == {one2: dom.s_power(-1) * dom.beta, e1: -dom.s_power(-1)}
 
 
+def _pairwise_oracle(f, g):
+    """f after g as the sum of c1 * c2 * beta^loops over every pair of
+    terms, glued by the uncached kernel."""
+    glue = _compose_cached.__wrapped__
+    dom = f.dom
+    out = {}
+    for d1, c1 in f.terms.items():
+        for d2, c2 in g.terms.items():
+            glued = glue(d1, d2)
+            if glued is None:
+                continue
+            d, loops = glued
+            c = c1 * c2
+            for _ in range(loops):
+                c = c * dom.beta
+            out[d] = out.get(d, dom.zero) + c
+    return Morphism(f.dst, g.src, out, f.dilute, dom)
+
+
+# (dst, mid, src): loops and, on dilute strands, annihilation, with up to
+# 14 diagrams on a side
+_SHAPES = {False: ((3, 3, 3), (2, 4, 2), (4, 4, 4), (6, 2, 6)),
+           True: ((2, 2, 2), (1, 3, 1), (3, 1, 3), (2, 2, 0))}
+
+
+@st.composite
+def _operand(draw, dst, src, dilute, dom):
+    pool = enumerate_diagrams(src, dst, dilute)
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    terms = {}
+    for d in picks:
+        k = draw(st.sampled_from((1, -1, 2, 3)))
+        e = draw(st.integers(-4, 4))
+        terms[d] = dom.one if (k, e) == (1, 0) else dom.s_power(e) * k
+    return Morphism(dst, src, terms, dilute, dom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(("generic", "rational:5/3", "root:3")), st.booleans())
+def test_compose_matches_the_pairwise_oracle(data, spec, dilute):
+    # 1-6 terms a side in either size order, so both operands take turns
+    # being the side whose coefficients are factored out
+    dom = domain_for(Specialization.parse(spec))
+    dst, mid, src = data.draw(st.sampled_from(_SHAPES[dilute]))
+    f = data.draw(_operand(dst, mid, dilute, dom))
+    g = data.draw(_operand(mid, src, dilute, dom))
+    prod = f.compose(g)
+    assert prod == _pairwise_oracle(f, g)
+    assert all(prod.terms.values())
+
+
 def test_transfer_product_multiplies_each_left_coefficient_once_per_result(monkeypatch):
     du = transfer_matrix(4, "ordinary", "u")
     dv = transfer_matrix(4, "ordinary", "v")
@@ -221,3 +282,32 @@ def test_structural_morphism_cache(name):
     with pytest.raises(TypeError):
         del m.terms[d]
     assert positional(builder) is m
+
+
+def test_cached_builder_binds_without_inspect():
+    before = braid.commutor.cache_info()
+    forms = (
+        braid.commutor(2, 3),
+        braid.commutor(2, 3, "left-nested"),
+        braid.commutor(r=2, s=3, dom=GENERIC),
+        braid.commutor(2, 3, dilute=False),
+    )
+    assert all(m is forms[0] for m in forms)
+    after = braid.commutor.cache_info()
+    # one entry for all four forms: at most one miss, the rest hits
+    assert after.misses - before.misses <= 1
+    assert after.currsize - before.currsize == after.misses - before.misses
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 4
+    for call in (
+        lambda: braid.commutor(2),
+        lambda: braid.commutor(s=3),
+        lambda: braid.commutor(2, 3, bogus=1),
+        lambda: braid.commutor(2, 3, r=2),
+        lambda: braid.commutor(2, 3, "left-nested", GENERIC, False, None),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert braid.commutor.cache_info().currsize == after.currsize
+    # perfbench's tracer reads the builder's signature through functools.wraps
+    assert list(inspect.signature(braid.commutor).parameters) == [
+        "r", "s", "form", "dom", "dilute"]

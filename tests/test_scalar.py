@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: Laurent polynomials in s with spectral
 variables, rational/cyclotomic specializations."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,9 @@ from tlcat.scalar import (
     NotInvertibleInRing,
     Scalar,
     Specialization,
+    _u_divmod,
+    _u_gcd,
+    _u_mul,
     parse_scalar,
 )
 
@@ -95,9 +99,9 @@ def raw_pair(draw):
     denominator in s (None for 1).  A numerator is multivariate in s, u, v, w,
     or a spectral monomial times a Laurent polynomial in s, which is a unit.
     Spectral exponents range over small values and the box edges.  The
-    s-exponents of the pair cluster near 0 or near one edge: a gcd in Q[s]
-    costs the spread of its exponents, not their size.  A few exponents sit
-    just past the edge."""
+    s-exponents of each operand cluster near 0 or near one edge; shifting a
+    denominator's lowest exponent to 0 can move its numerator across the box.
+    A few exponents sit just past the edge."""
     s_at = draw(st.sampled_from((0, 0, L - 5, -L + 5)))
     den_at = draw(st.sampled_from((0, 0, L - 4, -L)))
     s_exp = st.sampled_from(SMALL).map(lambda e: s_at + e)
@@ -231,6 +235,50 @@ def test_box_edges():
                  f"s^{L - 1} * s", "1/0", "(1) / (0)", "(1) / (u + 1)"):
         with pytest.raises(ValueError):
             parse_scalar(text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(0, 2), nonzero, min_size=1, max_size=3),
+       st.dictionaries(st.integers(0, 300), nonzero, min_size=1, max_size=3),
+       st.dictionaries(st.integers(0, 3), nonzero, min_size=1, max_size=4))
+def test_gcd_matches_euclid_by_long_division(f, x, y):
+    # a common factor f (coprime pairs when f is constant), a sparse
+    # cofactor far above a small one
+    def euclid(a, b):
+        while b:
+            a, b = b, _u_divmod(a, b)[1]
+        lc = a[max(a)]
+        return {e: c / lc for e, c in a.items()}
+
+    a, b = _u_mul(f, x), _u_mul(f, y)
+    assert _u_gcd(a, b) == _u_gcd(b, a) == euclid(a, b)
+
+
+def test_gcd_when_the_prime_divides_a_coefficient():
+    # mod _P the leading s^2 terms of these vanish, or a denominator does
+    # not exist, yet over Q they share the factor s + 1/_P
+    p = (1 << 61) - 1
+    for f in ({1: p, 0: 1}, {1: 1, 0: Fraction(1, p)}):
+        a, b = _u_mul(f, {1: 1, 0: 1}), _u_mul(f, {1: 1, 0: 2})
+        assert _u_gcd(a, b) == _u_gcd(b, a) == {1: 1, 0: Fraction(1, p)}
+
+
+def test_wide_spread_gcd_is_cheap():
+    # a sum whose s-exponents span the box: exact long division of the
+    # numerator by the cubic denominator took one step per degree, with
+    # growing coefficients (34 s); the pair is coprime, which the division
+    # mod _P shows with word-sized coefficients
+    den = {-L: Fraction(3, 7), -L + 1: 2, -L + 3: Fraction(5, 3)}
+    a = from_tuples({(-L + 5, 0, 0, 0): 1}, den)
+    b = Scalar.s_power(-L + 5)
+    start = time.process_time()
+    total = a + b
+    assert time.process_time() - start < 10
+    assert total.den == {0: Fraction(9, 35), 1: Fraction(6, 5), 3: 1}
+    x = Fraction(2)
+    want = x ** 5 / sum(c * x ** (e + L) for e, c in den.items()) + x ** (5 - L)
+    assert eval_rational(total, s=x) == want
+    assert total - b == a
 
 
 def test_integral_coefficients_are_ints():
