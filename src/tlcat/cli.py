@@ -4,12 +4,17 @@ diagram rendering, and machine-readable JSON reports.
 Exit codes: 0 every check passed, 1 at least one mathematical check
 failed, 2 usage error.  Reports are always written, even on failure, and
 are byte-stable for a fixed seed.
+
+Text forms: `render` reads what tlcat prints, a diagram
+{m}x{n}[d]:[(a,b),...] or a linear combination
+{m}<-{n}[d] : [c] * diagram + ... whose coefficients are scalar text
+(tlcat.scalar), with spaces between tokens but never inside a number.
+Malformed text exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -29,26 +34,22 @@ from .fusion import (
 from .integrable import verify_integrable_suite
 from .morphism import GENERIC, domain_for
 from .render import parse_renderable, render_ascii, render_svg
-from .report import SCHEMA_VERSION, VerificationReport
+from .report import SCHEMA_VERSION, VerificationReport, json_text
 from .scalar import Specialization
 from .standard import StandardModule, standard_dimension, verify_rigidity
 from .twist import det_t1_closed_form, gamma_eigenvalue, gamma_exponent, verify_twist_suite
 
 __all__ = ["main"]
 
-SUITES = ("braid", "twist", "repr", "fusion", "integrable", "dilute", "all")
-# the suites that compute at --spec; the others always compute generically
-SPEC_SUITES = ("repr", "fusion")
 
-
-def _repr_suite(max_n: int, spec: Specialization) -> VerificationReport:
+def _repr_suite(max_n: int, spec: Specialization, seed: int) -> VerificationReport:
     rep = VerificationReport("repr")
     for m in range(1, min(max_n, 5) + 1):
         rep.extend(verify_rigidity(m, domain_for(spec)))
     return rep
 
 
-def _dilute_suite(max_n: int, seed: int) -> VerificationReport:
+def _dilute_suite(max_n: int, spec: Specialization, seed: int) -> VerificationReport:
     rep = VerificationReport("dilute")
     rep.extend(verify_dilute_braiding(min(max_n, 4), seed=seed))
     rep.extend(verify_integrable_suite("dilute-braid", max_n))
@@ -56,24 +57,22 @@ def _dilute_suite(max_n: int, seed: int) -> VerificationReport:
     return rep
 
 
-def _run_suite(name: str, max_n: int, spec_text: str, seed: int) -> dict:
+# each suite: its runner (max_n, spec, seed) -> VerificationReport, and
+# whether it computes at --spec; the others always compute generically
+SUITES = {
+    "braid": (lambda n, spec, seed: verify_braid_suite(min(n, 6), seed=seed), False),
+    "twist": (lambda n, spec, seed: verify_twist_suite(min(n, 6)), False),
+    "repr": (_repr_suite, True),
+    "fusion": (lambda n, spec, seed: verify_fusion_suite(min(n + 2, 6), spec), True),
+    "integrable": (lambda n, spec, seed: verify_integrable_suite("ordinary", n), False),
+    "dilute": (_dilute_suite, False),
+}
+SPEC_SUITES = tuple(name for name, (_, at_spec) in SUITES.items() if at_spec)
+
+
+def _run_suite(name: str, max_n: int, spec: Specialization, seed: int) -> dict:
     """Run one named suite and return its JSON report."""
-    spec = Specialization.parse(spec_text)
-    if name == "braid":
-        rep = verify_braid_suite(max_total=min(max_n, 6), seed=seed)
-    elif name == "twist":
-        rep = verify_twist_suite(max_n=min(max_n, 6))
-    elif name == "repr":
-        rep = _repr_suite(max_n, spec)
-    elif name == "fusion":
-        rep = verify_fusion_suite(max_total=min(max_n + 2, 6), spec=spec)
-    elif name == "integrable":
-        rep = verify_integrable_suite("ordinary", max_n)
-    elif name == "dilute":
-        rep = _dilute_suite(max_n, seed)
-    else:
-        raise ValueError(f"unknown suite {name!r}")
-    return rep.to_json()
+    return SUITES[name][0](max_n, spec, seed).to_json()
 
 
 def _default_out(filename: str) -> str:
@@ -81,32 +80,33 @@ def _default_out(filename: str) -> str:
     return os.path.join(root, filename)
 
 
-def _write_json(path: str, payload: dict):
+def _write(path: str, text: str):
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=str))
-        fh.write("\n")
+        fh.write(text)
+
+
+def _error(message, code: int = 2) -> int:
+    """Say what went wrong on stderr and return the exit code, by default
+    that of a usage error."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _cmd_verify(args) -> int:
     if args.max_n < 1:
-        print("error: --max-n must be at least 1", file=sys.stderr)
-        return 2
+        return _error("--max-n must be at least 1")
     try:
         spec = Specialization.parse(args.spec)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    names = [s for s in SUITES[:-1]] if args.suite == "all" else [args.suite]
+        return _error(exc)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     if spec.kind != "generic" and any(n not in SPEC_SUITES for n in names):
-        print(f"error: suite {args.suite!r} computes generically and ignores "
-              f"--spec {args.spec}; only {' and '.join(SPEC_SUITES)} honour a spec",
-              file=sys.stderr)
-        return 2
-    results = [_run_suite(name, args.max_n, args.spec, args.seed)
-               for name in names]
+        return _error(f"suite {args.suite!r} computes generically and ignores --spec "
+                      f"{args.spec}; only {' and '.join(SPEC_SUITES)} honour a spec")
+    results = [_run_suite(name, args.max_n, spec, args.seed) for name in names]
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
@@ -123,7 +123,7 @@ def _cmd_verify(args) -> int:
     }
     payload["summary"]["ok"] = payload["summary"]["fail"] == 0
     out = args.out or _default_out(f"verify-{args.suite}.json")
-    _write_json(out, payload)
+    _write(out, json_text(payload) + "\n")
     for r in results:
         mark = "PASS" if r["summary"]["fail"] == 0 else "FAIL"
         print(f"[{mark}] {r['suite']}: {r['summary']['pass']}/"
@@ -185,40 +185,34 @@ def _fusion_table(n1: int, k1: int, n2: int, k2: int,
 def _cmd_fusion_table(args) -> int:
     try:
         spec = Specialization.parse(args.spec)
+        for n, k in ((args.n1, args.k1), (args.n2, args.k2)):
+            standard_dimension(n, k)  # checks the label
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if (args.n1 - args.k1) % 2 or (args.n2 - args.k2) % 2 \
-            or not 0 <= args.k1 <= args.n1 or not 0 <= args.k2 <= args.n2:
-        print("error: each k must satisfy 0 <= k <= n with n - k even",
-              file=sys.stderr)
-        return 2
+        return _error(exc)
     try:
         table = _fusion_table(args.n1, args.k1, args.n2, args.k2, spec)
     except AmbiguousEigenvalue as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = json.dumps(table, indent=2, sort_keys=True, default=str)
+        return _error(exc, 1)
+    text = json_text(table) + "\n"
     if args.out:
-        _write_json(args.out, table)
+        _write(args.out, text)
         print(f"table written to {args.out}")
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 
 def _cmd_eigen(args) -> int:
     n, k = args.module
-    if not 0 <= k <= n or (n - k) % 2:
-        print("error: need 0 <= k <= n with n - k even", file=sys.stderr)
-        return 2
-    dim = standard_dimension(n, k)
+    try:
+        dim = standard_dimension(n, k)
+    except ValueError as exc:
+        return _error(exc)
     s_exponent = gamma_exponent(k)
     try:
         gamma, det_t1 = gamma_eigenvalue(k), det_t1_closed_form(n, k)
     except OverflowError as exc:
-        print(f"error: module too large: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"module too large: {exc}")
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "eigen",
@@ -234,23 +228,18 @@ def _cmd_eigen(args) -> int:
             "form": "q^(dim/2) * (-q^-2)^(dim of the (n-2,k) module)",
         },
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload))
     return 0
 
 
 def _cmd_render(args) -> int:
     try:
         obj = parse_renderable(args.object)
-    except (ValueError, IndexError) as exc:
-        print(f"error: cannot parse {args.object!r}: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        return _error(f"cannot parse {args.object!r}: {exc}")
     text = render_svg(obj) if args.format == "svg" else render_ascii(obj) + "\n"
     if args.out:
-        directory = os.path.dirname(args.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"rendered to {args.out}")
     else:
         sys.stdout.write(text)
@@ -266,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--max-n", type=int, default=4,
                    help="size bound for exhaustive checks (default 4)")
     p.add_argument("--spec", default="generic",

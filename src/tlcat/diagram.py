@@ -24,6 +24,7 @@ raises on every call and is never stored.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -50,6 +51,14 @@ KERNEL = "python"
 VACANT = 255
 MAX_NODES = 255
 _TOO_MANY = f"a diagram has at most {MAX_NODES} boundary nodes, not {{}}"
+
+
+# the text form {m}x{n}[d]:[(a,b),...], with spaces between tokens; re
+# compiles each pattern on first use
+_PAIR_TEXT = r"\(\s*\d+\s*,\s*\d+\s*\)"
+_PAIRS_TEXT = rf"(?:{_PAIR_TEXT}(?:\s*,\s*{_PAIR_TEXT})*)?"
+_TEXT = rf"\s*(\d+)\s*x\s*(\d+)\s*(d?)\s*:\s*\[\s*({_PAIRS_TEXT})\s*\]\s*"
+_PAIR = r"(\d+)\s*,\s*(\d+)"
 
 
 class InterfaceMismatch(ValueError):
@@ -164,22 +173,14 @@ class Diagram(NamedTuple):
 
     @staticmethod
     def from_text(text: str) -> "Diagram":
-        head, _, body = text.strip().partition(":")
-        dilute = head.endswith("d")
-        if dilute:
-            head = head[:-1]
-        m, _, n = head.partition("x")
-        body = body.strip()
-        if not (body.startswith("[") and body.endswith("]")):
+        """Inverse of to_text: {m}x{n}[d]:[(a,b),...], with spaces between
+        tokens but never inside a number; from_pairs checks the pairing."""
+        match = re.fullmatch(_TEXT, text)
+        if not match:
             raise ValueError(f"bad diagram text {text!r}")
-        pairs = []
-        inner = body[1:-1].replace(" ", "")
-        if inner:
-            for chunk in inner.split("),("):
-                chunk = chunk.strip("()")
-                a, _, b = chunk.partition(",")
-                pairs.append((int(a), int(b)))
-        return Diagram.from_pairs(int(m), int(n), pairs, dilute)
+        m, n, dilute, body = match.groups()
+        pairs = [(int(a), int(b)) for a, b in re.findall(_PAIR, body)]
+        return Diagram.from_pairs(int(m), int(n), pairs, dilute == "d")
 
     # -- plumbing ------------------------------------------------------------------
 

@@ -365,32 +365,31 @@ def cached_morphism(maxsize: int):
     return decorate
 
 
+# the text form of to_text: {m}<-{n}[d] : 0 or {m}<-{n}[d] : [c] * diagram + ...
+_TEXT = r"(?s)\s*(\d+)\s*<-\s*(\d+)\s*(d?)\s*:\s*(.*?)\s*"
+_TERM = r"(?s)\[([^\[\]]*)\]\s*\*\s*(.*)"
+
+
 def parse_morphism(text: str) -> Morphism:
-    """Inverse of to_text for generic-domain morphisms."""
-    head, _, body = text.partition(":")
-    head = head.strip()
-    dilute = head.endswith("d")
-    if dilute:
-        head = head[:-1]
-    dst_s, _, src_s = head.partition("<-")
-    dst, src = int(dst_s), int(src_s)
-    body = body.strip()
+    """Inverse of to_text for generic-domain morphisms.  Malformed text
+    raises ValueError."""
+    match = re.fullmatch(_TEXT, text)
+    if not match:
+        raise ValueError(f"bad morphism text {text!r}")
+    dst, src, dilute, body = match.groups()
+    dst, src, dilute = int(dst), int(src), dilute == "d"
     if body == "0":
         return Morphism.zero(dst, src, dilute)
     terms = {}
     # split only at term boundaries: a '+' followed by a new '[coeff]'
     # (coefficients themselves may contain ' + ')
     for chunk in re.split(r" \+ (?=\[)", body):
-        chunk = chunk.strip()
-        if not chunk.startswith("["):
+        term = re.fullmatch(_TERM, chunk)
+        if not term:
             raise ValueError(f"bad term {chunk!r}")
-        close = chunk.rindex("] * ")
-        coeff = parse_scalar(chunk[1:close])
-        diag = Diagram.from_text(chunk[close + 4:])
-        if diag in terms:
-            terms[diag] = terms[diag] + coeff
-        else:
-            terms[diag] = coeff
+        coeff = parse_scalar(term[1])
+        diag = Diagram.from_text(term[2])
+        terms[diag] = terms[diag] + coeff if diag in terms else coeff
     return Morphism(dst, src, terms, dilute)
 
 

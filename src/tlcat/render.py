@@ -19,11 +19,9 @@ __all__ = ["render_ascii", "render_svg", "parse_renderable"]
 
 def parse_renderable(text: str):
     """Accept either a plain diagram ('{m}x{n}[d]:[(a,b),...]') or a full
-    linear combination ('{m}<-{n}[d]: [coeff] * diag + ...')."""
-    text = text.strip()
-    if "<-" in text.partition(":")[0]:
-        return parse_morphism(text)
-    return Diagram.from_text(text)
+    linear combination ('{m}<-{n}[d] : [coeff] * diag + ...'); a diagram's
+    text holds no '<-'.  Malformed text raises ValueError."""
+    return parse_morphism(text) if "<-" in text else Diagram.from_text(text)
 
 
 def _wire_labels(d: Diagram) -> dict:

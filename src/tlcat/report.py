@@ -6,9 +6,15 @@ import json
 
 from .diagram import InterfaceMismatch
 
-__all__ = ["VerificationReport", "SCHEMA_VERSION"]
+__all__ = ["VerificationReport", "SCHEMA_VERSION", "json_text"]
 
 SCHEMA_VERSION = 1
+
+
+def json_text(payload) -> str:
+    """The JSON text of every report and table tlcat prints or writes:
+    indented, keys sorted, and str() of any value JSON has no type for."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=str)
 
 
 class VerificationReport:
@@ -76,7 +82,7 @@ class VerificationReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True, default=str)
+        return json_text(self.to_json())
 
     def summary_line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"

@@ -33,10 +33,20 @@ structure constant of the braid, twist and integrable suites is an integer,
 so their arithmetic never builds a Fraction.  An int equals and hashes like
 the Fraction of the same value, so with that normal form two Scalars are
 equal iff their dicts are equal.
+
+Text form: str(x) is a sum of terms such as `3/2 * s^-4 * u^1`, written
+`(num) / (den)` when the denominator is not 1, and parse_scalar reads it
+back.  parse_scalar reads one regular grammar and raises ValueError for any
+other text.  A factor is a rational such as 7 or 7/3, or one of s, u, v, w
+with an optional integer exponent; a term is factors joined by *; a sum is
+terms joined by + or -, with an optional leading sign; a scalar is a sum or
+(sum) / (sum).  Spaces may stand between tokens but never inside one, so
+no two tokens glue together.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -356,8 +366,9 @@ class Scalar(_FieldOps):
         g = _u_gcd(self.den, other.den)
         d1r, _ = _u_divmod(self.den, g)
         d2r, _ = _u_divmod(other.den, g)
-        num = _num_mul_upoly(self.num, d2r)
-        for k, c in _num_mul_upoly(other.num, d1r).items():
+        # a key plus an s-exponent is the shifted key, so _u_mul scales a numerator
+        num = _u_mul(self.num, d2r)
+        for k, c in _u_mul(other.num, d1r).items():
             c2 = num.get(k, 0) + c
             if c2:
                 num[k] = c2
@@ -456,19 +467,6 @@ def _make(num: dict, den: dict) -> Scalar:
     return x
 
 
-def _num_mul_upoly(num: dict, p: dict) -> dict:
-    out: dict = {}
-    for key, c in num.items():
-        for e, pc in p.items():
-            k = key + e
-            c2 = out.get(k, 0) + c * pc
-            if c2:
-                out[k] = c2
-            elif k in out:
-                del out[k]
-    return out
-
-
 def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
     num = {k: _exact(c) for k, c in num.items() if c}
     den = _u_trim(den)
@@ -523,7 +521,16 @@ ONE = Scalar.from_rational(1)
 
 
 # ---------------------------------------------------------------------------
-# text form: sum of terms `c * s^a * u^b`, lossless round trip
+# text form: the grammar of the module docstring, lossless round trip; re
+# compiles each pattern on first use, so importing costs nothing
+
+_FACTOR = r"(?:\d+(?:/\d+)?|[suvw](?:\^-?\d+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_SUM = rf"\s*[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*\s*"
+_QUOTIENT = rf"\s*\(({_SUM})\)\s*/\s*\(({_SUM})\)\s*"
+# within a matched sum: each signed term, and the parts of each factor
+_SIGNED_TERM = rf"([+-]?)\s*({_TERM})"
+_FACTOR_PARTS = r"(\d+(?:/\d+)?)|([suvw])(?:\^(-?\d+))?"
 
 
 def _num_to_text(num: dict) -> str:
@@ -546,29 +553,18 @@ def _num_to_text(num: dict) -> str:
 
 
 def _parse_poly(text: str) -> dict:
-    text = text.replace("- ", "+ -").replace("+ ", "+")
+    """The numerator dict of a sum that fullmatches _SUM."""
     num: dict = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        coeff = Fraction(1)
+    for sign, term in re.findall(_SIGNED_TERM, text):
+        coeff = Fraction(-1 if sign == "-" else 1)
         exps = [0, 0, 0, 0]
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                continue
-            if factor[0] in "0123456789":
-                coeff *= Fraction(factor)
+        for rational, name, exp in re.findall(_FACTOR_PARTS, term):
+            if rational:
+                coeff *= Fraction(rational)
             else:
-                name, _, exp = factor.partition("^")
-                exps[VARS.index(name)] += int(exp) if exp else 1
+                exps[VARS.index(name)] += int(exp or 1)
         k = _pack(exps)
-        c = num.get(k, 0) + sign * coeff
+        c = num.get(k, 0) + coeff
         if c:
             num[k] = c
         elif k in num:
@@ -579,20 +575,19 @@ def _parse_poly(text: str) -> dict:
 def parse_scalar(text: str) -> Scalar:
     """Inverse of str(Scalar).  Malformed text, a zero denominator and an
     exponent outside the box raise ValueError."""
-    text = text.strip()
     try:
-        if text.startswith("(") and ") / (" in text:
-            ntext, _, dtext = text.partition(") / (")
-            den = _parse_poly(dtext.rstrip()[:-1])
+        quotient = re.fullmatch(_QUOTIENT, text)
+        if quotient:
+            den = _parse_poly(quotient[2])
             if not all(-_LIMIT <= e < _LIMIT for e in den):
                 # a key with a spectral exponent lies outside the s-range
                 raise ValueError("denominator must involve s only")
-            return Scalar(_parse_poly(ntext[1:]), den)
-        if text == "0":
-            return ZERO
-        return Scalar(_parse_poly(text))
+            return Scalar(_parse_poly(quotient[1]), den)
+        if re.fullmatch(_SUM, text):
+            return Scalar(_parse_poly(text))
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse scalar {text!r}: {exc}") from None
+    raise ValueError(f"cannot parse scalar {text!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ class NotScalarAction(ValueError):
 
 
 def standard_dimension(n: int, k: int) -> int:
+    """dim S_{n,k}; ValueError unless 0 <= k <= n and n - k is even."""
+    if not 0 <= k <= n or (n - k) % 2:
+        raise ValueError(f"no standard module S_{n},{k}")
     p = (n - k) // 2
     return comb(n, p) - (comb(n, p - 1) if p >= 1 else 0)
 
@@ -44,8 +47,7 @@ class StandardModule:
     """S_{n,k}: span of (n,k)-diagrams with exactly k through lines."""
 
     def __init__(self, n: int, k: int, dom: CoeffDomain = GENERIC):
-        if k < 0 or k > n or (n - k) % 2:
-            raise ValueError(f"no standard module S_{n},{k}")
+        standard_dimension(n, k)  # checks the label
         self.n = n
         self.k = k
         self.dom = dom

@@ -43,10 +43,13 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "eigen", "--module", "3", "2")
     assert code == 2
-    code, _, _ = run(capsys, "fusion-table", "2", "1", "1", "1")
-    assert code == 2
+    code, _, err = run(capsys, "fusion-table", "2", "1", "1", "1")
+    assert code == 2 and err == "error: no standard module S_2,1\n"
     code, _, _ = run(capsys, "render", "not a diagram")
     assert code == 2
+    # a coefficient that is not a well-formed sum
+    code, out, err = run(capsys, "render", "1<-1 : [- - s] * 1x1:[(1,2)]")
+    assert code == 2 and not out and err.startswith("error:")
     # a zero denominator and an exponent outside the box are not scalars
     for coeff in ("1/0", "(1) / (0)", "s^99999999"):
         code, out, err = run(capsys, "render", f"1<-1 : [{coeff}] * 1x1:[(1,2)]")

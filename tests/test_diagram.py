@@ -113,6 +113,23 @@ def test_gluing_returns_the_cached_result():
     assert first == (Diagram.from_text("5x5:[(1,10),(2,3),(4,9),(5,6),(7,8)]"), 0)
 
 
+@pytest.mark.parametrize("text", [
+    "2x2:[((1,4)),(2,3)]",
+    "2x2:[(1,4)),((2,3)]",
+    # a space inside a number does not join its digits into node 10
+    "5x5:[(1,1 0),(2,3),(4,9),(5,6),(7,8)]",
+    "2x2:[(1,4),(2,3),]", "2x2:[(1,4)(2,3)]", "2x2:(1,4),(2,3)", "x2:[]", "2x2e:[]", "",
+])
+def test_malformed_diagram_text_raises(text):
+    with pytest.raises(ValueError):
+        Diagram.from_text(text)
+
+
+def test_diagram_text_allows_spaces_between_tokens():
+    assert Diagram.from_text(" 2 x 2 d : [ ( 1 , 4 ) ] ") == Diagram.from_pairs(
+        2, 2, [(1, 4)], dilute=True)
+
+
 @pytest.mark.parametrize("field", ["dst", "src", "link", "dilute"])
 def test_diagram_is_an_immutable_value(field):
     # diagrams key the gluing cache and every Morphism's terms

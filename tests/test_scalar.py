@@ -84,6 +84,34 @@ def test_text_round_trip(da):
     assert parse_scalar(str(a)) == a
 
 
+@pytest.mark.parametrize("text", [
+    "", "+", "-", " * ", "s^", "2 * * s", "3 +", "- - s", "s*",
+    # no space stands inside a number, so these tokens do not glue together
+    "-s^2  1",
+    "2 * s^-4 - + s^4 + 7/3",
+])
+def test_malformed_scalar_text_raises(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+def test_well_formed_scalar_text_keeps_its_value():
+    s, u, v = (Scalar.var_power(x, 1) for x in "suv")
+    for text, value in [
+        ("s", s),
+        ("u*v", u * v),
+        ("s^2 * 3", 3 * s ** 2),
+        ("-s^2 + 1", 1 - s ** 2),
+        ("0", Scalar(0)),
+        (" - 3/2 ", Scalar(Fraction(-3, 2))),
+        ("s^4 + 1 - s^-4 + s", s ** 4 + 1 - s ** -4 + s),
+        ("2 * s^-4 - s^4 + 7/3", 2 * s ** -4 - s ** 4 + Fraction(7, 3)),
+        ("(s^2) / (1 + s^8)", s ** 2 / (1 + s ** 8)),
+        ("( u - 1 )/( s - 2 )", (u - 1) / (s - 2)),
+    ]:
+        assert parse_scalar(text) == value, text
+
+
 # -- packed keys against the tuple-key oracle ------------------------------------
 
 L = _LIMIT
