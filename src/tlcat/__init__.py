@@ -11,8 +11,6 @@ verification path.
 from .diagram import (
     Diagram,
     InterfaceMismatch,
-    cap_diagram,
-    cup_diagram,
     e_diagram,
     enumerate_diagrams,
     identity_diagram,
@@ -29,8 +27,6 @@ from .morphism import (
     parse_morphism,
     t,
     t_inv,
-    z,
-    zt,
 )
 from .scalar import (
     NotInvertibleInRing,

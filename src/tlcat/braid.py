@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 
 from .morphism import (
-    GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, require_generic,
-    t, t_inv, word, z,
+    GENERIC, CoeffDomain, Morphism, big_cup, cached_morphism, e, identity, require_generic,
+    t, t_inv, word,
 )
 from .diagram import enumerate_diagrams
 from .report import VerificationReport
@@ -224,9 +224,9 @@ def verify_braiding_lemmas(max_total: int = 6) -> VerificationReport:
                 )
     for n in range(0, max_total - 1):
         for p in range(1, (max_total - n) // 2 + 1):
-            zp = z()
+            zp = big_cup(1)
             for _ in range(p - 1):
-                zp = zp.tensor(z())
+                zp = zp.tensor(big_cup(1))
             lhs = commutor(n, 2 * p).compose(identity(n).tensor(zp))
             rhs = zp.tensor(identity(n))
             rep.check("bubble: eta_{n,2p} (1 x z^p) = z^p x 1", {"n": n, "p": p}, lhs, rhs)

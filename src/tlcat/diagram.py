@@ -33,8 +33,6 @@ __all__ = [
     "Diagram",
     "InterfaceMismatch",
     "identity_diagram",
-    "cup_diagram",
-    "cap_diagram",
     "e_diagram",
     "dilute_diagram",
     "DILUTE_END2_NAMES",
@@ -284,16 +282,6 @@ Diagram.compose = _compose_cached
 
 def identity_diagram(n: int, dilute: bool = False) -> Diagram:
     return Diagram.from_link(n, n, range(2 * n - 1, -1, -1), dilute)
-
-
-def cup_diagram() -> Diagram:
-    """The (2,0)-diagram z: a single arc on the left column."""
-    return Diagram(2, 0, b"\x01\x00")
-
-
-def cap_diagram() -> Diagram:
-    """The (0,2)-diagram z^t."""
-    return Diagram(0, 2, b"\x01\x00")
 
 
 def e_diagram(i: int, n: int) -> Diagram:

@@ -308,37 +308,23 @@ def fusion_decomposition_generic(
 
 def jordan_type(mat: list, lam) -> tuple:
     """Jordan block sizes of mat at eigenvalue lam, weakly decreasing,
-    via ranks of powers of (mat - lam)."""
+    via ranks of powers of (mat - lam): with r_j the rank of the j-th
+    power and r_0 = n, r_{j-1} - r_j blocks have size >= j."""
     n = len(mat)
-    if n == 0:
-        return ()
     shifted = mat_shift(mat, lam)
-    r_prev = n
-    ranks = []
-    cur = shifted
+    cur, r_prev = shifted, n
+    blocks = [0] * n
     while True:
         r = rank(cur, n)
-        ranks.append(r)
+        for b in range(r_prev - r):
+            blocks[b] += 1
         if r == r_prev or r == 0:
             break
         r_prev = r
         cur = mat_mul(cur, shifted)
-    if ranks[0] == n:
+    if r == n:
         raise EigenvalueMismatch("value is not an eigenvalue of the matrix")
-    # blocks_ge[j] = number of blocks of size >= j
-    blocks_ge = []
-    prev = n
-    for r in ranks:
-        blocks_ge.append(prev - r)
-        if prev - r == 0:
-            break
-        prev = r
-    sizes = []
-    for j in range(len(blocks_ge)):
-        ge_j = blocks_ge[j]
-        ge_next = blocks_ge[j + 1] if j + 1 < len(blocks_ge) else 0
-        sizes.extend([j + 1] * (ge_j - ge_next))
-    return tuple(sorted(sizes, reverse=True))
+    return tuple(b for b in blocks if b)
 
 
 # The worked root-of-unity examples: name, order L of s = zeta_L, factor

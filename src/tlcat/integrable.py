@@ -26,6 +26,8 @@ from .morphism import (
     GENERIC,
     CoeffDomain,
     Morphism,
+    big_cap,
+    big_cup,
     dilute_end2,
     dilute_identity,
     dilute_sum,
@@ -35,8 +37,6 @@ from .morphism import (
     t,
     t_inv,
     word,
-    z,
-    zt,
 )
 from .report import VerificationReport
 from .scalar import Scalar
@@ -70,20 +70,9 @@ _SPECTRAL_EXPONENTS = {
 def spectral_power(arg):
     """Return k -> (spectral argument)^k for a monomial spectral argument
     named by arg ('u', 'v/u', 'u*v', ...) or given as an exponent triple."""
-    expo = _SPECTRAL_EXPONENTS[arg] if isinstance(arg, str) else tuple(arg)
-    eu, ev, ew = expo
-
-    def upow(k: int) -> Scalar:
-        out = Scalar.from_rational(1)
-        if eu:
-            out = out * Scalar.var_power("u", eu * k)
-        if ev:
-            out = out * Scalar.var_power("v", ev * k)
-        if ew:
-            out = out * Scalar.var_power("w", ew * k)
-        return out
-
-    return upow
+    eu, ev, ew = _SPECTRAL_EXPONENTS[arg] if isinstance(arg, str) else arg
+    x = Scalar.var_power("u", eu) * Scalar.var_power("v", ev) * Scalar.var_power("w", ew)
+    return lambda k: x**k
 
 
 @functools.lru_cache(maxsize=1)
@@ -268,8 +257,7 @@ def verify_inversion(family: str = "ordinary") -> VerificationReport:
 def _boundary(kind: str) -> Morphism:
     """Boundary condition in Hom(0,4)."""
     if kind == "ordinary":
-        zz = z()
-        return zz.tensor(zz)
+        return big_cup(1).tensor(big_cup(1))
     # Double arcs close the four strands pairwise in the planar-nested way
     # (1,4),(2,3), matching the nested big-cup convention of the category.
     arcs = {
@@ -324,8 +312,8 @@ def transfer_matrix(n: int, family: str = "ordinary", arg="u", dom: CoeffDomain 
     faces = [face(i, n + 2, family)(arg) for i in range(1, n + 1)]
     # the word X_n ... X_1 X_1 ... X_n
     bulk = word(faces[::-1] + faces, n + 2)
-    cap = identity(n).tensor(zt())
-    cup = identity(n).tensor(z())
+    cap = identity(n).tensor(big_cap(1))
+    cup = identity(n).tensor(big_cup(1))
     return cap.compose(bulk).compose(cup)
 
 

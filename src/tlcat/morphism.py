@@ -20,11 +20,11 @@ from itertools import product as _iproduct
 from types import MappingProxyType
 
 from .diagram import (
+    _TOO_MANY,
+    MAX_NODES,
     VACANT,
     Diagram,
     InterfaceMismatch,
-    cap_diagram,
-    cup_diagram,
     dilute_diagram,
     e_diagram,
     identity_diagram,
@@ -41,8 +41,6 @@ __all__ = [
     "e",
     "t",
     "t_inv",
-    "z",
-    "zt",
     "big_cup",
     "big_cap",
     "dilute_identity",
@@ -378,6 +376,8 @@ def parse_morphism(text: str) -> Morphism:
         raise ValueError(f"bad morphism text {text!r}")
     dst, src, dilute, body = match.groups()
     dst, src, dilute = int(dst), int(src), dilute == "d"
+    if dst + src > MAX_NODES:
+        raise ValueError(_TOO_MANY.format(dst + src))
     if body == "0":
         return Morphism.zero(dst, src, dilute)
     terms = {}
@@ -453,16 +453,6 @@ def t_inv(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> M
         e_diagram(i, n): dom.s_power(2),
     }
     return Morphism(n, n, terms, False, dom, _clean=True)
-
-
-def z() -> Morphism:
-    """Cup in Hom(0,2)."""
-    return Morphism.from_diagram(cup_diagram())
-
-
-def zt() -> Morphism:
-    """Cap in Hom(2,0)."""
-    return Morphism.from_diagram(cap_diagram())
 
 
 def big_cup(m: int, dom: CoeffDomain = GENERIC) -> Morphism:

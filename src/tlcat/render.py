@@ -63,7 +63,7 @@ def render_ascii(obj) -> str:
 
 def _morphism_ascii(f: Morphism) -> str:
     if f.is_zero:
-        return f"{f.dst}<-{f.src}: 0"
+        return f"{f.dst}<-{f.src}{'d' if f.dilute else ''}: 0"
     parts = []
     for d in sorted(f.terms, key=lambda g: g.key()):
         parts.append(f"[{f.terms[d]}] *")

@@ -10,7 +10,7 @@ weights and no truncation; fusion at roots of unity needs it.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 
 from .diagram import Diagram, enumerate_diagrams
 from .linalg import rank
@@ -159,34 +159,32 @@ def wenzl_jones(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return wj
 
 
+def _flip(mat: list, module: RegularModule) -> list:
+    """mat with its rows and columns renumbered by transposing the basis
+    diagrams: the left action of f becomes the right action of f^t,
+    because x f^t = (f x^t)^t."""
+    flip = [module._index[d.transpose()] for d in module.basis]
+    return [[mat[a][b] for b in flip] for a in flip]
+
+
 def annihilated_line_dimension(m: int, spec: Specialization | None = None) -> int:
     """Dimension of {x in End(m) : e_i x = x e_i = 0 for all i}.
 
     Symbolic for the generic specialization; callers wanting speed pass a
     rational point.
     """
-    dom = domain_for(spec or Specialization.generic())
-    diags = enumerate_diagrams(m, m)
-    index = {d: i for i, d in enumerate(diags)}
-    nd = len(diags)
+    module = RegularModule(m, domain_for(spec or Specialization.generic()))
     rows = []
     for i in range(1, m):
-        gen = e(i, m, dom)
-        for side in ("left", "right"):
-            # sparse rows of the linear map x -> e_i x (or x e_i) on the
-            # diagram basis
-            block = [{} for _ in range(nd)]
-            for j, d in enumerate(diags):
-                dm = Morphism.from_diagram(d, dom)
-                prod = gen.compose(dm) if side == "left" else dm.compose(gen)
-                for dd, c in prod.terms.items():
-                    block[index[dd]][j] = c
-            rows.extend(block)
-    return nd - rank(rows, nd)
+        # e_i is its own transpose, so x e_i is read off e_i x
+        left = act(e(i, m, module.dom), module)
+        rows += left + _flip(left, module)
+    return module.dim - rank(rows, module.dim)
 
 
 def verify_rigidity(m: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
-    """Zig-zag identities and the projector-decorated zig-zag."""
+    """Zig-zag identities and, where the projector exists, the
+    projector-decorated zig-zag; where it must not, its pole."""
     rep = VerificationReport("repr.rigidity")
     one_m = identity(m, dom=dom)
     cup = big_cup(m, dom)
@@ -199,21 +197,32 @@ def verify_rigidity(m: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
         "zig-zag right", {"m": m},
         cap.tensor(one_m).compose(one_m.tensor(cup)), one_m,
     )
+    # P_m exists iff [k]_q != 0 for every k <= m.  At s = zeta_N the least
+    # such k is ell = N / gcd(N, 8), the order of q^2 = s^8, unless q^2 = 1
+    # (then [k]_q = +-k); no [k]_q vanishes at a generic or rational point.
+    ell = dom.spec.N // gcd(dom.spec.N, 8) if dom.spec.kind == "cyclotomic" else 1
+    pole = 1 < ell <= m
     try:
         wj = wenzl_jones(m, dom)
-        decorated_cap = cap.compose(wj.tensor(wj))
-        rep.check(
-            "projector zig-zag", {"m": m},
-            one_m.tensor(decorated_cap).compose(cup.tensor(one_m)), wj,
-        )
-        rep.check("projector idempotent", {"m": m}, wj.compose(wj), wj)
-        rep.check("projector transpose-symmetric", {"m": m}, wj.transpose(), wj)
-        ok = True
-        for i in range(1, m):
-            ei = e(i, m, dom)
-            if not ei.compose(wj).is_zero or not wj.compose(ei).is_zero:
-                ok = False
-        rep.add("projector annihilation", {"m": m}, ok)
     except PoleAtSpecialization as exc:
-        rep.add("projector existence", {"m": m}, False, {"error": str(exc)})
+        witness = {"vanishing": f"[{ell}]_q"} if pole else {"error": str(exc)}
+        rep.add("projector existence", {"m": m}, pole, witness)
+        return rep
+    if pole:
+        rep.add("projector existence", {"m": m}, False,
+                {"error": f"projector built although [{ell}]_q = 0"})
+        return rep
+    decorated_cap = cap.compose(wj.tensor(wj))
+    rep.check(
+        "projector zig-zag", {"m": m},
+        one_m.tensor(decorated_cap).compose(cup.tensor(one_m)), wj,
+    )
+    rep.check("projector idempotent", {"m": m}, wj.compose(wj), wj)
+    rep.check("projector transpose-symmetric", {"m": m}, wj.transpose(), wj)
+    ok = True
+    for i in range(1, m):
+        ei = e(i, m, dom)
+        if not ei.compose(wj).is_zero or not wj.compose(ei).is_zero:
+            ok = False
+    rep.add("projector annihilation", {"m": m}, ok)
     return rep

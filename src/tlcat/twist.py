@@ -17,7 +17,7 @@ from .braid import commutor, commutor_inverse, crossing_indices, double_braiding
 from .diagram import enumerate_diagrams
 from .linalg import det
 from .morphism import (
-    GENERIC, CoeffDomain, Morphism, cached_morphism, e, identity, t, t_inv, word, z,
+    GENERIC, CoeffDomain, Morphism, big_cup, cached_morphism, e, identity, t, t_inv, word,
 )
 from .report import VerificationReport
 from .standard import (
@@ -125,9 +125,9 @@ def verify_twist_axiom(max_total: int) -> VerificationReport:
             rep.check("shuffle (1,s) into (r-1,s+1)", {"r": r, "s": s}, lhs2, rhs2)
     # c_{2p} fixes the p-fold cup
     for p in (1, 2):
-        zp = z()
+        zp = big_cup(1)
         for _ in range(p - 1):
-            zp = zp.tensor(z())
+            zp = zp.tensor(big_cup(1))
         rep.check("c_{2p} z^p = z^p", {"p": p}, twist_element(2 * p).compose(zp), zp)
     return rep
 

@@ -10,6 +10,7 @@ import pytest
 
 import tlcat.cli as cli
 from tlcat.cli import main
+from tlcat.render import parse_renderable
 
 
 def run(capsys, *argv):
@@ -41,6 +42,10 @@ def test_usage_errors(capsys, tmp_path):
         assert not out.exists()
     code, _, _ = run(capsys, "fusion-table", "1", "1", "1", "1", "--spec", "rational:0")
     assert code == 2
+    # at s = 1 the central eigenvalues of the summands k = 1 and 3 coincide
+    code, out, err = run(capsys, "fusion-table", "2", "2", "1", "1", "--spec", "rational:1")
+    assert code == 1 and not out
+    assert err == "error: central eigenvalues collide at rational(s=1)\n"
     code, _, err = run(capsys, "eigen", "--module", "3", "2")
     assert code == 2
     code, _, err = run(capsys, "fusion-table", "2", "1", "1", "1")
@@ -58,7 +63,7 @@ def test_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "eigen", "--module", "200", "200")
     assert code == 2 and not out and err.startswith("error:")
     # a diagram with more boundary nodes than a byte link can index
-    for obj in ("200x100d:[]", "1<-255 : [1] * 1x255d:[]"):
+    for obj in ("200x100d:[]", "1<-255 : [1] * 1x255d:[]", "1<-300 : 0"):
         code, out, err = run(capsys, "render", obj)
         assert code == 2 and not out and err.startswith("error:")
         assert "at most 255 boundary nodes" in err
@@ -74,6 +79,19 @@ def test_verify_writes_report_and_passes(capsys, tmp_path):
     assert payload["summary"]["ok"] is True
     assert payload["summary"]["fail"] == 0
     assert payload["suites"]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_verify_repr_at_a_root_expects_the_projector_pole(capsys, tmp_path, ell):
+    # P_m exists iff [k]_q != 0 for every k <= m, and [ell]_q = 0 at root:ell
+    out = tmp_path / "repr.json"
+    code, _, _ = run(capsys, "verify", "repr", "--max-n", "4", "--spec", f"root:{ell}",
+                     "--out", str(out))
+    assert code == 0
+    cases = json.loads(out.read_text())["suites"][0]["cases"]
+    poles = [c for c in cases if c["identity"] == "projector existence"]
+    assert [c["params"]["m"] for c in poles] == list(range(ell, 5))
+    assert all(c["witness"] == {"vanishing": f"[{ell}]_q"} for c in poles)
 
 
 def test_verify_byte_stable(capsys, tmp_path):
@@ -220,6 +238,11 @@ def test_eigen(capsys):
 def test_render_ascii_and_svg(capsys, tmp_path):
     code, stdout, _ = run(capsys, "render", "2x2:[(1,4),(2,3)]")
     assert code == 0 and "2x2:[(1,4),(2,3)]" in stdout
+    # a zero morphism keeps its strand family, and its print reads back
+    for text, printed in (("2<-2d : 0", "2<-2d: 0\n"), ("2<-2 : 0", "2<-2: 0\n")):
+        code, stdout, _ = run(capsys, "render", text)
+        assert code == 0 and stdout == printed
+        assert parse_renderable(printed) == parse_renderable(text)
     out = tmp_path / "pic.svg"
     code, stdout, _ = run(capsys, "render", "2x2:[(1,4),(2,3)]",
                           "--format", "svg", "--out", str(out))

@@ -7,7 +7,10 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tlcat.fusion as fusion
 from tlcat.fusion import (
     AmbiguousEigenvalue,
     EigenvalueMismatch,
@@ -21,8 +24,8 @@ from tlcat.fusion import (
     verify_fusion_suite,
     verify_root_examples,
 )
-from tlcat.linalg import mat_shift, rank, rref
-from tlcat.morphism import GENERIC, CoeffDomain, domain_for, identity
+from tlcat.linalg import mat_mul, mat_shift, rank, rref
+from tlcat.morphism import GENERIC, CoeffDomain, domain_for, e, identity
 from tlcat.scalar import Scalar, Specialization
 from tlcat.standard import RegularModule, StandardModule, act, standard_dimension
 from tlcat.twist import gamma_eigenvalue, twist_element, twist_inverse
@@ -218,6 +221,36 @@ def test_fused_representation_relations():
     dom = domain_for(spec)
     fused = FusedModule(StandardModule(2, 2, dom), StandardModule(1, 1, dom))
     assert fused.verify_representation().ok
+    # on four strands e_1 and e_3 must commute too
+    for spec in (Specialization.generic(), Specialization.parse("root:3")):
+        dom = domain_for(spec)
+        for (n1, k1), (n2, k2) in (((2, 2), (2, 0)), ((3, 1), (1, 1))):
+            rep = FusedModule(StandardModule(n1, k1, dom),
+                              StandardModule(n2, k2, dom)).verify_representation()
+            assert rep.ok
+            assert [c["params"] for c in rep.cases
+                    if c["identity"] == "far commutation"] == [{"i": 1, "j": 3}]
+
+
+def test_fused_representation_detects_noncommuting_far_generators(monkeypatch):
+    # e_3 conjugated by P = 1 + e_2 keeps every relation but far commutation:
+    # P commutes with e_2, and P^-1 = 1 - e_2 / (1 + beta)
+    dom = domain_for(generic_rational_spec())
+    fused = FusedModule(StandardModule(2, 2, dom), StandardModule(2, 0, dom))
+    e2 = act(e(2, 4, dom), fused)
+    one = [[dom.one if i == j else dom.zero for j in range(fused.dim)]
+           for i in range(fused.dim)]
+    c = -1 / (1 + dom.beta)
+    p = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(one, e2)]
+    p_inv = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(one, e2)]
+
+    def planted(f, module):
+        mat = act(f, module)
+        return mat_mul(mat_mul(p, mat), p_inv) if f == e(3, 4, dom) else mat
+
+    monkeypatch.setattr(fusion, "act", planted)
+    rep = fused.verify_representation()
+    assert [c["identity"] for c in rep.failures()] == ["far commutation"]
 
 
 def test_triple_products_agree_in_both_bracketings():
@@ -271,6 +304,75 @@ def test_jordan_type_oracle():
     assert jordan_type(ident, F(1)) == (1, 1)
     with pytest.raises(EigenvalueMismatch):
         jordan_type(ident, F(3))
+    # an empty matrix has no eigenvalue
+    with pytest.raises(EigenvalueMismatch):
+        jordan_type([], F(0))
+
+
+def _jordan_matrix(blocks) -> list:
+    """The block-diagonal Fraction matrix of Jordan blocks (value, size)."""
+    n = sum(b for _, b in blocks)
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for value, b in blocks:
+        for i in range(start, start + b):
+            mat[i][i] = Fraction(value)
+            if i + 1 < start + b:
+                mat[i][i + 1] = Fraction(1)
+        start += b
+    return mat
+
+
+def _inverse(p: list) -> list:
+    """The inverse of an invertible square Fraction matrix, via rref of [p | 1]."""
+    n = len(p)
+    red, pivots = rref([row + [Fraction(int(i == j)) for j in range(n)]
+                        for i, row in enumerate(p)], 2 * n)
+    assert pivots == list(range(n))
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in red]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.lists(st.integers(1, 3), max_size=2),
+       st.integers(-2, 2),
+       st.data())
+def test_jordan_type_recovers_conjugated_jordan_blocks(at_lam, elsewhere, lam, data):
+    # Jordan blocks at lam and at lam + 1, conjugated by a random invertible
+    # matrix, keep their block sizes at lam
+    jmat = _jordan_matrix([(lam, b) for b in at_lam] + [(lam + 1, b) for b in elsewhere])
+    n = len(jmat)
+    entry = st.integers(-3, 3).map(Fraction)
+    p = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+                  .filter(lambda m: rank(m, n) == n))
+    mat = mat_mul(mat_mul(p, jmat), _inverse(p))
+    assert jordan_type(mat, Fraction(lam)) == tuple(sorted(at_lam, reverse=True))
+
+
+@pytest.mark.parametrize("blocks, lam, ranks, products", [
+    ([(0, 3), (0, 1)], 0, 3, 2),   # the rank reaches 0
+    ([(0, 2), (1, 1)], 0, 3, 2),   # the rank stops falling at 1
+    ([(0, 1), (0, 1)], 0, 1, 0),
+    ([(1, 2)], 0, 1, 0),           # not an eigenvalue
+])
+def test_jordan_type_work(monkeypatch, blocks, lam, ranks, products):
+    # one rank per power of (mat - lam) until the rank reaches 0 or stops
+    # falling, and one product per further power
+    calls = {"rank": 0, "mat_mul": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(fusion, "rank", counted("rank", rank))
+    monkeypatch.setattr(fusion, "mat_mul", counted("mat_mul", mat_mul))
+    try:
+        jordan_type(_jordan_matrix(blocks), Fraction(lam))
+    except EigenvalueMismatch:
+        pass
+    assert calls == {"rank": ranks, "mat_mul": products}
 
 
 def test_root_of_unity_examples():

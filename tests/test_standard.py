@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+import tlcat.standard as standard
 from tlcat.diagram import enumerate_diagrams
 from tlcat.fusion import FusedModule
 from tlcat.linalg import mat_mul
-from tlcat.morphism import Morphism, domain_for, e, identity
-from tlcat.scalar import Scalar, Specialization
+from tlcat.morphism import GENERIC, Morphism, domain_for, e, identity
+from tlcat.scalar import PoleAtSpecialization, Scalar, Specialization
 from tlcat.standard import (
     NotScalarAction,
     RegularModule,
@@ -18,6 +19,7 @@ from tlcat.standard import (
     annihilated_line_dimension,
     eigenvalue_on_standard,
     standard_dimension,
+    _flip,
     verify_rigidity,
     wenzl_jones,
 )
@@ -103,8 +105,42 @@ def test_annihilated_line_unique():
     sp = Specialization.rational("5/3")
     for m in (4, 5):
         assert annihilated_line_dimension(m, sp) == 1
+    # here e_i x = 0 alone leaves 2 and 3 dimensions; x e_i = 0 cuts them to 1
+    for m, root in ((3, "root:3"), (4, "root:4")):
+        assert annihilated_line_dimension(m, Specialization.parse(root)) == 1
 
 
 def test_rigidity():
     for m in (1, 2, 3, 4):
         assert verify_rigidity(m).ok
+
+
+def test_flipped_left_action_is_the_right_action():
+    # annihilated_line_dimension reads x -> x e_i off e_i's left action;
+    # the oracle composes each basis diagram with e_i on the right
+    for m in range(2, 5):
+        module = RegularModule(m)
+        for i in range(1, m):
+            right = _flip(act(e(i, m), module), module)
+            for j, d in enumerate(module.basis):
+                image = Morphism.from_diagram(d).compose(e(i, m))
+                column = {module.basis.index(dd): c for dd, c in image.terms.items()}
+                assert {r: row[j] for r, row in enumerate(right) if row[j]} == column
+
+
+def test_projector_pole_fails_unless_a_quantum_integer_vanishes(monkeypatch):
+    def pole(m, dom=GENERIC):
+        raise PoleAtSpecialization("planted pole")
+
+    monkeypatch.setattr(standard, "wenzl_jones", pole)
+    # no [k]_q vanishes at a generic point, nor at root:3 below size 3
+    for m, dom in ((2, GENERIC), (2, domain_for(Specialization.parse("root:3")))):
+        rep = verify_rigidity(m, dom)
+        assert [c["identity"] for c in rep.failures()] == ["projector existence"]
+
+
+def test_projector_built_past_a_vanishing_quantum_integer_fails(monkeypatch):
+    # [2]_q = 0 at root:2, so a projector P_2 that builds is wrong
+    monkeypatch.setattr(standard, "wenzl_jones", lambda m, dom=GENERIC: identity(m, dom=dom))
+    rep = verify_rigidity(2, domain_for(Specialization.parse("root:2")))
+    assert [c["identity"] for c in rep.failures()] == ["projector existence"]
