@@ -270,12 +270,16 @@ def _boundary(kind: str) -> Morphism:
 
 
 def verify_boundary_ybe(family: str = "ordinary") -> VerificationReport:
-    """X_2(u) X_3(v) (boundary) = X_2(u) X_1(v) (boundary) on four strands."""
+    """X_2(u) X_3(v) (boundary) = X_2(u) X_1(v) (boundary) on four strands.
+
+    The three faces are built once, and each side is evaluated right to
+    left, X_2(u) (X_k(v) boundary): every product acts on a vector of
+    Hom(0,4), and no two End(4) morphisms are composed."""
     rep = VerificationReport(f"integrable.boundary-ybe[{family}]")
-    x1, x2, x3 = (face(i, 4, family) for i in (1, 2, 3))
+    x1v, x2u, x3v = face(1, 4, family)("v"), face(2, 4, family)("u"), face(3, 4, family)("v")
 
     def holds(boundary: Morphism) -> bool:
-        return (x2("u") * x3("v") * boundary) == (x2("u") * x1("v") * boundary)
+        return x2u * (x3v * boundary) == x2u * (x1v * boundary)
 
     if family == "ordinary":
         rep.add("cup boundary", {"boundary": "z (x) z"}, holds(_boundary("ordinary")))

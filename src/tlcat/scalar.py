@@ -25,6 +25,13 @@ has an even width, hence the asymmetry.  A product, sum or inverse whose
 result leaves the box raises OverflowError, and parse_scalar ValueError, so
 keys never wrap.
 
+A product of canonical operands is canonical without a gcd over the whole
+product.  As fractions.Fraction multiplies, it cancels only the cross
+factors, gcd(s-content of a.num, b.den) and gcd(s-content of b.num, a.den),
+then multiplies what remains; two operands with denominator 1 take no gcd.
+The s-content of a numerator is the gcd of its s-slices, one per spectral
+monomial, and a single-term slice is a unit, so it ends the search.
+
 The dicts of a Scalar are never mutated once it is built, so results share
 them.
 
@@ -387,23 +394,24 @@ class Scalar(_FieldOps):
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
+        a, b, den = self.num, other.num, _DEN1
+        if self.den != _DEN1 or other.den != _DEN1:
+            a, b, den = _cross_cancel(self, other)
         num: dict = {}
-        for k1, c1 in self.num.items():
-            for k2, c2 in other.num.items():
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
                 c = num.get(k, 0) + c1 * c2
                 if c:
                     num[k] = c
                 elif k in num:
                     del num[k]
-        if self.den == _DEN1 and other.den == _DEN1:
-            for c in _boxed(num).values():
-                if c.__class__ is not int:
-                    # a product of Fractions can be integral
-                    num = {k: _exact(c) for k, c in num.items()}
-                    break
-            return _make(num, _DEN1)
-        return _make(*_canonicalize(num, _u_mul(self.den, other.den)))
+        for c in _boxed(num).values():
+            if c.__class__ is not int:
+                # a product of Fractions can be integral
+                num = {k: _exact(c) for k, c in num.items()}
+                break
+        return _make(num, den)
 
     __rmul__ = __mul__
 
@@ -483,28 +491,7 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
         if c0 != 1:
             num = {k: _div(c, c0) for k, c in num.items()}
         return _boxed(num), _DEN1
-    # gcd-reduce against the s-content of the numerator
-    slices: dict = {}
-    for key, c in num.items():
-        e = _s_exp(key)
-        slices.setdefault(key - e, {})[e] = c
-    g = den
-    for sl in slices.values():
-        smin = min(sl)
-        poly = {e - smin: c for e, c in sl.items()}
-        g = _u_gcd(g, poly)
-        if g == _DEN1:
-            break
-    if max(g) > 0:
-        # den and so g and den/g have a nonzero constant term: no shift is needed
-        den, _ = _u_divmod(den, g)
-        num = {}
-        for spec, sl in slices.items():
-            smin = min(sl)
-            poly = {e - smin: c for e, c in sl.items()}
-            q, _ = _u_divmod(poly, g)
-            for e, c in q.items():
-                num[e + smin + spec] = c
+    num, den = _cancel(num, den)
     lc = den[max(den)]
     if lc != 1:
         den = {e: _div(c, lc) for e, c in den.items()}
@@ -514,6 +501,58 @@ def _canonicalize(num: dict, den: dict) -> tuple[dict, dict]:
     elif max(den) >= _LIMIT:
         raise OverflowError(_BOX)
     return _boxed(num), den
+
+
+def _slices(num: dict) -> dict:
+    """num split by spectral monomial: {key of a slice's lowest term: the
+    slice as a polynomial in s with lowest exponent 0}."""
+    by_spec: dict = {}
+    for key, c in num.items():
+        e = _s_exp(key)
+        by_spec.setdefault(key - e, {})[e] = c
+    out = {}
+    for spec, sl in by_spec.items():
+        smin = min(sl)
+        out[spec + smin] = {e - smin: c for e, c in sl.items()} if smin else sl
+    return out
+
+
+def _cancel(num: dict, den: dict) -> tuple[dict, dict]:
+    """num / g and den / g for g the monic gcd of den, whose lowest exponent
+    is 0, and the s-content of num.  A single-term s-slice is a unit, so
+    then g is 1 and no gcd is taken."""
+    if len(den) == 1:
+        return num, den
+    slices = _slices(num)
+    if any(len(poly) == 1 for poly in slices.values()):
+        return num, den
+    g = den
+    for poly in slices.values():
+        g = _u_gcd(g, poly)
+        if g == _DEN1:
+            return num, den
+    # g divides den, so it has a nonzero constant term: no shift is needed
+    out = {}
+    for base, poly in slices.items():
+        q, _ = _u_divmod(poly, g)
+        for e, c in q.items():
+            out[base + e] = c
+    return out, _u_divmod(den, g)[0]
+
+
+def _cross_cancel(x: Scalar, y: Scalar) -> tuple[dict, dict, dict]:
+    """Numerators a, b and a canonical denominator den with x * y = a * b /
+    den, as fractions.Fraction multiplies.  x and y are canonical, so only a
+    factor of one operand's numerator and the other's denominator can
+    cancel; once both are gone, the s-content of a * b is coprime to den."""
+    a, d2 = _cancel(x.num, y.den)
+    b, d1 = _cancel(y.num, x.den)
+    den = _u_trim(_u_mul(d1, d2))  # a product of Fractions can be integral
+    if len(den) == 1:
+        return a, b, _DEN1
+    if max(den) >= _LIMIT:
+        raise OverflowError(_BOX)
+    return a, b, den
 
 
 ZERO = Scalar.from_rational(0)

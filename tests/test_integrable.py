@@ -3,18 +3,20 @@ and commuting transfer matrices for all three families."""
 
 import pytest
 
+from tlcat import scalar
 from tlcat.dilute import dilute_diagram
 from tlcat.integrable import (
     face,
     spectral_power,
     transfer_matrix,
     verify_boundary_ybe,
+    verify_integrable_suite,
     verify_inversion,
     verify_spectral_identities,
     verify_transfer_commute,
     verify_ybe,
 )
-from tlcat.morphism import dilute_end2, identity
+from tlcat.morphism import Morphism, dilute_end2, identity
 from tlcat.scalar import Scalar
 
 
@@ -98,6 +100,34 @@ def test_boundary_ybe():
     for family in ("ordinary", "dilute-braid", "dilute-IK"):
         rep = verify_boundary_ybe(family)
         assert rep.ok, rep.failures()[:2]
+
+
+def test_boundary_ybe_composes_no_end4_pair(monkeypatch):
+    # each side is X_2(u) (X_k(v) boundary): every product acts on Hom(0,4),
+    # where multiplying left to right composed 18 End(4) pairs
+    shapes = []
+    compose = Morphism.compose
+
+    def recording(self, other):
+        shapes.append((self.dst, self.src, other.dst, other.src))
+        return compose(self, other)
+
+    monkeypatch.setattr(Morphism, "compose", recording)
+    for family in ("ordinary", "dilute-braid", "dilute-IK"):
+        assert verify_boundary_ybe(family).ok
+    assert shapes and all(src == 0 for *_, src in shapes)
+    assert (4, 4, 4, 4) not in shapes
+
+
+def test_dilute_ik_suite_gcd_work(monkeypatch):
+    # a product cancels only the cross factors of its canonical operands, and
+    # a single-term s-slice is a unit: the suite takes about 400 gcds, where
+    # reducing each whole product took 2,645
+    calls = []
+    gcd = scalar._u_gcd
+    monkeypatch.setattr(scalar, "_u_gcd", lambda a, b: calls.append(None) or gcd(a, b))
+    assert verify_integrable_suite("dilute-IK").ok
+    assert len(calls) <= 600
 
 
 def test_transfer_shapes_and_commutation():

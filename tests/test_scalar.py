@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlcat.cyclotomic import CycloElement, CycloField, cyclotomic_polynomial
@@ -263,6 +263,73 @@ def test_box_edges():
                  f"s^{L - 1} * s", "1/0", "(1) / (0)", "(1) / (u + 1)"):
         with pytest.raises(ValueError):
             parse_scalar(text)
+
+
+# -- products that cancel: a = f p / q and b = r / (f t) share the factor f ------
+
+SPEC = st.integers(-2, 2)
+HALF = L // 2  # two denominators of this degree multiply to one past the box
+# f, q, t: polynomials in s; p: a polynomial in s, u, v; r: a spectral monomial
+# times a polynomial in s, so that b is invertible.  Drawn q and t keep a low
+# degree: a gcd of a pair with a common factor far apart in degree still costs
+# seconds to minutes of exact Euclid (ROADMAP, "Smaller items"), so the box
+# edge is reached by the explicit examples, whose factors divide cheaply.
+upoly = st.dictionaries(st.integers(0, 3), nonzero, max_size=3)
+planted = st.tuples(
+    st.dictionaries(st.integers(0, 3), nonzero, min_size=2, max_size=3),
+    st.dictionaries(st.tuples(st.integers(-3, 3), SPEC, SPEC, st.just(0)), nonzero,
+                    min_size=1, max_size=3),
+    upoly,
+    st.tuples(st.dictionaries(st.integers(-3, 3), nonzero, min_size=1, max_size=3),
+              st.tuples(SPEC, SPEC, SPEC)),
+    upoly,
+)
+
+
+def planted_operands(f, p, q, r, t):
+    """The raw operands (f p, q) and (r, f t); an empty q or t stands for 1."""
+    fp = (Oracle({(e, 0, 0, 0): c for e, c in f.items()}) * Oracle(p)).num
+    r_poly, spec = r
+    return (fp, q or {0: 1}), ({(e, *spec): c for e, c in r_poly.items()}, _u_mul(f, t or {0: 1}))
+
+
+ONE_PLUS_S = {0: 1, 1: 1}
+UNIT_P, UNIT_R = {ZKEY: 1}, ({0: 2}, (1, 0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted)
+# the denominator of a * b cancels to 1: (1 + s) * 2u / (1 + s) = 2u
+@example((ONE_PLUS_S, UNIT_P, {}, UNIT_R, {}))
+# deg q + deg t is L, one past the box, or L - 1, its last degree
+@example((ONE_PLUS_S, UNIT_P, {0: 1, HALF: 1}, UNIT_R, {0: 1, HALF: 1}))
+@example((ONE_PLUS_S, UNIT_P, {0: 1, HALF: 1}, UNIT_R, {0: 1, HALF - 1: 1}))
+def test_cancelling_products_match_the_tuple_key_oracle(raw):
+    (num_a, den_a), (num_b, den_b) = planted_operands(*raw)
+    a, oa = from_tuples(num_a, den_a), Oracle(num_a, den_a)
+    b, ob = from_tuples(num_b, den_b), Oracle(num_b, den_b)
+    assert_matches(a, oa)
+    assert_matches(b, ob)
+    cases = [
+        (lambda: a * b, lambda: boxed(oa * ob)),
+        (lambda: b * a, lambda: boxed(ob * oa)),
+        (lambda: a / b, lambda: boxed(oa * boxed(ob.inv()))),
+        (lambda: a ** 2 * b ** -1, lambda: boxed(o_pow(oa, 2) * o_pow(ob, -1))),
+    ]
+    for got, want in cases:
+        assert_matches(outcome(got), outcome(want))
+
+
+def test_cancelling_products_at_the_edges():
+    def product(q, t):
+        (num_a, den_a), (num_b, den_b) = planted_operands(ONE_PLUS_S, UNIT_P, q, UNIT_R, t)
+        return from_tuples(num_a, den_a) * from_tuples(num_b, den_b)
+
+    assert product({}, {}) == 2 * Scalar.var_power("u", 1)
+    assert product({}, {}).den == {0: 1}
+    assert max(product({0: 1, HALF: 1}, {0: 1, HALF - 1: 1}).den) == L - 1
+    with pytest.raises(OverflowError):
+        product({0: 1, HALF: 1}, {0: 1, HALF: 1})
 
 
 @settings(max_examples=80, deadline=None)
