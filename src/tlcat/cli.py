@@ -80,12 +80,19 @@ def _default_out(filename: str) -> str:
     return os.path.join(root, filename)
 
 
-def _write(path: str, text: str):
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write(path: str, text: str) -> int:
+    """Write text to path, making its directory; return 0, or the usage
+    exit code once an error line says why the path cannot be written (it
+    names a directory, say)."""
+    try:
+        directory = os.path.dirname(path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _error(f"cannot write {path}: {exc.strerror or exc}")
+    return 0
 
 
 def _error(message, code: int = 2) -> int:
@@ -123,7 +130,9 @@ def _cmd_verify(args) -> int:
     }
     payload["summary"]["ok"] = payload["summary"]["fail"] == 0
     out = args.out or _default_out(f"verify-{args.suite}.json")
-    _write(out, json_text(payload) + "\n")
+    failed = _write(out, json_text(payload) + "\n")
+    if failed:
+        return failed
     for r in results:
         mark = "PASS" if r["summary"]["fail"] == 0 else "FAIL"
         print(f"[{mark}] {r['suite']}: {r['summary']['pass']}/"
@@ -195,7 +204,9 @@ def _cmd_fusion_table(args) -> int:
         return _error(exc, 1)
     text = json_text(table) + "\n"
     if args.out:
-        _write(args.out, text)
+        failed = _write(args.out, text)
+        if failed:
+            return failed
         print(f"table written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -239,7 +250,9 @@ def _cmd_render(args) -> int:
         return _error(f"cannot parse {args.object!r}: {exc}")
     text = render_svg(obj) if args.format == "svg" else render_ascii(obj) + "\n"
     if args.out:
-        _write(args.out, text)
+        failed = _write(args.out, text)
+        if failed:
+            return failed
         print(f"rendered to {args.out}")
     else:
         sys.stdout.write(text)

@@ -1,6 +1,6 @@
 """Exact linear algebra over any field-like coefficient type.
 
-Works for Fraction, cyclotomic elements and symbolic Scalars:
+Works for Fraction, Rational, cyclotomic elements and symbolic Scalars:
 elements must support +, -, *, /, ``**0`` for the unit, ==, and
 truthiness for zero-testing.
 

@@ -2,7 +2,8 @@
 
 A Morphism is a dict Diagram -> coefficient with all diagrams sharing
 (dst, src, dilute).  Coefficients live in a CoeffDomain: symbolic Scalars
-by default, or exact specialized values (rationals, cyclotomic numbers).
+by default, or exact specialized values: a Rational at a rational point s0,
+a CycloElement in Q(zeta_N).
 Composition extends diagram gluing bilinearly, multiplying in one loop
 weight beta per closed loop; dilute annihilated pairs contribute nothing.
 It factors out the coefficients of the operand with fewer terms: for each
@@ -29,7 +30,7 @@ from .diagram import (
     e_diagram,
     identity_diagram,
 )
-from .scalar import Scalar, Specialization, parse_scalar
+from .scalar import Rational, Scalar, Specialization, parse_scalar
 
 __all__ = [
     "CoeffDomain",
@@ -56,7 +57,9 @@ __all__ = [
 
 
 class CoeffDomain:
-    """The coefficient ring: everything a Morphism needs to know about it."""
+    """The coefficient ring: everything a Morphism needs to know about it.
+    Its elements are Scalars over Q(s), Rationals at a rational point (s0
+    becomes a Rational once, here) or CycloElements in Q(zeta_N)."""
 
     __slots__ = ("spec", "zero", "one", "_spow", "beta", "_beta_pows")
 
@@ -65,7 +68,7 @@ class CoeffDomain:
         if spec.kind == "generic":
             self._spow = Scalar.s_power
         elif spec.kind == "rational":
-            s0 = spec.s0
+            s0 = Rational(spec.s0)
             self._spow = lambda k: s0**k
         else:
             from .cyclotomic import CycloField

@@ -41,6 +41,15 @@ so their arithmetic never builds a Fraction.  An int equals and hashes like
 the Fraction of the same value, so with that normal form two Scalars are
 equal iff their dicts are equal.
 
+At a rational point s = s0 every coefficient is a Rational, an element of Q
+that plays the role CycloElement plays for Q(zeta_N): numerator and
+denominator are coprime ints with a positive denominator, so zero is 0/1.
+Its sum goes through the gcd of the denominators and its product cancels
+only the cross factors, as fractions.Fraction does, without Fraction's
+per-call dispatch over the numbers tower.  A Rational prints as n/d, or n
+when d = 1, and equals and hashes like the int or Fraction of its value, so
+it reads as one wherever a value surfaces.
+
 Text form: str(x) is a sum of terms such as `3/2 * s^-4 * u^1`, written
 `(num) / (den)` when the denominator is not 1, and parse_scalar reads it
 back.  parse_scalar reads one regular grammar and raises ValueError for any
@@ -56,9 +65,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "Scalar",
+    "Rational",
     "Specialization",
     "NotInvertibleInRing",
     "PoleAtSpecialization",
@@ -301,6 +312,119 @@ class _FieldOps:
             if k:
                 base = base * base
         return out
+
+
+class Rational(_FieldOps):
+    """An element of Q, the coefficient at a rational point: numerator and
+    denominator are coprime ints with denominator > 0, so zero is 0/1."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, value=0):
+        """The value of an int, a Fraction or a Rational."""
+        if not isinstance(value, (int, Fraction, Rational)):
+            raise TypeError(f"cannot make a Rational of {value!r}")
+        self.numerator = value.numerator
+        self.denominator = value.denominator
+
+    def __bool__(self):
+        return self.numerator != 0
+
+    def __add__(self, other):
+        if other.__class__ is not Rational:
+            other = Rational._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _rat_sum(self.numerator, self.denominator,
+                        other.numerator, other.denominator)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is not Rational:
+            other = Rational._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _rat_sum(self.numerator, self.denominator,
+                        -other.numerator, other.denominator)
+
+    def __neg__(self):
+        return _rat(-self.numerator, self.denominator)
+
+    def __mul__(self, other):
+        if other.__class__ is not Rational:
+            other = Rational._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        na, da = self.numerator, self.denominator
+        nb, db = other.numerator, other.denominator
+        # the operands are in lowest terms, so only the cross factors cancel
+        g = gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+        g = gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+        return _rat(na * nb, da * db)
+
+    __rmul__ = __mul__
+
+    def inv(self) -> "Rational":
+        n = self.numerator
+        if not n:
+            raise ZeroDivisionError("inverse of zero")
+        return _rat(self.denominator, n) if n > 0 else _rat(-self.denominator, -n)
+
+    def __eq__(self, other):
+        if other.__class__ is not Rational and not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return (self.numerator == other.numerator
+                and self.denominator == other.denominator)
+
+    def __hash__(self):
+        # a Rational equals the int or Fraction of its value, so hashes alike
+        n, d = self.numerator, self.denominator
+        return hash(n) if d == 1 else hash(Fraction(n, d))
+
+    def __str__(self):
+        if self.denominator == 1:
+            return str(self.numerator)
+        return f"{self.numerator}/{self.denominator}"
+
+    def __repr__(self):
+        return f"Rational({self})"
+
+    @staticmethod
+    def _coerce(x):
+        if x.__class__ is Rational:
+            return x
+        if isinstance(x, (int, Fraction)):
+            return _rat(x.numerator, x.denominator)
+        return NotImplemented
+
+
+def _rat(n: int, d: int) -> Rational:
+    """The Rational n / d of coprime ints with d > 0, unchecked."""
+    x = object.__new__(Rational)
+    x.numerator = n
+    x.denominator = d
+    return x
+
+
+def _rat_sum(na: int, da: int, nb: int, db: int) -> Rational:
+    """na/da + nb/db in lowest terms, as fractions.Fraction adds: through
+    g = gcd(da, db), and then only g can share a factor with the sum."""
+    g = gcd(da, db)
+    if g == 1:
+        return _rat(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rat(t, s * db)
+    return _rat(t // g2, s * (db // g2))
 
 
 class Scalar(_FieldOps):
@@ -639,7 +763,7 @@ class Specialization:
     kinds:
       generic           keep everything symbolic in s
       cyclotomic(N)     s -> zeta_N, exact arithmetic in Q(zeta_N)
-      rational(s0)      s -> a rational number, exact Fractions
+      rational(s0)      s -> a rational number, exact Rationals
     """
 
     kind: str

@@ -69,6 +69,22 @@ def test_usage_errors(capsys, tmp_path):
         assert "at most 255 boundary nodes" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "repr", "--max-n", "2"),
+    ("fusion-table", "2", "2", "1", "1"),
+    ("render", "2x2:[(1,4),(2,3)]"),
+], ids=lambda argv: argv[0])
+def test_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, argv):
+    # --out naming a directory, or a path below a file
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for out in (tmp_path, blocker / "report.json"):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2 and "written" not in stdout and "rendered" not in stdout
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
+
+
 def test_verify_writes_report_and_passes(capsys, tmp_path):
     out = tmp_path / "dilute.json"
     code, stdout, _ = run(capsys, "verify", "dilute", "--max-n", "3",
@@ -142,6 +158,8 @@ GOLDEN_REPORTS = {
     ("repr", "generic"): "8d6d338e52ded9ed65aef85e5b5278249229bf644ae1cf449b6881cf840bb0dd",
     ("fusion", "generic"): "24f5fb882900c9b1cc5e1dfb5fda85c39f52656e24309ba6f98615faa14605da",
     ("fusion", "root:3"): "ec086535237614937f1903f7eaadf9a4fb55005bc7182594db12662c36fab759",
+    ("fusion", "rational:5/3"): "79528ac403f6b05625f7eb822a3bb9840d9653982b049df36f3fd0f246fcd1c8",
+    ("repr", "rational:5/3"): "d27831ca3e2ff599be2719d774f29c08c70e0f3dd11a5ba31d67a97ab8e6199e",
     ("dilute", "generic"): "1390ba8c6cfe332245c98b364c2c90cd2bba499eed4215e9526a081cb007dfa7",
     ("integrable", "generic"): "ebd1eaf9c5bf355c857e7c92224063b35094a32775b5fffdc950f8276ee66d07",
 }

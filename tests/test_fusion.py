@@ -26,7 +26,7 @@ from tlcat.fusion import (
 )
 from tlcat.linalg import mat_mul, mat_shift, rank, rref
 from tlcat.morphism import GENERIC, CoeffDomain, domain_for, e, identity
-from tlcat.scalar import Scalar, Specialization
+from tlcat.scalar import Rational, Scalar, Specialization
 from tlcat.standard import RegularModule, StandardModule, act, standard_dimension
 from tlcat.twist import gamma_eigenvalue, twist_element, twist_inverse
 
@@ -169,6 +169,20 @@ def test_braiding_route_composes_crossings_onto_dense_morphisms(compose_calls):
     fused.monodromy_matrix("braiding")
     catalan = comb(2 * (m + n), m + n) // (m + n + 1)
     assert len(compose_calls) <= 2 * (2 * m * n - 1) * catalan + fused.dim * catalan
+
+
+def test_rational_point_coefficients_are_rationals():
+    # at s = 5/3 every coefficient is a Rational, from the domain's constants
+    # through the structural morphisms to a fused module's monodromy
+    dom = domain_for(Specialization.rational(Fraction(5, 3)))
+    values = [dom.one, dom.zero, dom.beta] + [dom.s_power(k) for k in range(-8, 9)]
+    values += twist_element(3, dom).terms.values()
+    fused = FusedModule(StandardModule(2, 2, dom), StandardModule(2, 0, dom))
+    mono = fused.monodromy_matrix("twist")
+    values += [x for row in mono for x in row]
+    assert len(mono) == fused.dim > 0
+    assert all(type(x) is Rational for x in values), {type(x) for x in values}
+    assert dom.s_power(-3) == Fraction(27, 125) and str(dom.beta) == "-397186/50625"
 
 
 def _outcomes(rep):

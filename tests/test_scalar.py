@@ -13,6 +13,7 @@ from tlcat.morphism import domain_for
 from tlcat.scalar import (
     _LIMIT,
     NotInvertibleInRing,
+    Rational,
     Scalar,
     Specialization,
     _u_divmod,
@@ -513,6 +514,58 @@ def test_cyclotomic_field_operations(pair):
     assert 1 - a == -(a - 1)
     assert 2 / a == 2 * a.inv()
     assert a ** -2 * a ** 2 == one
+
+
+# -- Rational against fractions.Fraction ------------------------------------------
+
+rational_value = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+
+
+@st.composite
+def rational_operand(draw):
+    """(value as a Fraction, the same value as a Rational, int or Fraction)."""
+    value = draw(rational_value)
+    kinds = [Rational, Fraction] + ([int] if value.denominator == 1 else [])
+    return value, draw(st.sampled_from(kinds))(value)
+
+
+def assert_rational(x, want: Fraction):
+    assert type(x) is Rational, repr(x)
+    assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+    assert str(x) == str(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_operand(), rational_operand(), st.integers(-4, 4))
+@example((Fraction(2, 3), Rational(Fraction(2, 3))), (Fraction(2, 3), Fraction(2, 3)), -2)
+@example((Fraction(0), 0), (Fraction(0), Rational(0)), 3)
+def test_rational_matches_the_fraction_oracle(a, b, k):
+    (fa, xa), (fb, xb) = a, b
+    if type(xa) is not Rational and type(xb) is not Rational:
+        xa = Rational(xa)
+    x = Rational(fa)
+    for got, want in [(xa + xb, fa + fb), (xa - xb, fa - fb), (xa * xb, fa * fb),
+                      (-x, -fa), (x + 0, fa), (0 - x, -fa)]:
+        assert_rational(got, want)
+    if fb:
+        assert_rational(xa / xb, fa / fb)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            xa / xb
+    if fa:
+        assert_rational(x.inv(), 1 / fa)
+        assert_rational(x ** k, fa ** k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        assert_rational(x ** abs(k), fa ** abs(k))
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    for other in [fb, Rational(fb)] + ([fb.numerator] if fb.denominator == 1 else []):
+        assert (x == other) is (fa == fb) and (other == x) is (fa == fb)
+        assert (x != other) is (fa != fb) and (other != x) is (fa != fb)
+    assert hash(x) == hash(fa) and x in {fa} and fa in {x}
+    assert bool(x) is bool(fa)
 
 
 def test_cyclotomic_domain_specializes_s():
