@@ -11,6 +11,7 @@ verification path.
 from .diagram import (
     Diagram,
     InterfaceMismatch,
+    dilute_diagram,
     e_diagram,
     enumerate_diagrams,
     identity_diagram,
@@ -21,6 +22,9 @@ from .morphism import (
     Morphism,
     big_cap,
     big_cup,
+    cups,
+    dilute_eta11,
+    dilute_eta11_inverse,
     domain_for,
     e,
     identity,
@@ -55,13 +59,7 @@ from .fusion import (
     monodromy_eigenvalue,
     verify_fusion_suite,
 )
-from .dilute import (
-    dilute_commutor,
-    dilute_diagram,
-    dilute_eta11,
-    dilute_eta11_inverse,
-    verify_dilute_braiding,
-)
+from .dilute import dilute_commutor, verify_dilute_braiding
 from .integrable import (
     face,
     transfer_matrix,

@@ -41,6 +41,8 @@ from .twist import det_t1_closed_form, gamma_eigenvalue, gamma_exponent, verify_
 
 __all__ = ["main"]
 
+_USAGE = 2  # the exit code of a usage error
+
 
 def _repr_suite(max_n: int, spec: Specialization, seed: int) -> VerificationReport:
     rep = VerificationReport("repr")
@@ -70,32 +72,37 @@ SUITES = {
 SPEC_SUITES = tuple(name for name, (_, at_spec) in SUITES.items() if at_spec)
 
 
-def _run_suite(name: str, max_n: int, spec: Specialization, seed: int) -> dict:
-    """Run one named suite and return its JSON report."""
-    return SUITES[name][0](max_n, spec, seed).to_json()
-
-
 def _default_out(filename: str) -> str:
     root = os.environ.get("TLCAT_REPORT_DIR", "reports")
     return os.path.join(root, filename)
 
 
-def _write(path: str, text: str) -> int:
-    """Write text to path, making its directory; return 0, or the usage
-    exit code once an error line says why the path cannot be written (it
-    names a directory, say)."""
+def _open_out(path: str):
+    """Open path for writing, making its directory; return the file, or
+    None once an error line says why the path cannot be written (it names
+    a directory, say)."""
     try:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
-        return _error(f"cannot write {path}: {exc.strerror or exc}")
+        _error(f"cannot write {path}: {exc.strerror or exc}")
+        return None
+
+
+def _write(path: str, text: str) -> int:
+    """Write text to path; return 0, or the usage exit code if _open_out
+    cannot open it."""
+    fh = _open_out(path)
+    if fh is None:
+        return _USAGE
+    with fh:
+        fh.write(text)
     return 0
 
 
-def _error(message, code: int = 2) -> int:
+def _error(message, code: int = _USAGE) -> int:
     """Say what went wrong on stderr and return the exit code, by default
     that of a usage error."""
     print(f"error: {message}", file=sys.stderr)
@@ -113,32 +120,33 @@ def _cmd_verify(args) -> int:
     if spec.kind != "generic" and any(n not in SPEC_SUITES for n in names):
         return _error(f"suite {args.suite!r} computes generically and ignores --spec "
                       f"{args.spec}; only {' and '.join(SPEC_SUITES)} honour a spec")
-    results = [_run_suite(name, args.max_n, spec, args.seed) for name in names]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "suite": args.suite,
-        "spec": spec.describe(),
-        "max_n": args.max_n,
-        "seed": args.seed,
-        "suites": results,
-        "summary": {
-            "total": sum(r["summary"]["total"] for r in results),
-            "pass": sum(r["summary"]["pass"] for r in results),
-            "fail": sum(r["summary"]["fail"] for r in results),
-        },
-    }
-    payload["summary"]["ok"] = payload["summary"]["fail"] == 0
     out = args.out or _default_out(f"verify-{args.suite}.json")
-    failed = _write(out, json_text(payload) + "\n")
-    if failed:
-        return failed
-    for r in results:
-        mark = "PASS" if r["summary"]["fail"] == 0 else "FAIL"
-        print(f"[{mark}] {r['suite']}: {r['summary']['pass']}/"
-              f"{r['summary']['total']} checks passed")
+    # opened before any suite runs, so an unwritable --out fails at once
+    fh = _open_out(out)
+    if fh is None:
+        return _USAGE
+    with fh:
+        reports = [SUITES[name][0](args.max_n, spec, args.seed) for name in names]
+        fail = sum(r.n_fail for r in reports)
+        fh.write(json_text({
+            "schema": SCHEMA_VERSION,
+            "command": "verify",
+            "suite": args.suite,
+            "spec": spec.describe(),
+            "max_n": args.max_n,
+            "seed": args.seed,
+            "suites": [r.to_json() for r in reports],
+            "summary": {
+                "total": sum(len(r.cases) for r in reports),
+                "pass": sum(r.n_pass for r in reports),
+                "fail": fail,
+                "ok": fail == 0,
+            },
+        }) + "\n")
+    for r in reports:
+        print(r.summary_line())
     print(f"report written to {out}")
-    return 0 if payload["summary"]["ok"] else 1
+    return 0 if fail == 0 else 1
 
 
 def _fusion_table(n1: int, k1: int, n2: int, k2: int,

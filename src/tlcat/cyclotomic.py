@@ -54,19 +54,12 @@ class CycloField:
         self.N = N
         self._phi = _cyclotomic_sparse(N)
         self.degree = d = max(self._phi)
-        self.modulus = tuple(self._phi.get(i, 0) for i in range(d + 1))
         # reduction rows: x^(d+k) mod Phi_N for k = 0 .. d-2, the exponents a
         # product of two reduced elements can reach
         self._rows = [_u_divmod({d + k: 1}, self._phi)[1] for k in range(d - 1)]
         self._zeta_pows = {}
         cls._cache[N] = self
         return self
-
-    def zero(self) -> "CycloElement":
-        return _element(self, {})
-
-    def one(self) -> "CycloElement":
-        return self.from_rational(1)
 
     def from_rational(self, r) -> "CycloElement":
         if r.__class__ is not int:

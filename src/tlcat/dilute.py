@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 
 from .braid import _naturality_case, commutor, verify_hexagons
-from .diagram import DILUTE_END2_NAMES, Diagram, dilute_diagram, enumerate_diagrams
+from .diagram import Diagram, dilute_diagram, enumerate_diagrams
 from .morphism import (
     CoeffDomain,
     GENERIC,
@@ -33,10 +33,6 @@ from .morphism import (
 from .report import VerificationReport
 
 __all__ = [
-    "dilute_diagram",
-    "DILUTE_END2_NAMES",
-    "dilute_eta11",
-    "dilute_eta11_inverse",
     "dilute_commutor",
     "verify_dilute_braiding",
 ]

@@ -28,6 +28,7 @@ from .morphism import (
     Morphism,
     big_cap,
     big_cup,
+    cups,
     dilute_end2,
     dilute_identity,
     dilute_sum,
@@ -60,16 +61,13 @@ _SPECTRAL_EXPONENTS = {
     "v": (0, 1, 0),
     "w": (0, 0, 1),
     "1/u": (-1, 0, 0),
-    "1/v": (0, -1, 0),
     "v/u": (-1, 1, 0),
-    "u/v": (1, -1, 0),
-    "u*v": (1, 1, 0),
 }
 
 
 def spectral_power(arg):
     """Return k -> (spectral argument)^k for a monomial spectral argument
-    named by arg ('u', 'v/u', 'u*v', ...) or given as an exponent triple."""
+    named by arg ('u', 'v', 'w', '1/u' or 'v/u') or given as an exponent triple."""
     eu, ev, ew = _SPECTRAL_EXPONENTS[arg] if isinstance(arg, str) else arg
     x = Scalar.var_power("u", eu) * Scalar.var_power("v", ev) * Scalar.var_power("w", ew)
     return lambda k: x**k
@@ -189,11 +187,7 @@ def verify_spectral_identities(family: str = "ordinary") -> VerificationReport:
 
     lhs = Y(1, "u") * Y(2, "v") * Y(1, "w")
     rhs = Y(2, "w") * Y(1, "v") * Y(2, "u")
-    uvw = (
-        Scalar.var_power("u", 1)
-        * Scalar.var_power("v", -1)
-        * Scalar.var_power("w", 1)
-    )
+    uvw = spectral_power((1, -1, 1))(1)
     residual = ((s1 * t2 * s1) - (s2 * t1 * s2)).scale(uvw) - (
         (t1 * s2 * t1) - (t2 * s1 * t2)
     ).scale(uvw.inv())
@@ -223,7 +217,7 @@ def verify_inversion(family: str = "ordinary") -> VerificationReport:
     x = face(1, 2, family)
     prod = x("u") * x("1/u")
     sp = GENERIC.s_power
-    u2 = Scalar.var_power("u", 2)
+    u2 = spectral_power("u")(2)
     if family == "ordinary":
         rho = sp(8) + sp(-8) - u2 - u2.inv()
         rep.check("inversion scalar", {"rho": str(rho)},
@@ -257,7 +251,7 @@ def verify_inversion(family: str = "ordinary") -> VerificationReport:
 def _boundary(kind: str) -> Morphism:
     """Boundary condition in Hom(0,4)."""
     if kind == "ordinary":
-        return big_cup(1).tensor(big_cup(1))
+        return cups(2)
     # Double arcs close the four strands pairwise in the planar-nested way
     # (1,4),(2,3), matching the nested big-cup convention of the category.
     arcs = {

@@ -43,6 +43,7 @@ __all__ = [
     "t",
     "t_inv",
     "big_cup",
+    "cups",
     "big_cap",
     "dilute_identity",
     "dilute_end2",
@@ -461,6 +462,11 @@ def t_inv(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> M
 def big_cup(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """Nested cups in Hom(0,2m): node i arcs to node 2m+1-i."""
     return Morphism.from_diagram(Diagram.from_link(2 * m, 0, range(2 * m - 1, -1, -1)), dom)
+
+
+def cups(p: int, dom: CoeffDomain = GENERIC) -> Morphism:
+    """The p-fold cup z^p in Hom(0,2p): pairs (1,2), (3,4), ..., (2p-1,2p)."""
+    return Morphism.from_diagram(Diagram.from_link(2 * p, 0, [i ^ 1 for i in range(2 * p)]), dom)
 
 
 def big_cap(m: int, dom: CoeffDomain = GENERIC) -> Morphism:

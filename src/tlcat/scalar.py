@@ -74,7 +74,6 @@ __all__ = [
     "NotInvertibleInRing",
     "PoleAtSpecialization",
     "ZERO",
-    "ONE",
     "parse_scalar",
 ]
 
@@ -463,11 +462,6 @@ class Scalar(_FieldOps):
         i = VARS.index(name)
         return _make({_pack(k if j == i else 0 for j in range(4)): 1}, _DEN1)
 
-    @staticmethod
-    def beta() -> "Scalar":
-        """Loop weight -q - q^-1 = -s^4 - s^-4."""
-        return _make({4: -1, -4: -1}, _DEN1)
-
     # -- predicates ----------------------------------------------------------
 
     @property
@@ -680,7 +674,6 @@ def _cross_cancel(x: Scalar, y: Scalar) -> tuple[dict, dict, dict]:
 
 
 ZERO = Scalar.from_rational(0)
-ONE = Scalar.from_rational(1)
 
 
 # ---------------------------------------------------------------------------

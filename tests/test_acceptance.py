@@ -12,7 +12,7 @@ from tlcat.integrable import (
     verify_integrable_suite,
     verify_transfer_commute,
 )
-from tlcat.morphism import e, identity
+from tlcat.morphism import GENERIC, e, identity
 from tlcat.report import VerificationReport
 from tlcat.scalar import Scalar, Specialization
 from tlcat.standard import (
@@ -39,7 +39,7 @@ def _finish(label: str, budget: float, t0: float, ok: bool, detail: str = ""):
 def test_criterion_1_tl_relations():
     t0 = time.time()
     rep = VerificationReport("acceptance.tl")
-    beta = Scalar.beta()
+    beta = GENERIC.beta
     for n in range(2, 7):
         for i in range(1, n):
             ei = e(i, n)

@@ -11,6 +11,7 @@ import pytest
 import tlcat.cli as cli
 from tlcat.cli import main
 from tlcat.render import parse_renderable
+from tlcat.report import VerificationReport
 
 
 def run(capsys, *argv):
@@ -83,6 +84,17 @@ def test_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, argv):
         assert code == 2 and "written" not in stdout and "rendered" not in stdout
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
     assert blocker.read_text() == "kept\n"
+
+
+def test_unwritable_out_fails_before_any_suite_runs(capsys, tmp_path, monkeypatch):
+    calls = []
+    passing = VerificationReport("fusion")
+    passing.add("x", {}, True)
+    monkeypatch.setitem(cli.SUITES, "fusion", (lambda *a: calls.append(a) or passing, True))
+    code, stdout, err = run(capsys, "verify", "fusion", "--max-n", "4", "--out", str(tmp_path))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+    assert calls == []
 
 
 def test_verify_writes_report_and_passes(capsys, tmp_path):
@@ -177,13 +189,9 @@ def test_verify_report_bytes_are_golden(capsys, tmp_path, suite, spec):
 
 
 def test_verify_failure_exit_code_and_report(capsys, tmp_path, monkeypatch):
-    failing = {
-        "schema": 1,
-        "suite": "braid",
-        "summary": {"total": 1, "pass": 0, "fail": 1},
-        "cases": [{"identity": "x", "params": {}, "status": "fail"}],
-    }
-    monkeypatch.setattr(cli, "_run_suite", lambda *a: failing)
+    failing = VerificationReport("braid")
+    failing.add("x", {}, False)
+    monkeypatch.setitem(cli.SUITES, "braid", (lambda *a: failing, False))
     out = tmp_path / "fail.json"
     code, stdout, _ = run(capsys, "verify", "braid", "--out", str(out))
     assert code == 1

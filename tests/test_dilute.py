@@ -1,14 +1,9 @@
 """Dilute diagrams, the two-term braiding element, and its suite."""
 
 from tlcat.braid import commutor, commutor_inverse
-from tlcat.dilute import (
-    dilute_diagram,
-    dilute_eta11,
-    dilute_eta11_inverse,
-    verify_dilute_braiding,
-)
-from tlcat.diagram import enumerate_diagrams
-from tlcat.morphism import dilute_identity, t, t_inv
+from tlcat.diagram import dilute_diagram, enumerate_diagrams
+from tlcat.dilute import verify_dilute_braiding
+from tlcat.morphism import GENERIC, dilute_eta11, dilute_eta11_inverse, dilute_identity, t, t_inv
 from tlcat.scalar import Scalar
 
 
@@ -41,7 +36,7 @@ def test_constraint_equations():
     # a1^2 + a1 a5 beta + a5^2 = 0 and a2^2 = a3^2 = a4^2 = a1 a5
     a1, a5 = Scalar.s_power(2), Scalar.s_power(-2)
     one = Scalar.from_rational(1)
-    assert a1 * a1 + a1 * a5 * Scalar.beta() + a5 * a5 == Scalar.from_rational(0)
+    assert a1 * a1 + a1 * a5 * GENERIC.beta + a5 * a5 == Scalar.from_rational(0)
     assert one * one == a1 * a5
 
 

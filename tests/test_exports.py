@@ -1,6 +1,9 @@
 """Every name a tlcat module exports in ``__all__`` exists, so a deletion
 cannot leave a stale export behind, and every public function or class a
 module defines is in its ``__all__``, so an entry point cannot fall out.
+Each name has one home: a submodule exports only the functions and
+classes it defines, and no constant is exported by two submodules (the
+package ``tlcat`` gathers them all).
 The verifiers of the braid, twist, dilute and integrable suites prove
 their identities over Q(s) (with u, v, w) and take no coefficient domain;
 the four entry points the benchmark passes ``dom=`` to accept the generic
@@ -22,6 +25,7 @@ from tlcat.morphism import domain_for
 from tlcat.scalar import Specialization
 
 MODULES = ["tlcat"] + [f"tlcat.{m.name}" for m in pkgutil.iter_modules(tlcat.__path__)]
+SUBMODULES = MODULES[1:]
 GENERIC_ONLY = ["tlcat.braid", "tlcat.twist", "tlcat.dilute", "tlcat.integrable"]
 KEEPS_DOM = {
     "verify_braid_suite": lambda dom: verify_braid_suite(dom=dom),
@@ -29,6 +33,10 @@ KEEPS_DOM = {
     "verify_integrable_suite": lambda dom: verify_integrable_suite(dom=dom),
     "transfer_matrix": lambda dom: transfer_matrix(2, dom=dom),
 }
+
+
+def _is_code(obj) -> bool:
+    return inspect.isfunction(obj) or inspect.isclass(obj)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -42,10 +50,27 @@ def test_all_names_resolve(name):
 def test_public_names_are_exported(name):
     module = importlib.import_module(name)
     unlisted = [n for n, obj in vars(module).items()
-                if (inspect.isfunction(obj) or inspect.isclass(obj))
-                and obj.__module__ == name and not n.startswith("_")
+                if _is_code(obj) and obj.__module__ == name and not n.startswith("_")
                 and n not in module.__all__]
     assert not unlisted
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_functions_and_classes_are_exported_where_defined(name):
+    module = importlib.import_module(name)
+    foreign = [n for n in getattr(module, "__all__", ())
+               if _is_code(getattr(module, n)) and getattr(module, n).__module__ != name]
+    assert not foreign
+
+
+def test_no_constant_is_exported_twice():
+    homes = {}
+    for name in SUBMODULES:
+        module = importlib.import_module(name)
+        for n in getattr(module, "__all__", ()):
+            if not _is_code(getattr(module, n)):
+                homes.setdefault(n, []).append(name)
+    assert {n: h for n, h in homes.items() if len(h) > 1} == {}
 
 
 @pytest.mark.parametrize("name", GENERIC_ONLY)

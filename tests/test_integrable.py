@@ -4,7 +4,7 @@ and commuting transfer matrices for all three families."""
 import pytest
 
 from tlcat import scalar
-from tlcat.dilute import dilute_diagram
+from tlcat.diagram import dilute_diagram
 from tlcat.integrable import (
     face,
     spectral_power,

@@ -16,14 +16,17 @@ from tlcat.diagram import (
     enumerate_diagrams,
     identity_diagram,
 )
-from tlcat.integrable import transfer_matrix
+from tlcat.integrable import _boundary, transfer_matrix
 from tlcat.morphism import (
     GENERIC,
     CoeffDomain,
     Morphism,
+    big_cup,
+    cups,
     dilute_eta11,
     domain_for,
     e,
+    identity,
     on_strands,
     t,
 )
@@ -311,3 +314,14 @@ def test_cached_builder_binds_without_inspect():
     # perfbench's tracer reads the builder's signature through functools.wraps
     assert list(inspect.signature(braid.commutor).parameters) == [
         "r", "s", "form", "dom", "dilute"]
+
+
+@pytest.mark.parametrize("spec", ["generic", "rational:5/3"])
+def test_cups_is_the_tensor_power_of_the_cup(spec):
+    dom = domain_for(Specialization.parse(spec))
+    power = identity(0, dom=dom)
+    for p in range(4):
+        assert cups(p, dom) == power
+        power = power.tensor(big_cup(1, dom))
+    # the ordinary Yang-Baxter boundary is z^2
+    assert _boundary("ordinary") == cups(2)

@@ -2,8 +2,7 @@
 
 from tlcat.braid import commutor
 from tlcat.diagram import Diagram, e_diagram
-from tlcat.dilute import dilute_eta11
-from tlcat.morphism import parse_morphism
+from tlcat.morphism import dilute_eta11, parse_morphism
 from tlcat.render import parse_renderable, render_ascii, render_svg
 
 

@@ -73,7 +73,7 @@ def test_regular_module_matches_left_multiplication():
     col_one = cols[idx[identity_diagram(2)]]
     col_e = cols[idx[e_diagram(1, 2)]]
     assert col_one == {idx[e_diagram(1, 2)]: Scalar.from_rational(1)}
-    assert col_e == {idx[e_diagram(1, 2)]: Scalar.beta()}
+    assert col_e == {idx[e_diagram(1, 2)]: GENERIC.beta}
 
 
 def test_nonscalar_action_raises():
@@ -84,7 +84,7 @@ def test_nonscalar_action_raises():
 
 def test_wenzl_jones_small_closed_form():
     # wj_2 = 1 + e_1 / (q + q^-1)
-    beta = Scalar.beta()
+    beta = GENERIC.beta
     expected = identity(2) + e(1, 2).scale(-beta.inv())
     assert wenzl_jones(2) == expected
 

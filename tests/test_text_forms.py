@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlcat.braid import commutor
-from tlcat.dilute import dilute_eta11
-from tlcat.morphism import parse_morphism
+from tlcat.morphism import dilute_eta11, parse_morphism
 from tlcat.render import parse_renderable
 from tlcat.scalar import Scalar, parse_scalar
 
