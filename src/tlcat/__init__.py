@@ -23,8 +23,6 @@ from .morphism import (
     big_cap,
     big_cup,
     cups,
-    dilute_eta11,
-    dilute_eta11_inverse,
     domain_for,
     e,
     identity,

@@ -5,8 +5,8 @@ strands.  Two closed-form products build it; their equality is itself one
 of the verified identities.  Products here follow the convention that the
 running index grows towards the left: prod_{i=1}^{s} t_i = t_s ... t_1.
 ``crossing_indices`` lists the crossings of either form, and eta_{r,s},
-its inverse and the double braiding eta_{n,m} eta_{m,n} are each built as
-one word of those crossings.
+its inverse and the double braiding eta_{n,m} eta_{m,n} are each one
+cached word of those crossings (``morphism.crossing_word``).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 
 from .morphism import (
-    GENERIC, CoeffDomain, Morphism, cached_morphism, cups, e, identity, require_generic,
-    t, t_inv, word,
+    GENERIC, CoeffDomain, Morphism, crossing_word, cups, e, identity, require_generic, t,
+    word,
 )
 from .diagram import enumerate_diagrams
 from .report import VerificationReport
@@ -34,19 +34,18 @@ __all__ = [
 ]
 
 
-def crossing_indices(r: int, s: int, form: str = "left-nested") -> list:
+def crossing_indices(r: int, s: int, form: str = "left-nested") -> tuple:
     """The indices k of the crossings t_k whose product, leftmost factor
     first, is eta_{r,s} in one of its two closed forms."""
     if form == "left-nested":
         # prod_{i=1}^{s} ( prod_{j=r-1}^{0} t_{i+j} )
-        return [i + j for i in range(s, 0, -1) for j in range(r)]
+        return tuple(i + j for i in range(s, 0, -1) for j in range(r))
     if form == "right-nested":
         # prod_{i=r}^{1} ( prod_{j=0}^{s-1} t_{i+j} )
-        return [i + j for i in range(1, r + 1) for j in range(s - 1, -1, -1)]
+        return tuple(i + j for i in range(1, r + 1) for j in range(s - 1, -1, -1))
     raise ValueError(f"unknown commutor form {form!r}")
 
 
-@cached_morphism(maxsize=128)
 def commutor(
     r: int,
     s: int,
@@ -56,26 +55,21 @@ def commutor(
 ) -> Morphism:
     """eta_{r,s} in End(r+s) for ordinary or dilute strands; both closed
     forms yield the same morphism."""
-    n = r + s
-    return word([t(k, n, dom, dilute) for k in crossing_indices(r, s, form)], n, dilute, dom)
+    return crossing_word(crossing_indices(r, s, form), r + s, dom, dilute, False, 0)
 
 
-@cached_morphism(maxsize=128)
 def commutor_inverse(
     r: int, s: int, dom: CoeffDomain = GENERIC, dilute: bool = False
 ) -> Morphism:
     """Structural inverse: the reversed product of inverse crossings."""
-    n = r + s
-    indices = crossing_indices(r, s)[::-1]
-    return word([t_inv(k, n, dom, dilute) for k in indices], n, dilute, dom)
+    return crossing_word(crossing_indices(r, s)[::-1], r + s, dom, dilute, True, 0)
 
 
-@cached_morphism(maxsize=32)
 def double_braiding(m: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """eta_{n,m} eta_{m,n} in End(m+n), built as one word of its 2mn
     crossings rather than as a product of the two dense commutors."""
     indices = crossing_indices(n, m) + crossing_indices(m, n)
-    return word([t(k, m + n, dom) for k in indices], m + n, dom=dom)
+    return crossing_word(indices, m + n, dom, False, False, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,30 +46,31 @@ _USAGE = 2  # the exit code of a usage error
 
 def _repr_suite(max_n: int, spec: Specialization, seed: int) -> VerificationReport:
     rep = VerificationReport("repr")
-    for m in range(1, min(max_n, 5) + 1):
+    for m in range(1, max_n + 1):
         rep.extend(verify_rigidity(m, domain_for(spec)))
     return rep
 
 
 def _dilute_suite(max_n: int, spec: Specialization, seed: int) -> VerificationReport:
     rep = VerificationReport("dilute")
-    rep.extend(verify_dilute_braiding(min(max_n, 4), seed=seed))
+    rep.extend(verify_dilute_braiding(max_n, seed=seed))
     rep.extend(verify_integrable_suite("dilute-braid", max_n))
     rep.extend(verify_integrable_suite("dilute-IK", max_n))
     return rep
 
 
-# each suite: its runner (max_n, spec, seed) -> VerificationReport, and
-# whether it computes at --spec; the others always compute generically
+# each suite: its runner (max_n, spec, seed) -> VerificationReport, whether
+# it computes at --spec (the others always compute generically), and the
+# largest --max-n it accepts (fusion fuses n1 + n2 <= max_n + 2 strands)
 SUITES = {
-    "braid": (lambda n, spec, seed: verify_braid_suite(min(n, 6), seed=seed), False),
-    "twist": (lambda n, spec, seed: verify_twist_suite(min(n, 6)), False),
-    "repr": (_repr_suite, True),
-    "fusion": (lambda n, spec, seed: verify_fusion_suite(min(n + 2, 6), spec), True),
-    "integrable": (lambda n, spec, seed: verify_integrable_suite("ordinary", n), False),
-    "dilute": (_dilute_suite, False),
+    "braid": (lambda n, spec, seed: verify_braid_suite(n, seed=seed), False, 6),
+    "twist": (lambda n, spec, seed: verify_twist_suite(n), False, 6),
+    "repr": (_repr_suite, True, 5),
+    "fusion": (lambda n, spec, seed: verify_fusion_suite(n + 2, spec), True, 4),
+    "integrable": (lambda n, spec, seed: verify_integrable_suite("ordinary", n), False, 4),
+    "dilute": (_dilute_suite, False, 4),
 }
-SPEC_SUITES = tuple(name for name, (_, at_spec) in SUITES.items() if at_spec)
+SPEC_SUITES = tuple(name for name, (_, at_spec, _) in SUITES.items() if at_spec)
 
 
 def _default_out(filename: str) -> str:
@@ -117,6 +118,10 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         return _error(exc)
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    capped = min(names, key=lambda name: SUITES[name][2])
+    cap = SUITES[capped][2]
+    if args.max_n > cap:
+        return _error(f"--max-n {args.max_n} is above {cap}, the cap of suite {capped!r}")
     if spec.kind != "generic" and any(n not in SPEC_SUITES for n in names):
         return _error(f"suite {args.suite!r} computes generically and ignores --spec "
                       f"{args.spec}; only {' and '.join(SPEC_SUITES)} honour a spec")
@@ -277,8 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=(*SUITES, "all"))
+    caps = {name: cap for name, (_, _, cap) in SUITES.items()}
     p.add_argument("--max-n", type=int, default=4,
-                   help="size bound for exhaustive checks (default 4)")
+                   help="size bound for exhaustive checks (default 4); at most "
+                        + ", ".join(f"{name} {cap}" for name, cap in caps.items())
+                        + f", and {min(caps.values())} for all; a larger value exits 2")
     p.add_argument("--spec", default="generic",
                    help="'generic', 'root:L', or 'rational:s0'; only the "
                         "repr and fusion suites take a non-generic spec")

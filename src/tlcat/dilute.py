@@ -1,9 +1,10 @@
 """Braiding for the dilute diagram family.
 
 The elementary two-strand braiding is the five-diagram morphism
-dilute_eta11 in the dilute End(2) (defined with the other generators in
-morphism); its coefficients are forced, up to sign choices, by
-requiring that occupied and vacant strand patterns transport through it.
+eta_{1,1} = t(1, 2, dilute=True) in the dilute End(2) (defined with the
+other generators in morphism); its coefficients are forced, up to sign
+choices, by requiring that occupied and vacant strand patterns transport
+through it.
 Everything else - the crossings t_i, the block interchange eta_{r,s} and
 its inverse - is the ordinary construction called with dilute=True: the
 same crossing words, with the dilute identity (a sum over occupation
@@ -11,7 +12,7 @@ patterns) in place of the ordinary identity strand.  The checks are
 shared the same way: the closed forms, inverses and hexagons are
 braid.verify_hexagons with dilute=True, and each sampled naturality case
 is braid's own, on dilute diagrams.  Only the facts that pin the
-coefficients of dilute_eta11 are checked here alone.
+coefficients of eta_{1,1} are checked here alone.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .morphism import (
     CoeffDomain,
     GENERIC,
     Morphism,
-    dilute_eta11,
-    dilute_eta11_inverse,
-    dilute_identity,
     dilute_sum,
+    identity,
     require_generic,
+    t,
+    t_inv,
 )
 from .report import VerificationReport
 
@@ -57,7 +58,7 @@ def verify_dilute_braiding(
 ) -> VerificationReport:
     require_generic(dom)
     rep = VerificationReport("dilute.braiding")
-    eta = dilute_eta11()
+    eta = t(1, 2, dilute=True)
     sp, one = GENERIC.s_power, GENERIC.one
 
     # basic counting and unit facts
@@ -69,8 +70,8 @@ def verify_dilute_braiding(
     rep.check(
         "eta11 inverse",
         {},
-        eta.compose(dilute_eta11_inverse()),
-        dilute_identity(2),
+        eta.compose(t_inv(1, 2, dilute=True)),
+        identity(2, True),
     )
 
     # coefficient constraints: a1 = q^{1/2}, a5 = q^{-1/2}, a2 = a3 = a4 = 1
@@ -96,7 +97,7 @@ def verify_dilute_braiding(
         rep.check("occupation transport: " + name, {}, eta.compose(x), y.compose(eta))
 
     # the interchange conditions that pinned the coefficients
-    one_strand = dilute_identity(1)
+    one_strand = identity(1, True)
     eta12 = dilute_commutor(1, 2)
     eta21 = dilute_commutor(2, 1)
     for bname in ("cupcap", "left-cup", "right-cap"):

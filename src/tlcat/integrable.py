@@ -30,7 +30,6 @@ from .morphism import (
     big_cup,
     cups,
     dilute_end2,
-    dilute_identity,
     dilute_sum,
     identity,
     on_strands,
@@ -76,7 +75,7 @@ def spectral_power(arg):
 @functools.lru_cache(maxsize=1)
 def _ik_weights() -> tuple:
     """The five End(2) Boltzmann-weight morphisms y+, w+, z, w-, y-, built
-    once; their terms are read-only, as cached_morphism makes them."""
+    once; their terms are read-only, as crossing_word makes them."""
     sp, one = GENERIC.s_power, GENERIC.one
 
     def y(sign: int):
@@ -225,7 +224,7 @@ def verify_inversion(family: str = "ordinary") -> VerificationReport:
     elif family == "dilute-braid":
         rho = sp(4) + sp(-4) - u2 - u2.inv()
         defect_coeff = sp(8) - sp(4) - sp(-4) + sp(-8)
-        expected = dilute_identity(2).scale(rho) + Morphism.from_diagram(
+        expected = identity(2, True).scale(rho) + Morphism.from_diagram(
             dilute_diagram("parallel")
         ).scale(defect_coeff)
         rep.check(
@@ -236,7 +235,7 @@ def verify_inversion(family: str = "ordinary") -> VerificationReport:
         )
         rep.add("inversion fails (defect nonzero)", {}, bool(defect_coeff))
     elif family == "dilute-IK":
-        ident = dilute_identity(2)
+        ident = identity(2, True)
         some = next(iter(ident.terms))
         rho_hat = prod.terms.get(some, GENERIC.zero)
         rep.check(

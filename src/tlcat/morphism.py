@@ -15,7 +15,6 @@ multiplies the sum once.
 from __future__ import annotations
 
 import functools
-import inspect
 import re
 from itertools import product as _iproduct
 from types import MappingProxyType
@@ -45,14 +44,11 @@ __all__ = [
     "big_cup",
     "cups",
     "big_cap",
-    "dilute_identity",
     "dilute_end2",
     "dilute_sum",
-    "dilute_eta11",
-    "dilute_eta11_inverse",
     "on_strands",
     "word",
-    "cached_morphism",
+    "crossing_word",
     "parse_morphism",
 ]
 
@@ -312,61 +308,6 @@ class Morphism:
         return f"Morphism({self.to_text()})"
 
 
-def cached_morphism(maxsize: int):
-    """Memoise a builder of structural morphisms in a bounded LRU cache.
-
-    The key is the call's full argument tuple, in parameter order with
-    defaults filled in, so the keyword and positional forms of one call
-    share an entry; every argument must be hashable and immutable.  The
-    parameter names and defaults are read once, here, so a call binds its
-    arguments without inspect.  A cached morphism's terms are made
-    read-only, because every caller receives the same object."""
-
-    def decorate(build):
-        params = inspect.signature(build).parameters.values()
-        if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params):
-            raise TypeError(f"{build.__name__}: only plain parameters can key a cache")
-        names = tuple(p.name for p in params)
-        defaults = tuple(p.default for p in params)
-        index = {name: i for i, name in enumerate(names)}
-        nparams = len(names)
-        empty = inspect.Parameter.empty
-
-        @functools.lru_cache(maxsize=maxsize)
-        def cached(*key):
-            m = build(*key)
-            m.terms = MappingProxyType(m.terms)
-            return m
-
-        @functools.wraps(build)
-        def builder(*args, **kwargs):
-            if kwargs or len(args) != nparams:
-                if len(args) > nparams:
-                    raise TypeError(f"{build.__name__}() takes {nparams} arguments, "
-                                    f"{len(args)} given")
-                key = list(args) + list(defaults[len(args):])
-                for name, value in kwargs.items():
-                    i = index.get(name)
-                    if i is None:
-                        raise TypeError(f"{build.__name__}() got an unexpected "
-                                        f"keyword argument {name!r}")
-                    if i < len(args):
-                        raise TypeError(f"{build.__name__}() got multiple values "
-                                        f"for argument {name!r}")
-                    key[i] = value
-                missing = [n for n, v in zip(names, key) if v is empty]
-                if missing:
-                    raise TypeError(f"{build.__name__}() missing arguments: "
-                                    + ", ".join(missing))
-                args = key
-            return cached(*args)
-
-        builder.cache_info = cached.cache_info
-        return builder
-
-    return decorate
-
-
 # the text form of to_text: {m}<-{n}[d] : 0 or {m}<-{n}[d] : [c] * diagram + ...
 _TEXT = r"(?s)\s*(\d+)\s*<-\s*(\d+)\s*(d?)\s*:\s*(.*?)\s*"
 _TERM = r"(?s)\[([^\[\]]*)\]\s*\*\s*(.*)"
@@ -402,9 +343,19 @@ def parse_morphism(text: str) -> Morphism:
 
 
 def identity(n: int, dilute: bool = False, dom: CoeffDomain = GENERIC) -> Morphism:
-    if dilute:
-        return dilute_identity(n, dom)
-    return Morphism.from_diagram(identity_diagram(n), dom)
+    """The unit of End(n); on dilute strands, the sum over all occupation
+    patterns of parallel strands."""
+    if not dilute:
+        return Morphism.from_diagram(identity_diagram(n), dom)
+    terms = {}
+    for mask in range(1 << n):
+        link = [VACANT] * (2 * n)
+        for i in range(n):
+            if mask >> i & 1:
+                link[i] = 2 * n - 1 - i
+                link[2 * n - 1 - i] = i
+        terms[Diagram.from_link(n, n, link, True)] = dom.one
+    return Morphism(n, n, terms, True, dom, _clean=True)
 
 
 def e(i: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
@@ -437,9 +388,9 @@ def word(factors, n: int, dilute: bool = False, dom: CoeffDomain = GENERIC) -> M
 
 def t(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> Morphism:
     """Elementary crossing q^(1/2) (1_n + q^(-1) e_i); on dilute strands,
-    the five-diagram eta_{1,1} on strands i, i+1."""
+    the five-diagram eta_{1,1} = t(1, 2, dom, dilute=True) on strands i, i+1."""
     if dilute:
-        return on_strands(dilute_eta11(dom), i, n)
+        return _dilute_crossing(i, n, dom, 2)
     terms = {
         identity_diagram(n): dom.s_power(2),
         e_diagram(i, n): dom.s_power(-2),
@@ -451,12 +402,41 @@ def t_inv(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> M
     """Inverse crossing q^(-1/2) (1_n + q e_i); on dilute strands, the
     inverse of eta_{1,1} on strands i, i+1."""
     if dilute:
-        return on_strands(dilute_eta11_inverse(dom), i, n)
+        return _dilute_crossing(i, n, dom, -2)
     terms = {
         identity_diagram(n): dom.s_power(-2),
         e_diagram(i, n): dom.s_power(2),
     }
     return Morphism(n, n, terms, False, dom, _clean=True)
+
+
+def _dilute_crossing(i: int, n: int, dom: CoeffDomain, k: int) -> Morphism:
+    """s^k parallel + s^-k cup-cap + both diagonals + all-vacant on strands
+    i, i+1 of n dilute strands: eta_{1,1} for k = 2, its inverse for k = -2."""
+    one = dom.one
+    return on_strands(dilute_end2({
+        "parallel": dom.s_power(k),
+        "cupcap": dom.s_power(-k),
+        "diag-down": one,
+        "diag-up": one,
+        "vacant": one,
+    }, dom), i, n)
+
+
+@functools.lru_cache(maxsize=256)
+def crossing_word(indices: tuple, n: int, dom: CoeffDomain, dilute: bool,
+                  inverse: bool, s_exp: int, /) -> Morphism:
+    """s^s_exp times the word of the crossings t_k (t_k^-1 if inverse) for k
+    in indices, leftmost first, on n strands of either family.  The
+    commutor, its inverse, the double braiding and the twist are each one
+    such word, built once per key and shared by every caller, so its terms
+    are read-only; the parameters are positional-only, so a word has one key."""
+    cross = t_inv if inverse else t
+    m = word([cross(k, n, dom, dilute) for k in indices], n, dilute, dom)
+    if s_exp:
+        m = m.scale(dom.s_power(s_exp))
+    m.terms = MappingProxyType(m.terms)
+    return m
 
 
 def big_cup(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
@@ -473,19 +453,6 @@ def big_cap(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return big_cup(m, dom).transpose()
 
 
-def dilute_identity(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
-    """The dilute unit: sum over all occupation patterns of parallel strands."""
-    terms = {}
-    for mask in range(1 << n):
-        link = [VACANT] * (2 * n)
-        for i in range(n):
-            if mask >> i & 1:
-                link[i] = 2 * n - 1 - i
-                link[2 * n - 1 - i] = i
-        terms[Diagram.from_link(n, n, link, True)] = dom.one
-    return Morphism(n, n, terms, True, dom, _clean=True)
-
-
 def dilute_end2(coeffs: dict, dom: CoeffDomain = GENERIC) -> Morphism:
     """The dilute End(2) morphism with coefficient coeffs[name] on the
     diagram dilute_diagram(name)."""
@@ -498,27 +465,3 @@ def dilute_sum(dst: int, src: int, pair_sets) -> Morphism:
     whose arcs are each listed set of node pairs."""
     terms = {Diagram.from_pairs(dst, src, pairs, dilute=True): GENERIC.one for pairs in pair_sets}
     return Morphism(dst, src, terms, True)
-
-
-def dilute_eta11(dom: CoeffDomain = GENERIC) -> Morphism:
-    """The elementary dilute braiding:
-    q^{1/2} parallel + q^{-1/2} cup-cap + both diagonals + all-vacant."""
-    one = dom.one
-    return dilute_end2({
-        "parallel": dom.s_power(2),
-        "cupcap": dom.s_power(-2),
-        "diag-down": one,
-        "diag-up": one,
-        "vacant": one,
-    }, dom)
-
-
-def dilute_eta11_inverse(dom: CoeffDomain = GENERIC) -> Morphism:
-    one = dom.one
-    return dilute_end2({
-        "parallel": dom.s_power(-2),
-        "cupcap": dom.s_power(2),
-        "diag-down": one,
-        "diag-up": one,
-        "vacant": one,
-    }, dom)

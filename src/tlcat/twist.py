@@ -3,9 +3,10 @@
 c_n = q^(3n/2) rho_n^n, equivalently q^(3n/2) lambda_n^n, where the cyclic
 rotations are commutors: rho_n = t_1 t_2 ... t_{n-1} = eta_{n-1,1} and
 lambda_n = t_{n-1} ... t_1 = eta_{1,n-1}, with inverses built by
-commutor_inverse.  c_n, y_n and c_n^-1 are each one word of n(n-1)
-crossings: the rotation's crossings (``braid.crossing_indices``) repeated
-n times, so no power of a dense morphism is formed.  Centrality, the twist
+commutor_inverse.  c_n, y_n and c_n^-1 are each one cached word of n(n-1)
+crossings (``morphism.crossing_word``): the rotation's crossings
+(``braid.crossing_indices``) repeated n times, so no power of a dense
+morphism is formed.  Centrality, the twist
 condition against the double braiding, naturality, the cyclic-translation
 toolkit around rho_n and lambda_n, and the standard module eigenvalues
 gamma_{n,k} = q^{k(k+2)/2} are all checked mechanically.
@@ -16,9 +17,7 @@ from __future__ import annotations
 from .braid import commutor, commutor_inverse, crossing_indices, double_braiding
 from .diagram import enumerate_diagrams
 from .linalg import det
-from .morphism import (
-    GENERIC, CoeffDomain, Morphism, cached_morphism, cups, e, identity, t, t_inv, word,
-)
+from .morphism import GENERIC, CoeffDomain, Morphism, crossing_word, cups, e, identity, t
 from .report import VerificationReport
 from .standard import (
     NotScalarAction, StandardModule, act, eigenvalue_on_standard, standard_dimension,
@@ -44,31 +43,19 @@ __all__ = [
 ]
 
 
-def _rotation_power(n: int, indices: list, crossing, sign: int, dom: CoeffDomain) -> Morphism:
-    """q^(sign 3n/2) times the n-th power of the rotation whose crossings,
-    leftmost first, are crossing(k) for k in indices: one word of n(n-1)
-    crossings."""
-    if n == 0:
-        return identity(0, dom=dom)
-    factors = [crossing(k, n, dom) for k in indices] * n
-    return word(factors, n, dom=dom).scale(dom.s_power(sign * 6 * n))
-
-
-@cached_morphism(maxsize=32)
 def twist_element(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """c_n = q^(3n/2) rho_n^n; c_0 is the empty identity."""
-    return _rotation_power(n, crossing_indices(n - 1, 1), t, 1, dom)
+    return crossing_word(crossing_indices(n - 1, 1) * n, n, dom, False, False, 6 * n)
 
 
 def twist_element_reversed(n: int) -> Morphism:
     """y_n = q^(3n/2) lambda_n^n; equals c_n (verified, not assumed)."""
-    return _rotation_power(n, crossing_indices(1, n - 1), t, 1, GENERIC)
+    return crossing_word(crossing_indices(1, n - 1) * n, n, GENERIC, False, False, 6 * n)
 
 
-@cached_morphism(maxsize=32)
 def twist_inverse(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """c_n^-1 = q^(-3n/2) rho_n^-n."""
-    return _rotation_power(n, crossing_indices(n - 1, 1)[::-1], t_inv, -1, dom)
+    return crossing_word(crossing_indices(n - 1, 1)[::-1] * n, n, dom, False, True, -6 * n)
 
 
 def en(n: int) -> Morphism:

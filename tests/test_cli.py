@@ -90,11 +90,35 @@ def test_unwritable_out_fails_before_any_suite_runs(capsys, tmp_path, monkeypatc
     calls = []
     passing = VerificationReport("fusion")
     passing.add("x", {}, True)
-    monkeypatch.setitem(cli.SUITES, "fusion", (lambda *a: calls.append(a) or passing, True))
+    monkeypatch.setitem(cli.SUITES, "fusion", (lambda *a: calls.append(a) or passing, True, 4))
     code, stdout, err = run(capsys, "verify", "fusion", "--max-n", "4", "--out", str(tmp_path))
     assert code == 2 and stdout == ""
     assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
     assert calls == []
+
+
+def test_max_n_above_a_suite_cap_is_refused_before_any_work(capsys, tmp_path, monkeypatch):
+    calls = []
+    passing = VerificationReport("repr")
+    passing.add("x", {}, True)
+    for name, (_, at_spec, cap) in list(cli.SUITES.items()):
+        monkeypatch.setitem(cli.SUITES, name, (lambda *a: calls.append(a) or passing,
+                                               at_spec, cap))
+    out = tmp_path / "report.json"
+    for suite, max_n, capped, cap in (("repr", 6, "repr", 5), ("all", 5, "fusion", 4),
+                                      ("braid", 7, "braid", 6)):
+        code, stdout, err = run(capsys, "verify", suite, "--max-n", str(max_n),
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == f"error: --max-n {max_n} is above {cap}, the cap of suite {capped!r}\n"
+        assert calls == [] and not out.exists()
+    # at the cap each runner receives --max-n unchanged
+    for suite, cap in (("braid", 6), ("twist", 6), ("repr", 5), ("fusion", 4),
+                       ("integrable", 4), ("dilute", 4), ("all", 4)):
+        calls.clear()
+        code, _, _ = run(capsys, "verify", suite, "--max-n", str(cap), "--out", str(out))
+        assert code == 0
+        assert [a[0] for a in calls] == [cap] * (len(cli.SUITES) if suite == "all" else 1)
 
 
 def test_verify_writes_report_and_passes(capsys, tmp_path):
@@ -191,7 +215,7 @@ def test_verify_report_bytes_are_golden(capsys, tmp_path, suite, spec):
 def test_verify_failure_exit_code_and_report(capsys, tmp_path, monkeypatch):
     failing = VerificationReport("braid")
     failing.add("x", {}, False)
-    monkeypatch.setitem(cli.SUITES, "braid", (lambda *a: failing, False))
+    monkeypatch.setitem(cli.SUITES, "braid", (lambda *a: failing, False, 6))
     out = tmp_path / "fail.json"
     code, stdout, _ = run(capsys, "verify", "braid", "--out", str(out))
     assert code == 1

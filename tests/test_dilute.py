@@ -3,7 +3,7 @@
 from tlcat.braid import commutor, commutor_inverse
 from tlcat.diagram import dilute_diagram, enumerate_diagrams
 from tlcat.dilute import verify_dilute_braiding
-from tlcat.morphism import GENERIC, dilute_eta11, dilute_eta11_inverse, dilute_identity, t, t_inv
+from tlcat.morphism import GENERIC, identity, t, t_inv
 from tlcat.scalar import Scalar
 
 
@@ -18,7 +18,7 @@ def test_named_diagrams():
 
 
 def test_eta11_coefficients():
-    eta = dilute_eta11()
+    eta = t(1, 2, dilute=True)
     assert eta.terms[dilute_diagram("parallel")] == Scalar.s_power(2)
     assert eta.terms[dilute_diagram("cupcap")] == Scalar.s_power(-2)
     for name in ("diag-down", "diag-up", "vacant"):
@@ -27,9 +27,9 @@ def test_eta11_coefficients():
 
 
 def test_eta11_inverse():
-    eta, inv = dilute_eta11(), dilute_eta11_inverse()
-    assert eta.compose(inv) == dilute_identity(2)
-    assert inv.compose(eta) == dilute_identity(2)
+    eta, inv = t(1, 2, dilute=True), t_inv(1, 2, dilute=True)
+    assert eta.compose(inv) == identity(2, True)
+    assert inv.compose(eta) == identity(2, True)
 
 
 def test_constraint_equations():
@@ -42,23 +42,23 @@ def test_constraint_equations():
 
 def test_dilute_identity_is_occupation_sum():
     # 2^n occupation sectors
-    assert len(dilute_identity(1).terms) == 2
-    assert len(dilute_identity(2).terms) == 4
-    assert len(dilute_identity(3).terms) == 8
+    assert len(identity(1, True).terms) == 2
+    assert len(identity(2, True).terms) == 4
+    assert len(identity(3, True).terms) == 8
 
 
 def test_dilute_crossings_invertible():
     for n in (2, 3):
         for i in range(1, n):
             assert t(i, n, dilute=True).compose(t_inv(i, n, dilute=True)) == \
-                dilute_identity(n)
+                identity(n, True)
 
 
 def test_dilute_commutor_invertible():
     for r, s in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         eta = commutor(r, s, dilute=True)
         inv = commutor_inverse(r, s, dilute=True)
-        assert eta.compose(inv) == dilute_identity(r + s)
+        assert eta.compose(inv) == identity(r + s, True)
 
 
 def test_dilute_suite():

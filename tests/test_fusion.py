@@ -25,10 +25,10 @@ from tlcat.fusion import (
     verify_root_examples,
 )
 from tlcat.linalg import mat_mul, mat_shift, rank, rref
-from tlcat.morphism import GENERIC, CoeffDomain, domain_for, e, identity
+from tlcat.morphism import GENERIC, CoeffDomain, crossing_word, domain_for, e, identity
 from tlcat.scalar import Rational, Scalar, Specialization
 from tlcat.standard import RegularModule, StandardModule, act, standard_dimension
-from tlcat.twist import gamma_eigenvalue, twist_element, twist_inverse
+from tlcat.twist import gamma_eigenvalue, twist_element
 
 from scalar_oracle import q_power
 
@@ -146,7 +146,7 @@ def test_route_agreement_detects_a_wrong_factor_twist_with_warm_caches(monkeypat
     fused = FusedModule(StandardModule(1, 1, GENERIC),
                         StandardModule(1, 1, GENERIC))
     assert fused.monodromy_matrix("braiding") == fused.monodromy_matrix("twist")
-    assert twist_inverse.cache_info().currsize > 0
+    assert crossing_word.cache_info().currsize > 0
     monkeypatch.setattr("tlcat.fusion.twist_inverse",
                         lambda n, dom: identity(n, dom=dom))
     fused = FusedModule(StandardModule(1, 1, GENERIC),

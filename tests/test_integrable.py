@@ -82,16 +82,13 @@ def test_inversion_reports():
 def test_dilute_braid_inversion_defect():
     # the dilute two-term crossing is NOT a scalar times the identity:
     # the defect lands entirely on the fully-occupied parallel diagram
-    from tlcat.morphism import dilute_identity
-
     x = face(1, 2, "dilute-braid")
     prod = x("u") * x("1/u")
     scalar = Scalar.s_power(4) + Scalar.s_power(-4) \
         - Scalar.var_power("u", 2) - Scalar.var_power("u", -2)
     defect = Scalar.s_power(8) - Scalar.s_power(4) - Scalar.s_power(-4) \
         + Scalar.s_power(-8)
-    from tlcat.morphism import Morphism
-    expected = dilute_identity(2).scale(scalar) + \
+    expected = identity(2, True).scale(scalar) + \
         Morphism.from_diagram(dilute_diagram("parallel")).scale(defect)
     assert prod == expected
 

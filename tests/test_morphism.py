@@ -22,8 +22,8 @@ from tlcat.morphism import (
     CoeffDomain,
     Morphism,
     big_cup,
+    crossing_word,
     cups,
-    dilute_eta11,
     domain_for,
     e,
     identity,
@@ -93,7 +93,7 @@ def test_compose_skips_unit_factors():
     assert one1.tensor(t1).terms == {i1.tensor(d): c for d, c in t1.terms.items()}
     assert t1.tensor(one1).terms == {d.tensor(i1): c for d, c in t1.terms.items()}
     # a dilute crossing placed on strands tensors with the dilute identity
-    assert len(on_strands(dilute_eta11(dom), 2, 3).terms) == 10
+    assert len(on_strands(t(1, 2, dom, dilute=True), 2, 3).terms) == 10
     assert log == []
 
 
@@ -235,30 +235,40 @@ def _dom():
     return domain_for(Specialization.rational(S0))
 
 
-# per cached builder: the positional call and two keyword forms of it
+# per structural builder: the key of its crossing word, the positional
+# call and two keyword forms of it
 CALL_FORMS = {
     "commutor": (
         braid.commutor,
+        lambda: (braid.crossing_indices(2, 1), 3, _dom(), False, False, 0),
         lambda f: f(2, 1, "left-nested", _dom(), False),
         lambda f: f(2, 1, dom=_dom()),
         lambda f: f(s=1, r=2, dilute=False, dom=_dom()),
     ),
     "commutor_inverse": (
         braid.commutor_inverse,
+        lambda: (braid.crossing_indices(2, 1)[::-1], 3, _dom(), False, True, 0),
         lambda f: f(2, 1, _dom(), False),
         lambda f: f(2, 1, dom=_dom()),
         lambda f: f(r=2, s=1, dom=_dom(), dilute=False),
     ),
     "double_braiding": (
         braid.double_braiding,
+        lambda: (braid.crossing_indices(1, 2) + braid.crossing_indices(2, 1),
+                 3, _dom(), False, False, 0),
         lambda f: f(2, 1, _dom()),
         lambda f: f(2, 1, dom=_dom()),
         lambda f: f(n=1, m=2, dom=_dom()),
     ),
 }
-for _name in ("twist_element", "twist_inverse"):
+for _name, _key in (
+    ("twist_element", lambda: (braid.crossing_indices(2, 1) * 3, 3, _dom(), False, False, 18)),
+    ("twist_inverse", lambda: (braid.crossing_indices(2, 1)[::-1] * 3, 3, _dom(), False, True,
+                               -18)),
+):
     CALL_FORMS[_name] = (
         getattr(twist, _name),
+        _key,
         lambda f: f(3, _dom()),
         lambda f: f(3, dom=_dom()),
         lambda f: f(n=3, dom=_dom()),
@@ -267,18 +277,20 @@ for _name in ("twist_element", "twist_inverse"):
 
 @pytest.mark.parametrize("name", sorted(CALL_FORMS))
 def test_structural_morphism_cache(name):
-    builder, positional, *keyword_forms = CALL_FORMS[name]
+    builder, key, positional, *keyword_forms = CALL_FORMS[name]
     m = positional(builder)
-    info = builder.cache_info()
+    info = crossing_word.cache_info()
     assert isinstance(info.maxsize, int) and 0 < info.maxsize <= 256
     for form in keyword_forms:
         assert form(builder) is m
-    after = builder.cache_info()
+    after = crossing_word.cache_info()
     assert after.misses == info.misses
     assert after.hits == info.hits + len(keyword_forms)
     assert after.currsize == info.currsize
-    # the cached morphism is the uncached one, and read-only
-    assert m == positional(builder.__wrapped__)
+    # the builder's word is the cached crossing word of its key, equal to
+    # the uncached one, and read-only
+    assert crossing_word(*key()) is m
+    assert m == crossing_word.__wrapped__(*key())
     d = next(iter(m.terms))
     with pytest.raises(TypeError):
         m.terms[d] = m.terms[d]
@@ -288,7 +300,7 @@ def test_structural_morphism_cache(name):
 
 
 def test_cached_builder_binds_without_inspect():
-    before = braid.commutor.cache_info()
+    before = crossing_word.cache_info()
     forms = (
         braid.commutor(2, 3),
         braid.commutor(2, 3, "left-nested"),
@@ -296,7 +308,7 @@ def test_cached_builder_binds_without_inspect():
         braid.commutor(2, 3, dilute=False),
     )
     assert all(m is forms[0] for m in forms)
-    after = braid.commutor.cache_info()
+    after = crossing_word.cache_info()
     # one entry for all four forms: at most one miss, the rest hits
     assert after.misses - before.misses <= 1
     assert after.currsize - before.currsize == after.misses - before.misses
@@ -310,10 +322,36 @@ def test_cached_builder_binds_without_inspect():
     ):
         with pytest.raises(TypeError):
             call()
-    assert braid.commutor.cache_info().currsize == after.currsize
-    # perfbench's tracer reads the builder's signature through functools.wraps
+    assert crossing_word.cache_info().currsize == after.currsize
+    # perfbench's tracer binds calls to the builder's own signature
     assert list(inspect.signature(braid.commutor).parameters) == [
         "r", "s", "form", "dom", "dilute"]
+
+
+def test_crossing_word_takes_no_keywords():
+    # positional-only parameters: a word has one key form, and a keyword
+    # call is refused before anything is stored
+    size = crossing_word.cache_info().currsize
+    for call in (
+        lambda: crossing_word((1,), 2, GENERIC, False, False, s_exp=0),
+        lambda: crossing_word(indices=(1,), n=2, dom=GENERIC, dilute=False,
+                              inverse=False, s_exp=0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert crossing_word.cache_info().currsize == size
+
+
+def test_suite_words_fit_the_cache_with_headroom():
+    # the heaviest structural traffic of the CLI caps builds each word once
+    # and evicts none, with half the cache to spare
+    crossing_word.cache_clear()
+    braid.verify_hexagons(6)
+    braid.verify_hexagons(4, dilute=True)
+    twist.verify_twist_suite(6)
+    braid.verify_braiding_lemmas(6)
+    info = crossing_word.cache_info()
+    assert 0 < info.misses == info.currsize <= info.maxsize // 2
 
 
 @pytest.mark.parametrize("spec", ["generic", "rational:5/3"])

@@ -2,7 +2,7 @@
 
 from tlcat.braid import commutor
 from tlcat.diagram import Diagram, e_diagram
-from tlcat.morphism import dilute_eta11, parse_morphism
+from tlcat.morphism import parse_morphism, t
 from tlcat.render import parse_renderable, render_ascii, render_svg
 
 
@@ -33,7 +33,7 @@ def test_ascii_morphism_two_terms():
 def test_svg_well_formed():
     import xml.etree.ElementTree as ET
 
-    for obj in (e_diagram(1, 3), dilute_eta11(), commutor(1, 1)):
+    for obj in (e_diagram(1, 3), t(1, 2, dilute=True), commutor(1, 1)):
         svg = render_svg(obj)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
@@ -42,7 +42,7 @@ def test_svg_well_formed():
 
 
 def test_svg_term_count():
-    svg = render_svg(dilute_eta11())
+    svg = render_svg(t(1, 2, dilute=True))
     # five terms, each with a coefficient label
     assert svg.count("[") == 5
 
@@ -52,10 +52,10 @@ def test_parse_renderable_round_trips():
     assert parse_renderable(d.to_text()) == d
     f = commutor(2, 1)
     assert parse_renderable(f.to_text()) == f
-    eta = dilute_eta11()
+    eta = t(1, 2, dilute=True)
     assert parse_renderable(eta.to_text()) == eta
 
 
 def test_morphism_text_round_trip():
-    for f in (commutor(2, 2), dilute_eta11(), commutor(1, 1) - commutor(1, 1)):
+    for f in (commutor(2, 2), t(1, 2, dilute=True), commutor(1, 1) - commutor(1, 1)):
         assert parse_morphism(f.to_text()) == f

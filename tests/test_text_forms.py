@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlcat.braid import commutor
-from tlcat.morphism import dilute_eta11, parse_morphism
+from tlcat.morphism import parse_morphism, t
 from tlcat.render import parse_renderable
 from tlcat.scalar import Scalar, parse_scalar
 
@@ -21,7 +21,7 @@ FORMS = [
       "2x2d:[(1,3)]", "2x2d:[]", "1x3d:[(2,4)]"]),
     (parse_scalar, str, [str(x) for x in SCALARS]),
     (parse_morphism, lambda f: f.to_text(),
-     [commutor(1, 1).to_text(), dilute_eta11().to_text(), "2<-2 : 0",
+     [commutor(1, 1).to_text(), t(1, 2, dilute=True).to_text(), "2<-2 : 0",
       "1<-1d : [(s^2) / (1 + s^8)] * 1x1d:[(1,2)] + [3/2 * u^1] * 1x1d:[]"]),
 ]
 ALPHABET = "0123456789 suvwxd+-*/^()[],:<"
