@@ -35,7 +35,6 @@ __all__ = [
     "identity_diagram",
     "e_diagram",
     "dilute_diagram",
-    "DILUTE_END2_NAMES",
     "enumerate_diagrams",
     "KERNEL",
     "MAX_NODES",
@@ -309,8 +308,6 @@ _END2_PAIRS = {
     "right-cap": ((3, 4),),
     "vacant": (),
 }
-
-DILUTE_END2_NAMES = tuple(_END2_PAIRS)
 
 
 def dilute_diagram(name: str) -> Diagram:

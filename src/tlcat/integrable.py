@@ -72,46 +72,44 @@ def spectral_power(arg):
     return lambda k: x**k
 
 
-@functools.lru_cache(maxsize=1)
-def _ik_weights() -> tuple:
-    """The five End(2) Boltzmann-weight morphisms y+, w+, z, w-, y-, built
-    once; their terms are read-only, as crossing_word makes them."""
+_FAMILIES = ("ordinary", "dilute-braid", "dilute-IK")
+
+
+@functools.lru_cache(maxsize=len(_FAMILIES))
+def _face_weights(family: str) -> tuple:
+    """The pairs (k, W_k) of the End(2) face X(u) = sum_k u^k W_k of a
+    family, built once; their terms are read-only, as crossing_word makes
+    them."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown face family {family!r}")
     sp, one = GENERIC.s_power, GENERIC.one
+    if family != "dilute-IK":
+        # X(u) = q^(1/2) u^-1 t - q^(-1/2) u t^-1
+        dilute = family == "dilute-braid"
+        weights = ((-1, t(1, 2, dilute=dilute).scale(sp(2))),
+                   (1, -t_inv(1, 2, dilute=dilute).scale(sp(-2))))
+    else:
+        # the five Boltzmann weights y+, w+, z, w-, y- at u^-2 ... u^2
+        def y(sign: int):
+            # -q^{±3/4} / ((q^{1/2}-q^{-1/2})(q^{3/4}-q^{-3/4}))
+            pref = -sp(3 * sign) * ((sp(2) - sp(-2)) * (sp(3) - sp(-3))).inv()
+            return dilute_end2({
+                "parallel": -sp(2 * sign), "cupcap": -sp(-2 * sign),
+                "diag-down": one, "diag-up": one, "vacant": one,
+            }).scale(pref)
 
-    def y(sign: int):
-        # -q^{±3/4} / ((q^{1/2}-q^{-1/2})(q^{3/4}-q^{-3/4}))
-        pref = (-one * sp(3 * sign)) * (
-            ((sp(2) - sp(-2)) * (sp(3) - sp(-3))).inv()
-        )
-        return dilute_end2({
-            "parallel": -sp(2 * sign),
-            "cupcap": -sp(-2 * sign),
-            "diag-down": one,
-            "diag-up": one,
-            "vacant": one,
-        }).scale(pref)
+        def w(sign: int):
+            return dilute_end2({
+                "bottom-line": sp(3 * sign), "top-line": sp(3 * sign),
+                "left-cup": -one, "right-cap": -one,
+            }).scale(sign * (sp(3) - sp(-3)).inv())
 
-    def w(sign: int):
-        pref = (sp(3) - sp(-3)).inv()
-        if sign < 0:
-            pref = -pref
-        return dilute_end2({
-            "bottom-line": sp(3 * sign),
-            "top-line": sp(3 * sign),
-            "left-cup": -one,
-            "right-cap": -one,
-        }).scale(pref)
-
-    zpref = ((sp(1) - sp(-1)) * (sp(3) - sp(-3))).inv()
-    zmid = dilute_end2({
-        "vacant": sp(4) - one + sp(-4),
-        "parallel": -one,
-        "cupcap": -one,
-        "diag-down": sp(2) - one + sp(-2),
-        "diag-up": sp(2) - one + sp(-2),
-    }).scale(zpref)
-    weights = (y(1), w(1), zmid, w(-1), y(-1))
-    for m in weights:
+        zmid = dilute_end2({
+            "vacant": sp(4) - one + sp(-4), "parallel": -one, "cupcap": -one,
+            "diag-down": sp(2) - one + sp(-2), "diag-up": sp(2) - one + sp(-2),
+        }).scale(((sp(1) - sp(-1)) * (sp(3) - sp(-3))).inv())
+        weights = tuple(zip(range(-2, 3), (y(1), w(1), zmid, w(-1), y(-1))))
+    for _, m in weights:
         m.terms = MappingProxyType(m.terms)
     return weights
 
@@ -127,28 +125,17 @@ class FaceOperator:
 
     def __call__(self, arg="u") -> Morphism:
         upow = spectral_power(arg)
-        i, n = self.i, self.n
-        if self.family == "dilute-IK":
-            yp, wp, zm, wm, ym = _ik_weights()
-            local = (
-                yp.scale(upow(-2))
-                + wp.scale(upow(-1))
-                + zm
-                + wm.scale(upow(1))
-                + ym.scale(upow(2))
-            )
-            return on_strands(local, i, n)
-        dilute = self.family == "dilute-braid"
-        return (
-            t(i, n, dilute=dilute).scale(GENERIC.s_power(2) * upow(-1))
-            - t_inv(i, n, dilute=dilute).scale(GENERIC.s_power(-2) * upow(1))
-        )
+        # every family has at least two weights, so the sum is a new
+        # morphism and never a shared read-only weight
+        local = functools.reduce(Morphism.__add__, (
+            w.scale(upow(k)) if k else w for k, w in _face_weights(self.family)))
+        return on_strands(local, self.i, self.n)
 
 
 def face(i: int, n: int, family: str = "ordinary") -> FaceOperator:
     if not 1 <= i < n:
         raise ValueError(f"face index {i} out of range for {n} strands")
-    if family not in ("ordinary", "dilute-braid", "dilute-IK"):
+    if family not in _FAMILIES:
         raise ValueError(f"unknown face family {family!r}")
     return FaceOperator(i, n, family)
 
@@ -262,6 +249,24 @@ def _boundary(kind: str) -> Morphism:
     return dilute_sum(4, 0, arcs)
 
 
+# (identity, params, boundary kind, expected) for each family, in report
+# order.  The five-term face is compatible with exactly one of the
+# candidate boundaries: the dashed double arc.
+_BOUNDARY_CASES = {
+    "ordinary": [("cup boundary", {"boundary": "z (x) z"}, "ordinary", True)],
+    "dilute-braid": [
+        ("boundary holds", {"boundary": kind}, kind, True)
+        for kind in ("solid double arc", "all vacancies", "dashed double arc")
+    ] + [("asymmetric boundary fails", {"boundary": "asymmetric single arc"},
+          "asymmetric single arc", False)],
+    "dilute-IK": [
+        ("boundary status", {"boundary": kind, "holds": want}, kind, want)
+        for kind, want in (("solid double arc", False), ("all vacancies", False),
+                           ("dashed double arc", True), ("asymmetric single arc", False))
+    ],
+}
+
+
 def verify_boundary_ybe(family: str = "ordinary") -> VerificationReport:
     """X_2(u) X_3(v) (boundary) = X_2(u) X_1(v) (boundary) on four strands.
 
@@ -270,35 +275,10 @@ def verify_boundary_ybe(family: str = "ordinary") -> VerificationReport:
     Hom(0,4), and no two End(4) morphisms are composed."""
     rep = VerificationReport(f"integrable.boundary-ybe[{family}]")
     x1v, x2u, x3v = face(1, 4, family)("v"), face(2, 4, family)("u"), face(3, 4, family)("v")
-
-    def holds(boundary: Morphism) -> bool:
-        return x2u * (x3v * boundary) == x2u * (x1v * boundary)
-
-    if family == "ordinary":
-        rep.add("cup boundary", {"boundary": "z (x) z"}, holds(_boundary("ordinary")))
-    elif family == "dilute-braid":
-        for kind in ("solid double arc", "all vacancies", "dashed double arc"):
-            rep.add("boundary holds", {"boundary": kind}, holds(_boundary(kind)))
-        rep.add(
-            "asymmetric boundary fails",
-            {"boundary": "asymmetric single arc"},
-            not holds(_boundary("asymmetric single arc")),
-        )
-    else:
-        # The five-term face is compatible with exactly one of the candidate
-        # boundaries: the dashed double arc.
-        expected = {
-            "solid double arc": False,
-            "all vacancies": False,
-            "dashed double arc": True,
-            "asymmetric single arc": False,
-        }
-        for kind, want in expected.items():
-            rep.add(
-                "boundary status",
-                {"boundary": kind, "holds": want},
-                holds(_boundary(kind)) == want,
-            )
+    for name, params, kind, want in _BOUNDARY_CASES[family]:
+        boundary = _boundary(kind)
+        holds = x2u * (x3v * boundary) == x2u * (x1v * boundary)
+        rep.add(name, dict(params), holds == want)
     return rep
 
 

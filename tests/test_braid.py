@@ -13,12 +13,13 @@ from tlcat.braid import (
     monodromy_noncentral_witness,
     verify_braid_relations,
     verify_braiding_lemmas,
+    verify_braid_suite,
     verify_hexagons,
     verify_naturality,
 )
 from tlcat.diagram import enumerate_diagrams
 from tlcat.dilute import verify_dilute_braiding
-from tlcat.morphism import GENERIC, Morphism, domain_for, e, identity, t, t_inv
+from tlcat.morphism import GENERIC, Morphism, crossing_word, domain_for, e, identity, t, t_inv
 from tlcat.scalar import Scalar, Specialization
 
 from scalar_oracle import q_power
@@ -53,6 +54,24 @@ def test_braid_group_relation_direct():
 
 def test_commutor_closed_forms_and_hexagons():
     assert verify_hexagons(5).ok
+
+
+@pytest.mark.parametrize("dilute, max_total", [(False, 5), (True, 3)])
+def test_closed_forms_agree_detects_a_wrong_word(monkeypatch, dilute, max_total):
+    # reverse the word of eta_{1,s} for s >= 2 (in both closed forms): the
+    # check compares eta_{r,s} with eta_{s,r} transposed, so it fails for
+    # (1, s) and (s, 1), where both closed forms are one index tuple
+    indices = tlcat.braid.crossing_indices
+
+    def reversed_for_one(r, s, form="left-nested"):
+        return indices(r, s, form)[::-1] if r == 1 and s >= 2 else indices(r, s, form)
+
+    crossing_word.cache_clear()
+    monkeypatch.setattr(tlcat.braid, "crossing_indices", reversed_for_one)
+    failed = {(c["params"]["r"], c["params"]["s"])
+              for c in verify_hexagons(max_total, dilute).failures()
+              if c["identity"] == "closed-forms-agree"}
+    assert failed == {rs for s in range(2, max_total) for rs in ((1, s), (s, 1))}
 
 
 def test_dilute_hexagons_run_the_same_checks():
@@ -165,3 +184,13 @@ def test_noncentral_witness_exact():
     coeff = q_power(-2) * (q_power(1) - q_power(-1))
     assert w == (e1 * e2 - e2 * e1).scale(coeff)
     assert not w.is_zero
+
+
+def test_noncentral_witness_detects_a_central_double_braiding(monkeypatch):
+    # with the identity for the double braiding the commutator vanishes, the
+    # closed form no longer matches, and the case fails with the error
+    monkeypatch.setattr(tlcat.braid, "double_braiding",
+                        lambda m, n, dom=GENERIC: identity(m + n, dom=dom))
+    failures = verify_braid_suite(2, samples=0).failures()
+    assert [c["identity"] for c in failures] == ["noncentral-witness"]
+    assert "error" in failures[0]["witness"]

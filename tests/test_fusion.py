@@ -394,6 +394,26 @@ def test_root_of_unity_examples():
     assert rep.ok, rep.failures()
 
 
+def test_root_examples_detect_a_wrong_eigenvalue(monkeypatch):
+    # s^4 = q times each monodromy eigenvalue is not an eigenvalue: both
+    # Jordan-type cases fail with the mismatch as their witness
+    shifted = tuple(ex[:4] + (ex[4] + 4,) + ex[5:] for ex in fusion._ROOT_EXAMPLES)
+    monkeypatch.setattr(fusion, "_ROOT_EXAMPLES", shifted)
+    failures = verify_root_examples().failures()
+    assert [c["identity"] for c in failures] == ["monodromy jordan type"] * 2
+    assert all(c["witness"] == {"error": "value is not an eigenvalue of the matrix"}
+               for c in failures)
+
+
+def test_generic_suite_reports_collisions_at_a_bad_point():
+    # at s = 1 the central eigenvalues collide: the suite records each
+    # product with two or more summands as failed, with the collision
+    rep = verify_fusion_suite(3, Specialization.rational(1))
+    failures = rep.failures()
+    assert [c["identity"] for c in failures] == ["fusion decomposition"] * 3
+    assert all("central eigenvalues collide" in c["witness"]["error"] for c in failures)
+
+
 def test_collision_detected_at_bad_point():
     # s = 1 collapses all central eigenvalues
     with pytest.raises(AmbiguousEigenvalue):

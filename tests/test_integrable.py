@@ -6,6 +6,7 @@ import pytest
 from tlcat import scalar
 from tlcat.diagram import dilute_diagram
 from tlcat.integrable import (
+    FaceOperator,
     face,
     spectral_power,
     transfer_matrix,
@@ -16,8 +17,10 @@ from tlcat.integrable import (
     verify_transfer_commute,
     verify_ybe,
 )
-from tlcat.morphism import Morphism, dilute_end2, identity
+from tlcat.morphism import Morphism, dilute_end2, identity, on_strands, t, t_inv
 from tlcat.scalar import Scalar
+
+FAMILIES = ("ordinary", "dilute-braid", "dilute-IK")
 
 
 def _scalar(text_exponents):
@@ -26,8 +29,6 @@ def _scalar(text_exponents):
 
 
 def test_ordinary_face_definition():
-    from tlcat.morphism import t, t_inv
-
     x = face(1, 2)
     got = x("u")
     expected = t(1, 2).scale(Scalar.s_power(2) * Scalar.var_power("u", -1)) \
@@ -49,20 +50,74 @@ def test_ybe_all_families():
 
 def test_ik_weights_are_built_once(monkeypatch):
     # two dilute-IK Yang-Baxter runs call the five-term face 24 times and
-    # build its weights once; the shared weights cannot be modified
+    # build its weights once; the shared weights cannot be modified, and the
+    # cache holds the weights of all three families
     import tlcat.integrable
 
     built = []
     monkeypatch.setattr(tlcat.integrable, "dilute_end2",
                         lambda *a: built.append(a) or dilute_end2(*a))
-    tlcat.integrable._ik_weights.cache_clear()
+    tlcat.integrable._face_weights.cache_clear()
     assert verify_ybe("dilute-IK").ok and verify_ybe("dilute-IK").ok
     assert len(built) == 5
-    info = tlcat.integrable._ik_weights.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 23, 1)
-    for weight in tlcat.integrable._ik_weights():
-        with pytest.raises(TypeError):
-            weight.terms[next(iter(weight.terms))] = Scalar.from_rational(0)
+    info = tlcat.integrable._face_weights.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 23, 3)
+    for family in FAMILIES:
+        for _, weight in tlcat.integrable._face_weights(family):
+            with pytest.raises(TypeError):
+                weight.terms[next(iter(weight.terms))] = Scalar.from_rational(0)
+    assert tlcat.integrable._face_weights.cache_info().currsize == 3
+
+
+def _unshared_face(i, n, family, arg):
+    """The face as it was built before the weights were shared: the two
+    crossing families from t_i and t_i^-1 on all n strands, the five-term
+    family from its End(2) weights, each built afresh."""
+    upow = spectral_power(arg)
+    sp, one = Scalar.s_power, Scalar.from_rational(1)
+    if family != "dilute-IK":
+        dilute = family == "dilute-braid"
+        return (t(i, n, dilute=dilute).scale(sp(2) * upow(-1))
+                - t_inv(i, n, dilute=dilute).scale(sp(-2) * upow(1)))
+
+    def y(sign):
+        pref = (-one * sp(3 * sign)) * (((sp(2) - sp(-2)) * (sp(3) - sp(-3))).inv())
+        return dilute_end2({"parallel": -sp(2 * sign), "cupcap": -sp(-2 * sign),
+                            "diag-down": one, "diag-up": one, "vacant": one}).scale(pref)
+
+    def w(sign):
+        pref = (sp(3) - sp(-3)).inv()
+        if sign < 0:
+            pref = -pref
+        return dilute_end2({"bottom-line": sp(3 * sign), "top-line": sp(3 * sign),
+                            "left-cup": -one, "right-cap": -one}).scale(pref)
+
+    zmid = dilute_end2({
+        "vacant": sp(4) - one + sp(-4), "parallel": -one, "cupcap": -one,
+        "diag-down": sp(2) - one + sp(-2), "diag-up": sp(2) - one + sp(-2),
+    }).scale(((sp(1) - sp(-1)) * (sp(3) - sp(-3))).inv())
+    local = (y(1).scale(upow(-2)) + w(1).scale(upow(-1)) + zmid
+             + w(-1).scale(upow(1)) + y(-1).scale(upow(2)))
+    return on_strands(local, i, n)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_faces_match_the_unshared_construction(family):
+    # every face is sum_k u^k W_k on strands i, i+1, equal to the face built
+    # the old way, and a new morphism that the caller may modify
+    for n in range(2, 6):
+        for i in range(1, n):
+            for arg in ("u", "v", "1/u", "v/u", (0, 0, 0), (1, -1, 1)):
+                got = face(i, n, family)(arg)
+                assert got == _unshared_face(i, n, family, arg), (i, n, arg)
+                assert type(got.terms) is dict
+
+
+def test_unknown_face_family_is_refused():
+    with pytest.raises(ValueError, match="unknown face family"):
+        face(1, 2, "dilute")
+    with pytest.raises(ValueError, match="unknown face family"):
+        FaceOperator(1, 2, "dilute")("u")
 
 
 def test_ordinary_inversion_scalar():

@@ -144,3 +144,13 @@ def test_projector_built_past_a_vanishing_quantum_integer_fails(monkeypatch):
     monkeypatch.setattr(standard, "wenzl_jones", lambda m, dom=GENERIC: identity(m, dom=dom))
     rep = verify_rigidity(2, domain_for(Specialization.parse("root:2")))
     assert [c["identity"] for c in rep.failures()] == ["projector existence"]
+
+
+def test_projector_annihilation_detects_a_wrong_projector(monkeypatch):
+    # the identity is idempotent, symmetric and satisfies the zig-zag, so
+    # only the annihilation check sees that it is not P_m
+    monkeypatch.setattr(standard, "wenzl_jones", lambda m, dom=GENERIC: identity(m, dom=dom))
+    for m in (2, 3):
+        rep = verify_rigidity(m)
+        assert [(c["identity"], c["params"]) for c in rep.failures()] == [
+            ("projector annihilation", {"m": m})]
