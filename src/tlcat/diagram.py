@@ -19,7 +19,11 @@ constructor that packs a link checks that.  The public pairing view is
 
 Diagram.compose is the gluing cache itself: the lru_cache of the kernel
 _compose_cached, which also checks the interface.  A mismatched pair
-raises on every call and is never stored.
+raises on every call and is never stored.  The kernel still returns None
+for a dilute pair whose shared column has unequal vacancies, but
+Morphism.compose never asks for one: it pairs terms by the vacancy keys
+_source_vacancies and _target_vacancies, which read the column in the
+kernel's junction convention.
 """
 
 from __future__ import annotations
@@ -273,6 +277,24 @@ def _compose_cached(c: Diagram, b: Diagram):
 
 
 Diagram.compose = _compose_cached
+
+
+# the bytes.translate table of a vacancy key: VACANT -> 1, a node -> 0
+_VACANCY_KEY = bytes(VACANT) + b"\x01"
+
+
+def _source_vacancies(c: Diagram) -> bytes:
+    """The vacancies of c's source column by middle height r, as the kernel
+    reads c as the left factor; b"" for an empty column."""
+    return c.link[c.dst:].translate(_VACANCY_KEY)
+
+
+def _target_vacancies(b: Diagram) -> bytes:
+    """The vacancies of b's destination column by middle height r, as the
+    kernel reads b as the right factor.  c after b glues (is not None)
+    exactly when _source_vacancies(c) == _target_vacancies(b)."""
+    # link[:dst] first: link[dst-1::-1] would reverse the whole link at dst 0
+    return b.link[:b.dst][::-1].translate(_VACANCY_KEY)
 
 
 # ---------------------------------------------------------------------------

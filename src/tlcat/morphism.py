@@ -6,6 +6,11 @@ by default, or exact specialized values: a Rational at a rational point s0,
 a CycloElement in Q(zeta_N).
 Composition extends diagram gluing bilinearly, multiplying in one loop
 weight beta per closed loop; dilute annihilated pairs contribute nothing.
+So on dilute strands it never forms them: it buckets the inner operand's
+terms once per call by the vacancy pattern of the shared column, read in
+the kernel's junction convention, and pairs each outer term with the
+bucket of its own pattern only.  An ordinary column has no vacancies, so
+the whole inner operand is one bucket and no key is computed.
 It factors out the coefficients of the operand with fewer terms: for each
 of its terms, the other operand's terms that glue onto one result diagram
 are summed (each already times its beta power) before that coefficient
@@ -25,6 +30,8 @@ from .diagram import (
     VACANT,
     Diagram,
     InterfaceMismatch,
+    _source_vacancies,
+    _target_vacancies,
     dilute_diagram,
     e_diagram,
     identity_diagram,
@@ -213,16 +220,27 @@ class Morphism:
         # the outer loop runs over the operand with fewer terms
         left_outer = len(self.terms) <= len(other.terms)
         outer, inner = (self.terms, other.terms) if left_outer else (other.terms, self.terms)
+        buckets = None
+        if self.dilute:
+            # a string end meeting a vacancy kills the pair: bucket the inner
+            # terms by the vacancies of the shared column, and pair each outer
+            # term with its own bucket only, so every pair sent glues
+            if left_outer:
+                outer_key, inner_key = _source_vacancies, _target_vacancies
+            else:
+                outer_key, inner_key = _target_vacancies, _source_vacancies
+            buckets = {}
+            for item in inner.items():
+                buckets.setdefault(inner_key(item[0]), []).append(item)
         out: dict = {}
         for d1, c1 in outer.items():
+            # an ordinary column has no vacancies: the whole inner operand
+            partners = inner.items() if buckets is None else buckets.get(outer_key(d1), ())
             # sum c2 * beta^loops per result diagram, then multiply the
             # outer coefficient c1 in once
             groups: dict = {}
-            for d2, c2 in inner.items():
-                glued = glue(d1, d2) if left_outer else glue(d2, d1)
-                if glued is None:
-                    continue
-                d, loops = glued
+            for d2, c2 in partners:
+                d, loops = glue(d1, d2) if left_outer else glue(d2, d1)
                 if loops:
                     b = beta_power(loops)
                     c2 = b if c2 is one else c2 * b

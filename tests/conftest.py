@@ -12,13 +12,15 @@ def rng():
 
 @pytest.fixture
 def compose_calls(monkeypatch):
-    """A list that grows by one entry per ``Diagram.compose`` call."""
+    """A list that grows by one entry per ``Diagram.compose`` call: the
+    result of that call."""
     calls = []
     compose = Diagram.compose
 
     def counting(self, other):
-        calls.append(None)
-        return compose(self, other)
+        glued = compose(self, other)
+        calls.append(glued)
+        return glued
 
     monkeypatch.setattr(Diagram, "compose", counting)
     return calls

@@ -212,6 +212,22 @@ def test_verify_report_bytes_are_golden(capsys, tmp_path, suite, spec):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORTS[suite, spec]
 
 
+# sha256 of `tlcat verify SUITE --max-n 4 --seed 0`, the cap of both suites,
+# where their dilute compositions are largest
+GOLDEN_REPORTS_AT_CAP = {
+    "dilute": "2af2cd88ab59e013b632ed6d2f7a7c2e020423f8d4143d532984d09ae6934dda",
+    "integrable": "3f97ece23860423171ee6bbbf90af4dcbd468d4fff7cdf2f39be29917e99f287",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_REPORTS_AT_CAP))
+def test_verify_report_bytes_are_golden_at_the_cap(capsys, tmp_path, suite):
+    out = tmp_path / f"{suite}.json"
+    code, _, _ = run(capsys, "verify", suite, "--max-n", "4", "--seed", "0", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORTS_AT_CAP[suite]
+
+
 def test_verify_failure_exit_code_and_report(capsys, tmp_path, monkeypatch):
     failing = VerificationReport("braid")
     failing.add("x", {}, False)

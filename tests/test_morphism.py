@@ -16,7 +16,8 @@ from tlcat.diagram import (
     enumerate_diagrams,
     identity_diagram,
 )
-from tlcat.integrable import _boundary, transfer_matrix
+from tlcat.dilute import verify_dilute_braiding
+from tlcat.integrable import _boundary, transfer_matrix, verify_integrable_suite
 from tlcat.morphism import (
     GENERIC,
     CoeffDomain,
@@ -173,9 +174,10 @@ def _pairwise_oracle(f, g):
 
 
 # (dst, mid, src): loops and, on dilute strands, annihilation, with up to
-# 14 diagrams on a side
+# 14 diagrams on a side; the last three dilute shapes have an empty shared
+# column or an empty outer one, whose vacancy key is b""
 _SHAPES = {False: ((3, 3, 3), (2, 4, 2), (4, 4, 4), (6, 2, 6)),
-           True: ((2, 2, 2), (1, 3, 1), (3, 1, 3), (2, 2, 0))}
+           True: ((2, 2, 2), (1, 3, 1), (3, 1, 3), (2, 2, 0), (2, 0, 2), (0, 2, 0), (0, 3, 1))}
 
 
 @st.composite
@@ -202,6 +204,31 @@ def test_compose_matches_the_pairwise_oracle(data, spec, dilute):
     prod = f.compose(g)
     assert prod == _pairwise_oracle(f, g)
     assert all(prod.terms.values())
+
+
+def test_dilute_compose_sends_the_kernel_only_pairs_that_glue(compose_calls):
+    # a dilute pair whose shared column has unequal vacancies is annihilated;
+    # compose pairs the terms by those vacancies, so it never glues one
+    verify_dilute_braiding(3, samples=10)
+    verify_integrable_suite("dilute-IK")
+    glue = _compose_cached.__wrapped__
+    rng = random.Random(0)
+    pairs = glued = 0
+    for dst, mid, src in _SHAPES[True]:
+        for _ in range(6):
+            f = _random_morphism(rng, dst, mid, True, GENERIC)
+            g = _random_morphism(rng, mid, src, True, GENERIC)
+            before = len(compose_calls)
+            # g^T f^T = (f g)^T glues the same pairs with the operands'
+            # sides swapped, so the other operand is the outer one
+            f.compose(g)
+            g.transpose().compose(f.transpose())
+            gluing = sum(glue(d1, d2) is not None for d1 in f.terms for d2 in g.terms)
+            assert len(compose_calls) - before == 2 * gluing
+            pairs += len(f.terms) * len(g.terms)
+            glued += gluing
+    assert 0 < glued < pairs
+    assert compose_calls and None not in compose_calls
 
 
 def test_transfer_product_multiplies_each_left_coefficient_once_per_result(monkeypatch):
