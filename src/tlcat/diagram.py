@@ -24,6 +24,12 @@ for a dilute pair whose shared column has unequal vacancies, but
 Morphism.compose never asks for one: it pairs terms by the vacancy keys
 _source_vacancies and _target_vacancies, which read the column in the
 kernel's junction convention.
+
+An ordinary diagram is a dilute one with every node occupied, so
+enumeration is one loop over the subsets of occupied nodes: a dilute
+Hom-space takes every even subset, an ordinary one only the subset of all
+nodes.  Every enumerated diagram is packed by the checked from_link, so a
+Hom-space past MAX_NODES raises at its first diagram.
 """
 
 from __future__ import annotations
@@ -342,7 +348,10 @@ def dilute_diagram(name: str) -> Diagram:
 
 
 def _noncrossing_matchings(points: tuple):
-    """All non-crossing perfect matchings of an ordered point tuple."""
+    """All non-crossing perfect matchings of an ordered point tuple; none
+    for an odd count."""
+    if len(points) % 2:
+        return
     if not points:
         yield ()
         return
@@ -364,26 +373,16 @@ def enumerate_diagrams(n: int, m: int, dilute: bool = False) -> list:
 
 @lru_cache(maxsize=64)
 def _enumerated(n: int, m: int, dilute: bool) -> tuple:
+    # each subset of occupied nodes with each of its non-crossing matchings
     total = m + n
     out = []
-
-    def emit(match):
-        link = [VACANT] * total
-        for a, b in match:
-            link[a] = b
-            link[b] = a
-        out.append(Diagram(m, n, bytes(link), dilute))
-
-    if dilute:
-        allpts = tuple(range(total))
-        for k in range(0, total + 1, 2):
-            for subset in combinations(allpts, k):
-                for match in _noncrossing_matchings(subset):
-                    emit(match)
-    else:
-        if total % 2:
-            return ()
-        for match in _noncrossing_matchings(tuple(range(total))):
-            emit(match)
+    for k in range(0 if dilute else total, total + 1, 2):
+        for occupied in combinations(range(total), k):
+            for match in _noncrossing_matchings(occupied):
+                link = [VACANT] * total
+                for a, b in match:
+                    link[a] = b
+                    link[b] = a
+                out.append(Diagram.from_link(m, n, link, dilute))
     out.sort(key=Diagram.key)
     return tuple(out)

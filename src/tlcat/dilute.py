@@ -25,7 +25,7 @@ from .morphism import (
     CoeffDomain,
     GENERIC,
     Morphism,
-    dilute_sum,
+    dilute_end2,
     identity,
     require_generic,
     t,
@@ -84,10 +84,10 @@ def verify_dilute_braiding(
     rep.add("a2^2 = a3^2 = a4^2 = a1 a5", {}, one * one == a1 * a5)
 
     # occupation-pattern transport: dashed span = line + vacancies
-    top_solid = dilute_sum(2, 2, [((1, 4), (2, 3)), ((1, 4),)])
-    bottom_solid = dilute_sum(2, 2, [((1, 4), (2, 3)), ((2, 3),)])
-    top_vacant = dilute_sum(2, 2, [((2, 3),), ()])
-    bottom_vacant = dilute_sum(2, 2, [((1, 4),), ()])
+    top_solid = dilute_end2({"parallel": one, "top-line": one})
+    bottom_solid = dilute_end2({"parallel": one, "bottom-line": one})
+    top_vacant = dilute_end2({"bottom-line": one, "vacant": one})
+    bottom_vacant = dilute_end2({"top-line": one, "vacant": one})
     for name, (x, y) in {
         "solid top -> solid bottom": (top_solid, bottom_solid),
         "solid bottom -> solid top": (bottom_solid, top_solid),

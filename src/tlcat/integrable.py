@@ -13,15 +13,19 @@ specialisation and no other coefficient domain is taken.  The transfer
 matrix D_n(u) is a word of 2n faces on n+2 strands capped by a cup and a
 cap on the two auxiliary strands; commutation of D_n(u) and D_n(v) is
 proved by computing both products symbolically.
+
+Every face is X(u) = sum_k u^k W_k on its two strands.  Each family's End(2)
+weights W_k are built once and shared by every face, as every Morphism is a
+read-only value.  The boundary conditions of the reflection check are sums
+of dilute Hom(0,4) diagrams, built with the checked Morphism constructor.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import MappingProxyType
 
-from .diagram import dilute_diagram
+from .diagram import Diagram, dilute_diagram
 from .morphism import (
     GENERIC,
     CoeffDomain,
@@ -30,7 +34,6 @@ from .morphism import (
     big_cup,
     cups,
     dilute_end2,
-    dilute_sum,
     identity,
     on_strands,
     require_generic,
@@ -78,8 +81,7 @@ _FAMILIES = ("ordinary", "dilute-braid", "dilute-IK")
 @functools.lru_cache(maxsize=len(_FAMILIES))
 def _face_weights(family: str) -> tuple:
     """The pairs (k, W_k) of the End(2) face X(u) = sum_k u^k W_k of a
-    family, built once; their terms are read-only, as crossing_word makes
-    them."""
+    family, built once and shared, as every Morphism is read-only."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown face family {family!r}")
     sp, one = GENERIC.s_power, GENERIC.one
@@ -109,8 +111,6 @@ def _face_weights(family: str) -> tuple:
             "diag-down": sp(2) - one + sp(-2), "diag-up": sp(2) - one + sp(-2),
         }).scale(((sp(1) - sp(-1)) * (sp(3) - sp(-3))).inv())
         weights = tuple(zip(range(-2, 3), (y(1), w(1), zmid, w(-1), y(-1))))
-    for _, m in weights:
-        m.terms = MappingProxyType(m.terms)
     return weights
 
 
@@ -125,8 +125,6 @@ class FaceOperator:
 
     def __call__(self, arg="u") -> Morphism:
         upow = spectral_power(arg)
-        # every family has at least two weights, so the sum is a new
-        # morphism and never a shared read-only weight
         local = functools.reduce(Morphism.__add__, (
             w.scale(upow(k)) if k else w for k, w in _face_weights(self.family)))
         return on_strands(local, self.i, self.n)
@@ -246,7 +244,8 @@ def _boundary(kind: str) -> Morphism:
         "dashed double arc": [((1, 4), (2, 3)), ((1, 4),), ((2, 3),), ()],
         "asymmetric single arc": [((1, 2),)],
     }[kind]
-    return dilute_sum(4, 0, arcs)
+    return Morphism(4, 0, {Diagram.from_pairs(4, 0, pairs, True): GENERIC.one
+                           for pairs in arcs}, True)
 
 
 # (identity, params, boundary kind, expected) for each family, in report

@@ -1,9 +1,18 @@
 """Morphisms: formal linear combinations of planar diagrams.
 
-A Morphism is a dict Diagram -> coefficient with all diagrams sharing
-(dst, src, dilute).  Coefficients live in a CoeffDomain: symbolic Scalars
-by default, or exact specialized values: a Rational at a rational point s0,
-a CycloElement in Q(zeta_N).
+A Morphism maps each Diagram to a nonzero coefficient, with all diagrams
+sharing (dst, src, dilute).  It is a read-only value, as a Diagram is: its
+terms are a read-only view, so a cache (crossing_word, the face weights)
+hands one morphism to every caller.  Morphism(...) is the one public
+constructor, and it checks its terms; the builders here go through
+_morphism, which takes a finished dict over unchecked.  An ordinary
+morphism is a dilute one whose every node is occupied: identity is the sum
+over the family's occupation patterns, which is the one full pattern on
+ordinary strands.
+
+Coefficients live in a CoeffDomain: symbolic Scalars by default, or exact
+specialized values: a Rational at a rational point s0, a CycloElement in
+Q(zeta_N).
 Composition extends diagram gluing bilinearly, multiplying in one loop
 weight beta per closed loop; dilute annihilated pairs contribute nothing.
 So on dilute strands it never forms them: it buckets the inner operand's
@@ -52,7 +61,6 @@ __all__ = [
     "cups",
     "big_cap",
     "dilute_end2",
-    "dilute_sum",
     "on_strands",
     "word",
     "crossing_word",
@@ -122,30 +130,32 @@ def require_generic(dom: CoeffDomain) -> None:
 
 
 class Morphism:
+    """A read-only value: terms is a read-only mapping Diagram -> nonzero
+    coefficient.  The constructor checks its terms; the library's own
+    builders go through the unchecked _morphism."""
+
     __slots__ = ("dst", "src", "dilute", "terms", "dom")
 
-    def __init__(self, dst, src, terms, dilute=False, dom=GENERIC, _clean=False):
+    def __init__(self, dst, src, terms, dilute=False, dom=GENERIC):
         self.dst = dst
         self.src = src
         self.dilute = dilute
         self.dom = dom
-        if _clean:
-            self.terms = terms
-        else:
-            self.terms = {d: c for d, c in terms.items() if c}
-            for d in self.terms:
-                if d.dst != dst or d.src != src or d.dilute != dilute:
-                    raise ValueError(f"term {d!r} does not live in {dst}<-{src}")
+        clean = {d: c for d, c in terms.items() if c}
+        for d in clean:
+            if d.dst != dst or d.src != src or d.dilute != dilute:
+                raise ValueError(f"term {d!r} does not live in {dst}<-{src}")
+        self.terms = MappingProxyType(clean)
 
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def from_diagram(d: Diagram, dom: CoeffDomain = GENERIC) -> "Morphism":
-        return Morphism(d.dst, d.src, {d: dom.one}, d.dilute, dom, _clean=True)
+        return _morphism(d.dst, d.src, {d: dom.one}, d.dilute, dom)
 
     @staticmethod
     def zero(dst, src, dilute=False, dom: CoeffDomain = GENERIC) -> "Morphism":
-        return Morphism(dst, src, {}, dilute, dom, _clean=True)
+        return _morphism(dst, src, {}, dilute, dom)
 
     # -- linear structure -------------------------------------------------------
 
@@ -160,7 +170,8 @@ class Morphism:
 
     def __add__(self, other):
         self._check_shape(other)
-        terms = dict(self.terms)
+        # a copy of the proxy: dict(proxy) would take the generic mapping path
+        terms = self.terms.copy()
         for d, c in other.terms.items():
             c2 = terms.get(d)
             c2 = c if c2 is None else c2 + c
@@ -168,32 +179,20 @@ class Morphism:
                 terms[d] = c2
             elif d in terms:
                 del terms[d]
-        return Morphism(self.dst, self.src, terms, self.dilute, self.dom, _clean=True)
+        return _morphism(self.dst, self.src, terms, self.dilute, self.dom)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Morphism(
-            self.dst,
-            self.src,
-            {d: -c for d, c in self.terms.items()},
-            self.dilute,
-            self.dom,
-            _clean=True,
-        )
+        return _morphism(self.dst, self.src, {d: -c for d, c in self.terms.items()},
+                         self.dilute, self.dom)
 
     def scale(self, c) -> "Morphism":
         if not c:
             return Morphism.zero(self.dst, self.src, self.dilute, self.dom)
-        return Morphism(
-            self.dst,
-            self.src,
-            {d: c * cd for d, cd in self.terms.items()},
-            self.dilute,
-            self.dom,
-            _clean=True,
-        )
+        return _morphism(self.dst, self.src, {d: c * cd for d, cd in self.terms.items()},
+                         self.dilute, self.dom)
 
     def __mul__(self, other):
         """f * g is composition f after g; scalars also accepted."""
@@ -257,7 +256,7 @@ class Morphism:
                     out[d] = c0
                 elif d in out:
                     del out[d]
-        return Morphism(self.dst, other.src, out, self.dilute, dom, _clean=True)
+        return _morphism(self.dst, other.src, out, self.dilute, dom)
 
     def tensor(self, other: "Morphism") -> "Morphism":
         if self.dilute != other.dilute or self.dom != other.dom:
@@ -273,24 +272,11 @@ class Morphism:
                 out[d] = c0
             elif d in out:
                 del out[d]
-        return Morphism(
-            self.dst + other.dst,
-            self.src + other.src,
-            out,
-            self.dilute,
-            self.dom,
-            _clean=True,
-        )
+        return _morphism(self.dst + other.dst, self.src + other.src, out, self.dilute, self.dom)
 
     def transpose(self) -> "Morphism":
-        return Morphism(
-            self.src,
-            self.dst,
-            {d.transpose(): c for d, c in self.terms.items()},
-            self.dilute,
-            self.dom,
-            _clean=True,
-        )
+        return _morphism(self.src, self.dst, {d.transpose(): c for d, c in self.terms.items()},
+                         self.dilute, self.dom)
 
     # -- predicates -----------------------------------------------------------------
 
@@ -324,6 +310,19 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.to_text()})"
+
+
+def _morphism(dst, src, terms: dict, dilute: bool, dom: CoeffDomain) -> Morphism:
+    """The Morphism with the given terms, unchecked: every coefficient is
+    nonzero and every diagram lives in Hom(src, dst) of the family.  It
+    takes the dict over, behind a read-only view."""
+    m = object.__new__(Morphism)
+    m.dst = dst
+    m.src = src
+    m.dilute = dilute
+    m.dom = dom
+    m.terms = MappingProxyType(terms)
+    return m
 
 
 # the text form of to_text: {m}<-{n}[d] : 0 or {m}<-{n}[d] : [c] * diagram + ...
@@ -361,19 +360,19 @@ def parse_morphism(text: str) -> Morphism:
 
 
 def identity(n: int, dilute: bool = False, dom: CoeffDomain = GENERIC) -> Morphism:
-    """The unit of End(n); on dilute strands, the sum over all occupation
-    patterns of parallel strands."""
-    if not dilute:
-        return Morphism.from_diagram(identity_diagram(n), dom)
+    """The unit of End(n): the sum of parallel strands over every occupation
+    pattern of the family.  Dilute strands take every mask of occupied
+    strands; ordinary strands only the full one."""
+    full = (1 << n) - 1
     terms = {}
-    for mask in range(1 << n):
+    for mask in range(0 if dilute else full, full + 1):
         link = [VACANT] * (2 * n)
         for i in range(n):
             if mask >> i & 1:
                 link[i] = 2 * n - 1 - i
                 link[2 * n - 1 - i] = i
-        terms[Diagram.from_link(n, n, link, True)] = dom.one
-    return Morphism(n, n, terms, True, dom, _clean=True)
+        terms[Diagram.from_link(n, n, link, dilute)] = dom.one
+    return _morphism(n, n, terms, dilute, dom)
 
 
 def e(i: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
@@ -413,7 +412,7 @@ def t(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> Morph
         identity_diagram(n): dom.s_power(2),
         e_diagram(i, n): dom.s_power(-2),
     }
-    return Morphism(n, n, terms, False, dom, _clean=True)
+    return _morphism(n, n, terms, False, dom)
 
 
 def t_inv(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> Morphism:
@@ -425,7 +424,7 @@ def t_inv(i: int, n: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> M
         identity_diagram(n): dom.s_power(-2),
         e_diagram(i, n): dom.s_power(2),
     }
-    return Morphism(n, n, terms, False, dom, _clean=True)
+    return _morphism(n, n, terms, False, dom)
 
 
 def _dilute_crossing(i: int, n: int, dom: CoeffDomain, k: int) -> Morphism:
@@ -447,13 +446,13 @@ def crossing_word(indices: tuple, n: int, dom: CoeffDomain, dilute: bool,
     """s^s_exp times the word of the crossings t_k (t_k^-1 if inverse) for k
     in indices, leftmost first, on n strands of either family.  The
     commutor, its inverse, the double braiding and the twist are each one
-    such word, built once per key and shared by every caller, so its terms
-    are read-only; the parameters are positional-only, so a word has one key."""
+    such word, built once per key and shared by every caller, as every
+    Morphism is read-only; the parameters are positional-only, so a word has
+    one key."""
     cross = t_inv if inverse else t
     m = word([cross(k, n, dom, dilute) for k in indices], n, dilute, dom)
     if s_exp:
         m = m.scale(dom.s_power(s_exp))
-    m.terms = MappingProxyType(m.terms)
     return m
 
 
@@ -476,10 +475,3 @@ def dilute_end2(coeffs: dict, dom: CoeffDomain = GENERIC) -> Morphism:
     diagram dilute_diagram(name)."""
     terms = {dilute_diagram(name): c for name, c in coeffs.items()}
     return Morphism(2, 2, terms, True, dom)
-
-
-def dilute_sum(dst: int, src: int, pair_sets) -> Morphism:
-    """The sum, with coefficient one, of the dilute diagrams in Hom(src, dst)
-    whose arcs are each listed set of node pairs."""
-    terms = {Diagram.from_pairs(dst, src, pairs, dilute=True): GENERIC.one for pairs in pair_sets}
-    return Morphism(dst, src, terms, True)

@@ -94,6 +94,16 @@ def test_parity_empty_hom():
     assert enumerate_diagrams(0, 1) == []
 
 
+def test_ordinary_enumeration_is_the_vacancy_free_dilute_one():
+    # an ordinary diagram is a dilute one with every node occupied, and the
+    # two enumerations share one loop and one order
+    for n in range(0, 9):
+        for m in range(0, 9 - n):
+            ordinary = [d.pairs() for d in enumerate_diagrams(n, m)]
+            full = [d.pairs() for d in enumerate_diagrams(n, m, dilute=True) if not d.vacancies()]
+            assert ordinary == full, (n, m)
+
+
 def test_identity_and_e_compose():
     one = identity_diagram(3)
     ed = e_diagram(1, 3)
@@ -193,6 +203,15 @@ def test_link_is_bytes_and_has_a_node_limit():
             build()
     assert _compose_cached.cache_info().currsize == size
     assert big_caps.compose(big_cups) == (Diagram(0, 0, b""), 100)
+
+
+@pytest.mark.parametrize("n, m, dilute", [(128, 128, False), (0, 256, True)])
+def test_enumeration_past_the_node_limit_raises(n, m, dilute):
+    # every enumerated diagram goes through the checked Diagram.from_link, so
+    # the first one past MAX_NODES raises instead of packing a node index
+    # that reads as VACANT
+    with pytest.raises(ValueError, match="at most 255 boundary nodes, not 256"):
+        enumerate_diagrams(n, m, dilute=dilute)
 
 
 def test_composition_associative():

@@ -17,7 +17,7 @@ from tlcat.diagram import (
     identity_diagram,
 )
 from tlcat.dilute import verify_dilute_braiding
-from tlcat.integrable import _boundary, transfer_matrix, verify_integrable_suite
+from tlcat.integrable import _boundary, face, transfer_matrix, verify_integrable_suite
 from tlcat.morphism import (
     GENERIC,
     CoeffDomain,
@@ -25,13 +25,17 @@ from tlcat.morphism import (
     big_cup,
     crossing_word,
     cups,
+    dilute_end2,
     domain_for,
     e,
     identity,
     on_strands,
+    parse_morphism,
     t,
+    t_inv,
 )
 from tlcat.scalar import Scalar, Specialization
+from tlcat.standard import wenzl_jones
 
 
 def test_tensor_drops_cancelled_terms(monkeypatch):
@@ -48,9 +52,72 @@ def test_tensor_drops_cancelled_terms(monkeypatch):
 
 
 def test_morphism_is_unhashable():
-    # its terms dict is mutable, so it cannot key a cache
+    # it defines equality on its terms and no hash, so it keys no cache
     with pytest.raises(TypeError):
         hash(e(1, 2))
+
+
+def _built_morphisms():
+    """One morphism from each builder and operation, by name."""
+    dom = domain_for(Specialization.rational(Fraction(5, 3)))
+    f, g = t(1, 3), e(2, 3)
+    return {
+        "compose": f.compose(g),
+        "+": f + g,
+        "-": f - g,
+        "unary -": -f,
+        "scale": f.scale(GENERIC.s_power(1)),
+        "tensor": f.tensor(g),
+        "transpose": cups(2).transpose(),
+        "zero": Morphism.zero(2, 2),
+        "from_diagram": Morphism.from_diagram(e_diagram(1, 2), dom),
+        "identity": identity(3, dom=dom),
+        "dilute identity": identity(2, True),
+        "e": e(1, 2, dom),
+        "t": t(1, 2, dom),
+        "t_inv": t_inv(1, 2),
+        "dilute t": t(1, 2, dilute=True),
+        "dilute t_inv": t_inv(2, 3, dilute=True),
+        "big_cup": big_cup(2),
+        "cups": cups(2, dom),
+        "dilute_end2": dilute_end2({"parallel": GENERIC.one, "vacant": GENERIC.one}),
+        "parse_morphism": parse_morphism("2<-2 : [s^2] * 2x2:[(1,2),(3,4)]"),
+        "face": face(1, 3, "dilute-IK")("u"),
+        "wenzl_jones": wenzl_jones(3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_built_morphisms()))
+def test_every_morphism_is_read_only(name):
+    m = _built_morphisms()[name]
+    d = next(iter(m.terms), e_diagram(1, 2))
+    with pytest.raises(TypeError):
+        m.terms[d] = m.dom.one
+    with pytest.raises(TypeError):
+        del m.terms[d]
+    assert m == _built_morphisms()[name]
+
+
+def test_the_constructor_checks_its_terms():
+    assert list(inspect.signature(Morphism).parameters) == ["dst", "src", "terms", "dilute", "dom"]
+    e1, one2 = e_diagram(1, 2), identity_diagram(2)
+    m = Morphism(2, 2, {e1: GENERIC.zero, one2: GENERIC.beta})
+    assert m.terms == {one2: GENERIC.beta} and Morphism(2, 2, {e1: GENERIC.zero}).is_zero
+    for foreign in (e_diagram(1, 3), identity_diagram(2, dilute=True)):
+        with pytest.raises(ValueError, match="does not live in"):
+            Morphism(2, 2, {foreign: GENERIC.one})
+    # the constructor copies its dict: a later write to it changes nothing
+    terms = {e1: GENERIC.one}
+    m = Morphism(2, 2, terms)
+    terms[one2] = GENERIC.one
+    assert m == e(1, 2)
+
+
+def test_the_ordinary_identity_is_the_all_occupied_dilute_term():
+    for n in range(5):
+        full = [(d.pairs(), c) for d, c in identity(n, True).terms.items() if not d.vacancies()]
+        assert [(d.pairs(), c) for d, c in identity(n).terms.items()] == full
+        assert len(identity(n, True).terms) == 2**n
 
 
 class _CountingOne:
