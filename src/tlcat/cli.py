@@ -92,14 +92,19 @@ def _open_out(path: str):
         return None
 
 
-def _write(path: str, text: str) -> int:
-    """Write text to path; return 0, or the usage exit code if _open_out
-    cannot open it."""
-    fh = _open_out(path)
+def _emit(text: str, out: str | None, done: str) -> int:
+    """Write text to the file out and say "{done} to {out}", or to stdout
+    without out; return 0, or the usage exit code if _open_out cannot open
+    out."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    fh = _open_out(out)
     if fh is None:
         return _USAGE
     with fh:
         fh.write(text)
+    print(f"{done} to {out}")
     return 0
 
 
@@ -215,15 +220,7 @@ def _cmd_fusion_table(args) -> int:
         table = _fusion_table(args.n1, args.k1, args.n2, args.k2, spec)
     except AmbiguousEigenvalue as exc:
         return _error(exc, 1)
-    text = json_text(table) + "\n"
-    if args.out:
-        failed = _write(args.out, text)
-        if failed:
-            return failed
-        print(f"table written to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(json_text(table) + "\n", args.out, "table written")
 
 
 def _cmd_eigen(args) -> int:
@@ -262,14 +259,7 @@ def _cmd_render(args) -> int:
     except ValueError as exc:
         return _error(f"cannot parse {args.object!r}: {exc}")
     text = render_svg(obj) if args.format == "svg" else render_ascii(obj) + "\n"
-    if args.out:
-        failed = _write(args.out, text)
-        if failed:
-            return failed
-        print(f"rendered to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(text, args.out, "rendered")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,10 @@
 """Morphisms: formal linear combinations of planar diagrams.
 
 A Morphism maps each Diagram to a nonzero coefficient, with all diagrams
-sharing (dst, src, dilute).  It is a read-only value, as a Diagram is: its
-terms are a read-only view, so a cache (crossing_word, the face weights)
-hands one morphism to every caller.  Morphism(...) is the one public
+sharing (dst, src, dilute).  It is an immutable value, as a Diagram is: a
+tuple of dst, src, dilute, dom and a read-only view of its terms, so a
+cache (crossing_word, the face weights) hands one morphism to every
+caller.  Its CoeffDomain is read-only too.  Morphism(...) is the one public
 constructor, and it checks its terms; the builders here go through
 _morphism, which takes a finished dict over unchecked.  An ordinary
 morphism is a dilute one whose every node is occupied: identity is the sum
@@ -32,6 +33,7 @@ import functools
 import re
 from itertools import product as _iproduct
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .diagram import (
     _TOO_MANY,
@@ -71,26 +73,34 @@ __all__ = [
 class CoeffDomain:
     """The coefficient ring: everything a Morphism needs to know about it.
     Its elements are Scalars over Q(s), Rationals at a rational point (s0
-    becomes a Rational once, here) or CycloElements in Q(zeta_N)."""
+    becomes a Rational once, here) or CycloElements in Q(zeta_N).  A domain
+    is read-only once built, as domain_for shares one per spec."""
 
     __slots__ = ("spec", "zero", "one", "_spow", "beta", "_beta_pows")
 
     def __init__(self, spec: Specialization):
-        self.spec = spec
         if spec.kind == "generic":
-            self._spow = Scalar.s_power
+            spow = Scalar.s_power
         elif spec.kind == "rational":
             s0 = Rational(spec.s0)
-            self._spow = lambda k: s0**k
+            spow = lambda k: s0**k
         else:
             from .cyclotomic import CycloField
 
-            field = CycloField(spec.N)
-            self._spow = field.zeta
-        self.one = self._spow(0)
-        self.zero = self.one - self.one
-        self.beta = -self._spow(4) - self._spow(-4)
-        self._beta_pows = [self.one, self.beta]
+            spow = CycloField(spec.N).zeta
+        one = spow(0)
+        beta = -spow(4) - spow(-4)
+        # the one place a domain is written: it is interned and shared
+        fields = {"spec": spec, "_spow": spow, "one": one, "zero": one - one,
+                  "beta": beta, "_beta_pows": [one, beta]}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a CoeffDomain is read-only: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a CoeffDomain is read-only: cannot delete {name}")
 
     def s_power(self, k: int):
         return self._spow(k)
@@ -129,23 +139,35 @@ def require_generic(dom: CoeffDomain) -> None:
         raise ValueError(f"this suite runs over Q(s) only, not at {dom.spec.describe()}")
 
 
-class Morphism:
-    """A read-only value: terms is a read-only mapping Diagram -> nonzero
-    coefficient.  The constructor checks its terms; the library's own
-    builders go through the unchecked _morphism."""
+class _MorphismFields(NamedTuple):
+    dst: int
+    src: int
+    dilute: bool
+    dom: CoeffDomain
+    # last, so tuple equality compares the cheap fields first
+    terms: MappingProxyType
 
-    __slots__ = ("dst", "src", "dilute", "terms", "dom")
 
-    def __init__(self, dst, src, terms, dilute=False, dom=GENERIC):
-        self.dst = dst
-        self.src = src
-        self.dilute = dilute
-        self.dom = dom
+class Morphism(_MorphismFields):
+    """An immutable value, as a Diagram is: a tuple of its fields, whose
+    terms is a read-only mapping Diagram -> nonzero coefficient.  The
+    constructor checks its terms; the library's own builders go through the
+    unchecked _morphism, never through _replace or _make."""
+
+    __slots__ = ()
+    # equality is the tuple's; a morphism keys no cache
+    __hash__ = None
+
+    def __new__(cls, dst, src, terms, dilute=False, dom=GENERIC):
         clean = {d: c for d, c in terms.items() if c}
         for d in clean:
             if d.dst != dst or d.src != src or d.dilute != dilute:
                 raise ValueError(f"term {d!r} does not live in {dst}<-{src}")
-        self.terms = MappingProxyType(clean)
+        return _morphism(dst, src, clean, dilute, dom)
+
+    def __getnewargs__(self):
+        # copy.copy rebuilds through __new__: its arguments in its order
+        return self.dst, self.src, self.terms, self.dilute, self.dom
 
     # -- constructors ----------------------------------------------------------
 
@@ -284,17 +306,6 @@ class Morphism:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (
-            self.dst == other.dst
-            and self.src == other.src
-            and self.dilute == other.dilute
-            and self.dom == other.dom
-            and self.terms == other.terms
-        )
-
     # -- text form ----------------------------------------------------------------------
 
     def to_text(self) -> str:
@@ -316,13 +327,7 @@ def _morphism(dst, src, terms: dict, dilute: bool, dom: CoeffDomain) -> Morphism
     """The Morphism with the given terms, unchecked: every coefficient is
     nonzero and every diagram lives in Hom(src, dst) of the family.  It
     takes the dict over, behind a read-only view."""
-    m = object.__new__(Morphism)
-    m.dst = dst
-    m.src = src
-    m.dilute = dilute
-    m.dom = dom
-    m.terms = MappingProxyType(terms)
-    return m
+    return tuple.__new__(Morphism, (dst, src, dilute, dom, MappingProxyType(terms)))
 
 
 # the text form of to_text: {m}<-{n}[d] : 0 or {m}<-{n}[d] : [c] * diagram + ...

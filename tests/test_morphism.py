@@ -1,5 +1,6 @@
 """Morphism algebra details not covered by the relation suites."""
 
+import copy
 import inspect
 import random
 from fractions import Fraction
@@ -17,7 +18,13 @@ from tlcat.diagram import (
     identity_diagram,
 )
 from tlcat.dilute import verify_dilute_braiding
-from tlcat.integrable import _boundary, face, transfer_matrix, verify_integrable_suite
+from tlcat.integrable import (
+    _boundary,
+    _face_weights,
+    face,
+    transfer_matrix,
+    verify_integrable_suite,
+)
 from tlcat.morphism import (
     GENERIC,
     CoeffDomain,
@@ -55,6 +62,49 @@ def test_morphism_is_unhashable():
     # it defines equality on its terms and no hash, so it keys no cache
     with pytest.raises(TypeError):
         hash(e(1, 2))
+
+
+def _shared_morphisms(cache, args):
+    """The morphisms a cache hands out for args: one word, or face weights."""
+    out = cache(*args)
+    return [out] if isinstance(out, Morphism) else [w for _, w in out]
+
+
+@pytest.mark.parametrize("field", ["dst", "src", "dilute", "dom", "terms"])
+@pytest.mark.parametrize("cache, args", [
+    (crossing_word, ((1, 2), 3, GENERIC, False, False, 0)),
+    (_face_weights, ("dilute-IK",)),
+])
+def test_morphism_is_an_immutable_value(cache, args, field):
+    # a cache hands one morphism to every caller, so no caller may change it
+    point = domain_for(Specialization.rational(Fraction(5, 3)))
+    for m in _shared_morphisms(cache, args):
+        other = Morphism.zero(m.dst + 1, m.src + 1, not m.dilute, point)
+        with pytest.raises(AttributeError):
+            setattr(m, field, getattr(other, field))
+    assert _shared_morphisms(cache, args) == _shared_morphisms(cache.__wrapped__, args)
+
+
+def test_a_copy_is_rebuilt_through_the_constructor():
+    m = t(1, 2, domain_for(Specialization.rational(Fraction(5, 3))), dilute=True)
+    assert copy.copy(m) == m
+
+
+def test_every_domain_is_read_only(monkeypatch):
+    # GENERIC and every domain_for result are shared by every morphism
+    domains = [GENERIC] + [domain_for(Specialization.parse(spec))
+                           for spec in ("rational:5/3", "root:2")]
+    for dom in domains:
+        for name in CoeffDomain.__slots__:
+            value = getattr(dom, name)
+            with pytest.raises(AttributeError):
+                setattr(dom, name, None)
+            with pytest.raises(AttributeError):
+                delattr(dom, name)
+            assert getattr(dom, name) is value
+    # the class stays open to patching, as the planted-fault tests patch it
+    monkeypatch.setattr(CoeffDomain, "beta_power", lambda self, k: self.one)
+    assert GENERIC.beta_power(3) is GENERIC.one
 
 
 def _built_morphisms():
@@ -138,8 +188,10 @@ class _CountingOne:
 
 def test_compose_skips_unit_factors():
     log = []
+    # a private domain, not the interned one: its unit is swapped past the
+    # read-only guard, as CoeffDomain.__init__ writes its fields
     dom = CoeffDomain(Specialization.rational(Fraction(5, 3)))
-    dom.one = _CountingOne(log)
+    object.__setattr__(dom, "one", _CountingOne(log))
     e1 = Morphism.from_diagram(e_diagram(1, 3), dom)
     e2 = Morphism.from_diagram(e_diagram(2, 3), dom)
     # no loop: the product of the two units is the unit itself
