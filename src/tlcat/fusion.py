@@ -2,7 +2,8 @@
 
 M x_f N over TL_{m+n} is realized on raw vectors d (x) (x (x) y) with d a
 diagram of End(m+n) and x, y basis elements of the factor modules.  The
-balanced-tensor relations
+raw index is d * pairs + p, with pairs = dim(M)*dim(N) and the pair
+p = x * dim(N) + y.  The balanced-tensor relations
 
     (d o g^) (x) (x (x) y)  -  d (x) (g.(x (x) y))
 
@@ -14,6 +15,10 @@ built as a sparse dict {raw index: coefficient}; the sparse exact row
 reduction of ``linalg.rref`` yields the quotient, whose basis is the set
 of non-pivot raw coordinates.
 
+A linear map on the pairs is a pair map, the Kronecker product of two
+factor maps built once by ``_pair_map``: e_i (x) 1 and 1 (x) e_j give
+the relation rows, and c_m^-1 (x) c_n^-1 the twist route below.
+
 Every column on the quotient comes from one builder,
 ``FusedModule._column``: ``Morphism.compose`` composes a morphism h of
 End(m+n) onto the diagram leg of a free basis vector, each diagram of the
@@ -23,18 +28,19 @@ the module's ``act_on_element``, so ``standard.act`` builds its matrices
 as for a standard or regular module, and a fused module can itself be a
 factor of another.  The double braiding composes eta_{n,m} o eta_{m,n}
 on the right.  The twist-ratio route of the monodromy composes c_{m+n}
-on the right and, before reducing, applies the factor twists
-c_m^-1 (x) c_n^-1 to the (x, y) coordinates as one linear map; the two
-routes agree only because the quotient is the balanced tensor product.
+on the right and, before reducing, sends the pair through the pair map
+of the factor twists c_m^-1 (x) c_n^-1; the two routes agree only
+because the quotient is the balanced tensor product.
 Both structural morphisms are single words of elementary crossings
 (``braid.double_braiding`` and ``twist.twist_element``), so building one
 costs a crossing times a dense morphism per letter, never a dense times a
 dense product.  Everything
 downstream - the central-element spectrum, Jordan data at roots of unity -
-is matrix arithmetic over the exact coefficient field of the spec,
-resolved by ``morphism.domain_for``: Q(s) for a generic spec, so a generic
-decomposition holds for generic s and not just at one point; Q at an
-explicit rational point; Q(zeta_N) at a root of unity.
+is arithmetic on sparse-row matrices (``linalg``) over the exact
+coefficient field of the spec, resolved by ``morphism.domain_for``: Q(s)
+for a generic spec, so a generic decomposition holds for generic s and
+not just at one point; Q at an explicit rational point; Q(zeta_N) at a
+root of unity.
 """
 
 from __future__ import annotations
@@ -98,6 +104,20 @@ def expected_summands(k1: int, k2: int) -> list:
     return list(range(abs(k1 - k2), k1 + k2 + 1, 2))
 
 
+def _pair_map(left: list, right: list) -> list:
+    """The Kronecker product of two factor maps, each a list of the images
+    {index: coefficient} of its module's basis elements: entry
+    x * len(right) + y is the image of x (x) y, numbered the same way."""
+    width = len(right)
+    return [{xj * width + yj: cl * cr for xj, cl in left[x].items() for yj, cr in right[y].items()}
+            for x in range(len(left)) for y in range(width)]
+
+
+def _images(f: Morphism, module) -> list:
+    """The factor map of f on module: the images of its basis elements."""
+    return [module.act_on_element(f, v) for v in module.basis]
+
+
 class FusedModule:
     """left x_f right, a module over TL_n with n = left.n + right.n like any
     other: its basis is the free raw coordinates of the quotient, and
@@ -113,38 +133,32 @@ class FusedModule:
         self.k = None
         self.diagrams = enumerate_diagrams(self.n, self.n)
         self._dindex = {d: i for i, d in enumerate(self.diagrams)}
-        self.dl = left.dim
-        self.dr = right.dim
-        self.raw_dim = len(self.diagrams) * self.dl * self.dr
+        self.pairs = left.dim * right.dim
+        self.raw_dim = len(self.diagrams) * self.pairs
         self._build_quotient()
 
-    # raw index layout: ((diagram, x), y)
-    def _ri(self, di: int, xi: int, yi: int) -> int:
-        return (di * self.dl + xi) * self.dr + yi
-
     def _build_quotient(self):
-        dom = self.dom
+        dom, left, right = self.dom, self.left, self.right
+        m, pairs = left.n, self.pairs
+        one_l, one_r = ([{x: dom.one} for x in range(mod.dim)] for mod in (left, right))
+        # e_i (x) 1 on the left factor, then 1 (x) e_j on the right one
+        gens = [(e_diagram(i, self.n), _pair_map(_images(e(i, m, dom), left), one_r))
+                for i in range(1, m)]
+        gens += [(e_diagram(m + j, self.n), _pair_map(one_l, _images(e(j, right.n, dom), right)))
+                 for j in range(1, right.n)]
         rows = []
-        m = self.left.n
-        gens = [("L", i, e_diagram(i, self.n)) for i in range(1, m)]
-        gens += [("R", j, e_diagram(m + j, self.n)) for j in range(1, self.right.n)]
-        for side, idx, ghat in gens:
-            module = self.left if side == "L" else self.right
-            gmor = e(idx, module.n, dom)
-            actions = [module.act_on_element(gmor, v) for v in module.basis]
+        for ghat, pair_map in gens:
             for di, d in enumerate(self.diagrams):
                 dg, loops = d.compose(ghat)
-                dgi = self._dindex[dg]
+                top, base = self._dindex[dg] * pairs, di * pairs
                 cg = dom.beta_power(loops) if loops else dom.one
-                for xi in range(self.dl):
-                    for yi in range(self.dr):
-                        row = {self._ri(dgi, xi, yi): cg}
-                        action = actions[xi] if side == "L" else actions[yi]
-                        for j, c in action.items():
-                            k = self._ri(di, j, yi) if side == "L" else self._ri(di, xi, j)
-                            row[k] = row.get(k, dom.zero) - c
-                        if any(row.values()):
-                            rows.append(row)
+                for p, image in enumerate(pair_map):
+                    row = {top + p: cg}
+                    for q, c in image.items():
+                        k = base + q
+                        row[k] = row[k] - c if k in row else -c
+                    if any(row.values()):
+                        rows.append(row)
         red, pivots = rref(rows, self.raw_dim) if rows else ([], [])
         pivset = set(pivots)
         self.basis = [i for i in range(self.raw_dim) if i not in pivset]
@@ -155,59 +169,47 @@ class FusedModule:
         self._pivot_image = {p: {self._free_pos[j]: x for j, x in row.items() if j != p}
                              for row, p in zip(red, pivots)}
 
-    def _reduce(self, vec: dict) -> list:
-        """Canonical residue of a raw vector, as coordinates on the free basis."""
-        out = [self.dom.zero] * self.dim
+    def _reduce(self, vec: dict) -> dict:
+        """Canonical residue of a raw vector, as {free coordinate: nonzero
+        coefficient}."""
+        out: dict = {}
         for j, c in vec.items():
             f = self._free_pos.get(j)
             if f is not None:
-                out[f] += c
+                v = out.get(f)
+                out[f] = c if v is None else v + c
             elif c:
                 for f, x in self._pivot_image[j].items():
-                    out[f] -= c * x
-        return out
+                    v = out.get(f)
+                    out[f] = -(c * x) if v is None else v - c * x
+        return {f: v for f, v in out.items() if v}
 
-    def _column(self, h: Morphism, f_idx: int, side: str) -> dict:
-        """Raw vector of h acting on the f_idx-th free basis vector, composed
-        onto its diagram leg from the left (side 'left') or the right."""
-        di, rem = divmod(f_idx, self.dl * self.dr)
-        xi, yi = divmod(rem, self.dr)
+    def _column(self, h: Morphism, b: int, side: str, pair_map=None) -> dict:
+        """Raw vector of h acting on the free basis vector b, composed onto
+        its diagram leg from the left (side 'left') or the right, with its
+        pair of factor basis elements sent through pair_map when given."""
+        di, p = divmod(b, self.pairs)
         leg = Morphism.from_diagram(self.diagrams[di], self.dom)
         image = h.compose(leg) if side == "left" else leg.compose(h)
-        return {self._ri(self._dindex[d], xi, yi): c for d, c in image.terms.items()}
-
-    def _on_factors(self, vec: dict, left: list, right: list) -> dict:
-        """Apply a linear map on each factor module to the (x, y)
-        coordinates of a raw vector; left[x] and right[y] are the images of
-        the basis elements as {index: coefficient}."""
-        zero = self.dom.zero
-        out: dict = {}
-        for k, c in vec.items():
-            dx, yi = divmod(k, self.dr)
-            di, xi = divmod(dx, self.dl)
-            for xj, cl in left[xi].items():
-                ccl = c * cl
-                for yj, cr in right[yi].items():
-                    kk = self._ri(di, xj, yj)
-                    out[kk] = out.get(kk, zero) + ccl * cr
-        return out
+        if pair_map is None:
+            return {self._dindex[d] * self.pairs + p: c for d, c in image.terms.items()}
+        return {self._dindex[d] * self.pairs + q: c * x
+                for d, c in image.terms.items() for q, x in pair_map[p].items()}
 
     def act_on_element(self, h: Morphism, b: int) -> dict:
         """Column of the induced left action of h on the basis vector b (a
         free raw coordinate), as index in this module's basis -> coefficient."""
-        col = self._reduce(self._column(h, b, "left"))
-        return {i: c for i, c in enumerate(col) if c}
+        return self._reduce(self._column(h, b, "left"))
 
-    def _matrix(self, h: Morphism, factors=None) -> list:
-        """Matrix on the quotient of h composed on the right of the diagram
-        leg, followed by the factor-module maps (left, right) when given."""
-        cols = []
-        for f in self.basis:
-            vec = self._column(h, f, "right")
-            if factors is not None:
-                vec = self._on_factors(vec, *factors)
-            cols.append(self._reduce(vec))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+    def _matrix(self, h: Morphism, pair_map=None) -> list:
+        """Sparse rows, on the quotient, of h composed on the right of the
+        diagram leg, followed by pair_map on the factors when given; each
+        reduced column is written straight into the rows."""
+        mat: list = [{} for _ in range(self.dim)]
+        for j, b in enumerate(self.basis):
+            for i, c in self._reduce(self._column(h, b, "right", pair_map)).items():
+                mat[i][j] = c
+        return mat
 
     def monodromy_matrix(self, route: str = "braiding") -> list:
         """The double braiding on the fused module.
@@ -222,13 +224,9 @@ class FusedModule:
         if route == "braiding":
             return self._matrix(double_braiding(self.left.n, self.right.n, dom))
         if route == "twist":
-            inv_l = twist_inverse(self.left.n, dom)
-            inv_r = twist_inverse(self.right.n, dom)
-            factors = (
-                [self.left.act_on_element(inv_l, x) for x in self.left.basis],
-                [self.right.act_on_element(inv_r, y) for y in self.right.basis],
-            )
-            return self._matrix(twist_element(self.n, dom), factors)
+            pair_map = _pair_map(_images(twist_inverse(self.left.n, dom), self.left),
+                                 _images(twist_inverse(self.right.n, dom), self.right))
+            return self._matrix(twist_element(self.n, dom), pair_map)
         raise ValueError(f"unknown monodromy route {route!r}")
 
     def verify_representation(self) -> VerificationReport:
@@ -239,7 +237,7 @@ class FusedModule:
         beta = dom.beta
         for i, mi in mats.items():
             sq = mat_mul(mi, mi)
-            scaled = [[beta * x for x in row] for row in mi]
+            scaled = [{j: beta * x for j, x in row.items() if beta} for row in mi]
             rep.add("e_i^2 = beta e_i", {"i": i, "dim": self.dim}, sq == scaled)
             for j, mj in mats.items():
                 if abs(i - j) == 1:
@@ -279,7 +277,7 @@ def fusion_summands(fused: FusedModule) -> dict:
     total = 0
     for k in expected:
         shifted = mat_shift(cmat, gammas[k])
-        eigdim = fused.dim - rank(shifted, fused.dim) if fused.dim else 0
+        eigdim = fused.dim - rank(shifted, fused.dim)
         if eigdim:
             sk = standard_dimension(fused.n, k)
             if eigdim % sk:
@@ -372,7 +370,7 @@ def _annihilating_product(mono: list, values: list) -> bool:
     acc = mat_shift(mono, values[0])
     for v in values[1:]:
         acc = mat_mul(acc, mat_shift(mono, v))
-    return not any(c for row in acc for c in row)
+    return not any(acc)
 
 
 def verify_fusion_suite(

@@ -2,11 +2,14 @@
 
 Works for Fraction, Rational, cyclotomic elements and symbolic Scalars:
 elements must support +, -, *, /, ``**0`` for the unit, ==, and
-truthiness for zero-testing.
+truthiness for zero-testing, and take the ints 0 and 1 as their zero and
+one in * and ==.
 
-Row reduction is sparse: a row is a dict {column: nonzero entry}, so the
-cost follows the nonzeros, not the width.  ``rref``, ``rank`` and ``det``
-read one forward elimination; ``mat_mul`` and ``mat_shift`` stay dense.
+A matrix is a list of rows, each a dict {column: nonzero entry}.  No
+producer stores a zero, so two matrices are equal exactly when their
+rows are, and every cost follows the nonzeros, not the width.  ``rref``,
+``rank`` and ``det`` read one forward elimination; ``mat_mul`` makes one
+coefficient product per pair of nonzeros that meet.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ __all__ = [
 ]
 
 
-def _sparse(row) -> dict:
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: x for c, x in items if x}
+def _sparse(row: dict) -> dict:
+    return {c: x for c, x in row.items() if x}
 
 
 def _eliminate(row: dict, prow: dict, col: int) -> dict:
@@ -63,7 +65,7 @@ def _pivot_rows(rows: list, ncols: int):
 
 def rref(rows: list, ncols: int) -> tuple:
     """Reduced row echelon form of the matrix with the given rows, each a
-    dense list or a dict {column: entry}; zero entries are dropped.
+    dict {column: entry}; zero entries are dropped.
 
     Returns (reduced nonzero rows as dicts, pivot column list), row i
     having its leading 1 at pivots[i] and zeros in every other pivot column.
@@ -83,36 +85,32 @@ def rank(rows: list, ncols: int) -> int:
 
 
 def det(rows: list):
-    """Determinant of a square matrix of dense rows: the product of the
-    pivots, each negated when its row was popped from an odd position.  A
-    nonsingular matrix has no zero row to skip, so the positions are exact."""
-    one = rows[0][0] ** 0
-    result, found = one, 0
+    """Determinant of a square matrix: the product of the pivots, each
+    negated when its row was popped from an odd position.  A nonsingular
+    matrix has no zero row to skip, so the positions are exact.  It starts
+    from the int 1, so det([]) is 1, and a singular matrix gives the int 0;
+    both equal the one and zero of every coefficient type."""
+    result, found = 1, 0
     for _, piv, pval, _ in _pivot_rows(rows, len(rows)):
         result = -(result * pval) if piv % 2 else result * pval
         found += 1
-    return result if found == len(rows) else one - one
+    return result if found == len(rows) else 0
 
 
 def mat_mul(a: list, b: list) -> list:
-    nb = len(b[0]) if b else 0
+    """The product a b: one coefficient product for each nonzero a[i][k]
+    and each nonzero of row k of b."""
     out = []
     for row in a:
-        orow = []
-        for j in range(nb):
-            acc = None
-            for k, x in enumerate(row):
-                if x:
-                    term = x * b[k][j]
-                    acc = term if acc is None else acc + term
-            if acc is None:
-                acc = row[0] - row[0]
-            orow.append(acc)
-        out.append(orow)
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                v = acc.get(j)
+                acc[j] = x * y if v is None else v + x * y
+        out.append(_sparse(acc))
     return out
 
 
 def mat_shift(a: list, lam) -> list:
-    """a - lam * I for a square matrix a."""
-    return [[x - lam if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(a)]
+    """a - lam * I for a square matrix a; only the diagonal changes."""
+    return [_sparse({**row, i: row[i] - lam if i in row else -lam}) for i, row in enumerate(a)]

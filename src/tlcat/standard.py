@@ -98,11 +98,11 @@ class RegularModule:
 
 def act(f: Morphism, module) -> list:
     """Matrix of f in End(n) on a module over TL_n - standard, regular or
-    fused: anything with n, dom, dim, basis and act_on_element."""
+    fused: anything with n, dim, basis and act_on_element.  Row i is
+    {j: the i-th coordinate of f on basis element j}, nonzeros only."""
     if f.src != module.n or f.dst != module.n:
         raise ValueError(f"morphism {f.dst}<-{f.src} is not in End({module.n})")
-    zero = module.dom.zero
-    mat = [[zero] * module.dim for _ in range(module.dim)]
+    mat: list = [{} for _ in range(module.dim)]
     for j, v in enumerate(module.basis):
         for i, coeff in module.act_on_element(f, v).items():
             mat[i][j] = coeff
@@ -112,17 +112,14 @@ def act(f: Morphism, module) -> list:
 def eigenvalue_on_standard(central: Morphism, module: StandardModule):
     """The scalar by which a central element acts; NotScalarAction otherwise."""
     mat = act(central, module)
-    n = len(mat)
-    if n == 0:
+    if not mat:
         raise NotScalarAction("module is zero-dimensional")
-    lam = mat[0][0]
-    for i in range(n):
-        for j in range(n):
-            expect = lam if i == j else module.dom.zero
-            if mat[i][j] != expect:
-                raise NotScalarAction(
-                    f"matrix is not scalar at entry ({i},{j})"
-                )
+    lam = mat[0].get(0, module.dom.zero)
+    for i, row in enumerate(mat):
+        expect = {i: lam} if lam else {}
+        if row != expect:
+            j = min(c for c in row.keys() | expect.keys() if row.get(c) != expect.get(c))
+            raise NotScalarAction(f"matrix is not scalar at entry ({i},{j})")
     return lam
 
 
@@ -164,7 +161,8 @@ def _flip(mat: list, module: RegularModule) -> list:
     diagrams: the left action of f becomes the right action of f^t,
     because x f^t = (f x^t)^t."""
     flip = [module._index[d.transpose()] for d in module.basis]
-    return [[mat[a][b] for b in flip] for a in flip]
+    # transposing twice gives the diagram back, so flip is its own inverse
+    return [{flip[b]: x for b, x in mat[a].items()} for a in flip]
 
 
 def annihilated_line_dimension(m: int, spec: Specialization | None = None) -> int:

@@ -30,6 +30,7 @@ from tlcat.scalar import Rational, Scalar, Specialization
 from tlcat.standard import RegularModule, StandardModule, act, standard_dimension
 from tlcat.twist import gamma_eigenvalue, twist_element
 
+from matrix_forms import dense, rows_of
 from scalar_oracle import q_power
 
 
@@ -103,12 +104,57 @@ def test_reduce_matches_pivot_by_pivot_elimination(spec, rng, monkeypatch):
         (rows,) = relations
         red, pivots = rref(rows, fused.raw_dim)
         assert fused.basis == sorted(set(range(fused.raw_dim)) - set(pivots))
-        zero = [dom.zero] * fused.dim
-        assert all(fused._reduce(row) == zero for row in rows)
+        assert all(fused._reduce(row) == {} for row in rows)
         for _ in range(20):
             support = rng.sample(range(fused.raw_dim), rng.randint(1, min(6, fused.raw_dim)))
             vec = {j: dom.s_power(rng.randint(-4, 4)) * rng.randint(-3, 3) for j in support}
-            assert fused._reduce(vec) == pivot_by_pivot(red, pivots, fused.basis, vec, dom.zero)
+            assert dense([fused._reduce(vec)], fused.dim, dom.zero) == \
+                [pivot_by_pivot(red, pivots, fused.basis, vec, dom.zero)]
+
+
+def _assert_canonical(mat, dim):
+    """mat is dim sparse rows with no stored zero and no column past dim."""
+    assert len(mat) == dim
+    assert all(x and 0 <= j < dim for row in mat for j, x in row.items()), mat
+
+
+def _diagonal(mat):
+    """The distinct nonzero diagonal entries: shifting by one cancels it."""
+    return {row[r] for r, row in enumerate(mat) if r in row}
+
+
+@pytest.mark.parametrize("spec", ["generic", "rational:5/3", "root:2", "root:3"])
+def test_matrix_producers_store_no_zero(spec, rng):
+    # every matrix equality a check makes (e_i^2 = beta e_i, the two
+    # monodromy routes, the product rule of act) compares row dicts, so it
+    # means something only if no producer keeps a cancelled entry; beta = 0
+    # at root:2 makes e_i^2 vanish
+    dom = domain_for(Specialization.parse(spec))
+    fused = FusedModule(StandardModule(2, 2, dom), StandardModule(1, 1, dom))
+    for module in (StandardModule(4, 2, dom), RegularModule(3, dom), fused):
+        for i in range(1, module.n):
+            mi = act(e(i, module.n, dom), module)
+            _assert_canonical(mi, module.dim)
+            _assert_canonical(mat_mul(mi, mi), module.dim)
+            # e_i (e_i - beta) = 0: every entry of this product cancels
+            assert mat_mul(mi, mat_shift(mi, dom.beta)) == [{} for _ in range(module.dim)]
+            for lam in _diagonal(mi):
+                _assert_canonical(mat_shift(mi, lam), module.dim)
+    # e_i^2 = beta e_i compares a product with the scaled rows
+    assert fused.verify_representation().ok
+    for route in ("braiding", "twist"):
+        mono = fused.monodromy_matrix(route)
+        _assert_canonical(mono, fused.dim)
+        for lam in _diagonal(mono):
+            _assert_canonical(mat_shift(mono, lam), fused.dim)
+    # a pivot coordinate plus its own image on the free coordinates cancels
+    for p, image in fused._pivot_image.items():
+        vec = {p: dom.one, **{fused.basis[f]: x for f, x in image.items()}}
+        assert fused._reduce(vec) == {}
+    for _ in range(20):
+        support = rng.sample(range(fused.raw_dim), 4)
+        vec = {j: dom.s_power(rng.randint(-4, 4)) * rng.randint(-1, 1) for j in support}
+        assert all(x and 0 <= f < fused.dim for f, x in fused._reduce(vec).items())
 
 
 def test_monodromy_eigenvalue_formula():
@@ -179,7 +225,7 @@ def test_rational_point_coefficients_are_rationals():
     values += twist_element(3, dom).terms.values()
     fused = FusedModule(StandardModule(2, 2, dom), StandardModule(2, 0, dom))
     mono = fused.monodromy_matrix("twist")
-    values += [x for row in mono for x in row]
+    values += [x for row in mono for x in row.values()]
     assert len(mono) == fused.dim > 0
     assert all(type(x) is Rational for x in values), {type(x) for x in values}
     assert dom.s_power(-3) == Fraction(27, 125) and str(dom.beta) == "-397186/50625"
@@ -251,12 +297,12 @@ def test_fused_representation_detects_noncommuting_far_generators(monkeypatch):
     # P commutes with e_2, and P^-1 = 1 - e_2 / (1 + beta)
     dom = domain_for(generic_rational_spec())
     fused = FusedModule(StandardModule(2, 2, dom), StandardModule(2, 0, dom))
-    e2 = act(e(2, 4, dom), fused)
+    e2 = dense(act(e(2, 4, dom), fused), fused.dim, dom.zero)
     one = [[dom.one if i == j else dom.zero for j in range(fused.dim)]
            for i in range(fused.dim)]
     c = -1 / (1 + dom.beta)
-    p = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(one, e2)]
-    p_inv = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(one, e2)]
+    p = rows_of([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(one, e2)])
+    p_inv = rows_of([[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(one, e2)])
 
     def planted(f, module):
         mat = act(f, module)
@@ -309,12 +355,12 @@ def test_regular_fusion_dimension():
 def test_jordan_type_oracle():
     F = Fraction
     # handcrafted nilpotent: blocks (2, 1)
-    m = [[F(0), F(1), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(0)]]
+    m = rows_of([[F(0), F(1), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(0)]])
     assert jordan_type(m, F(0)) == (2, 1)
     # shift the eigenvalue
-    m2 = [[F(5), F(1), F(0)], [F(0), F(5), F(0)], [F(0), F(0), F(5)]]
+    m2 = rows_of([[F(5), F(1), F(0)], [F(0), F(5), F(0)], [F(0), F(0), F(5)]])
     assert jordan_type(m2, F(5)) == (2, 1)
-    ident = [[F(1), F(0)], [F(0), F(1)]]
+    ident = rows_of([[F(1), F(0)], [F(0), F(1)]])
     assert jordan_type(ident, F(1)) == (1, 1)
     with pytest.raises(EigenvalueMismatch):
         jordan_type(ident, F(3))
@@ -324,7 +370,8 @@ def test_jordan_type_oracle():
 
 
 def _jordan_matrix(blocks) -> list:
-    """The block-diagonal Fraction matrix of Jordan blocks (value, size)."""
+    """The block-diagonal Fraction matrix of Jordan blocks (value, size),
+    as sparse rows."""
     n = sum(b for _, b in blocks)
     mat = [[Fraction(0)] * n for _ in range(n)]
     start = 0
@@ -334,14 +381,14 @@ def _jordan_matrix(blocks) -> list:
             if i + 1 < start + b:
                 mat[i][i + 1] = Fraction(1)
         start += b
-    return mat
+    return rows_of(mat)
 
 
 def _inverse(p: list) -> list:
     """The inverse of an invertible square Fraction matrix, via rref of [p | 1]."""
     n = len(p)
-    red, pivots = rref([row + [Fraction(int(i == j)) for j in range(n)]
-                        for i, row in enumerate(p)], 2 * n)
+    red, pivots = rref(rows_of([row + [Fraction(int(i == j)) for j in range(n)]
+                                for i, row in enumerate(p)]), 2 * n)
     assert pivots == list(range(n))
     return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in red]
 
@@ -358,8 +405,8 @@ def test_jordan_type_recovers_conjugated_jordan_blocks(at_lam, elsewhere, lam, d
     n = len(jmat)
     entry = st.integers(-3, 3).map(Fraction)
     p = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-                  .filter(lambda m: rank(m, n) == n))
-    mat = mat_mul(mat_mul(p, jmat), _inverse(p))
+                  .filter(lambda m: rank(rows_of(m), n) == n))
+    mat = mat_mul(mat_mul(rows_of(p), jmat), rows_of(_inverse(p)))
     assert jordan_type(mat, Fraction(lam)) == tuple(sorted(at_lam, reverse=True))
 
 

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlcat.cyclotomic import CycloField
-from tlcat.linalg import det, rank, rref
+from tlcat.linalg import det, mat_mul, mat_shift, rank, rref
 from tlcat.morphism import domain_for
 from tlcat.scalar import Specialization
+
+from matrix_forms import rows_of
 
 
 def dense_rref(rows, ncols):
@@ -35,16 +37,11 @@ def dense_rref(rows, ncols):
 
 
 def as_form(rows, form):
-    """The same matrix as dense lists, dicts without zeros, dicts that keep
-    explicit zero entries, or an alternation of dense and dict rows."""
-    if form == "dense":
-        return [list(r) for r in rows]
+    """The same dense matrix as sparse rows, or as dicts that keep explicit
+    zero entries, which the elimination drops."""
     if form == "dict":
-        return [{c: x for c, x in enumerate(r) if x} for r in rows]
-    if form == "dict-with-zeros":
-        return [dict(enumerate(r)) for r in rows]
-    return [list(r) if i % 2 else {c: x for c, x in enumerate(r) if x}
-            for i, r in enumerate(rows)]
+        return rows_of(rows)
+    return [dict(enumerate(r)) for r in rows]
 
 
 def kernel_basis(rows, ncols, one):
@@ -70,7 +67,7 @@ def apply(rows, vec):
     return [sum((a * b for a, b in zip(r, vec)), vec[0] - vec[0]) for r in rows]
 
 
-FORMS = ("dense", "dict", "dict-with-zeros", "mixed")
+FORMS = ("dict", "dict-with-zeros")
 entry = st.one_of(st.just(Fraction(0)),
                   st.fractions(min_value=-4, max_value=4, max_denominator=3))
 
@@ -93,7 +90,7 @@ def matrices(draw):
 def test_rref_matches_dense_reference(matrix, form):
     rows, ncols = matrix
     given_rows = as_form(rows, form)
-    before = [dict(r) if isinstance(r, dict) else list(r) for r in given_rows]
+    before = [dict(r) for r in given_rows]
     red, pivots = rref(given_rows, ncols)
     ref_rows, ref_pivots = dense_rref(rows, ncols)
     assert given_rows == before  # the input is not modified
@@ -108,18 +105,18 @@ def test_rref_matches_dense_reference(matrix, form):
 def test_rank_plus_nullity_and_kernel(matrix, form):
     rows, ncols = matrix
     basis = kernel_basis(as_form(rows, form), ncols, Fraction(1))
-    assert rank(rows, ncols) + len(basis) == ncols
-    assert rank(as_form(rows, form), ncols) == rank(rows, ncols)
+    assert rank(rows_of(rows), ncols) + len(basis) == ncols
+    assert rank(as_form(rows, form), ncols) == rank(rows_of(rows), ncols)
     for vec in basis:
         assert len(vec) == ncols
         assert all(x == 0 for x in apply(rows, vec))
     # the kernel basis is independent
-    assert rank(basis, ncols) == len(basis)
+    assert rank(rows_of(basis), ncols) == len(basis)
 
 
 def test_empty_and_zero_matrices():
     assert rref([], 3) == ([], [])
-    zero_rows = [[Fraction(0)] * 3, {}, {1: Fraction(0)}]
+    zero_rows = [dict.fromkeys(range(3), Fraction(0)), {}, {1: Fraction(0)}]
     assert rref(zero_rows, 3) == ([], [])
     assert rank(zero_rows, 3) == 0
     one, zero = Fraction(1), Fraction(0)
@@ -127,6 +124,8 @@ def test_empty_and_zero_matrices():
     assert rank([], 3) == 0
     assert kernel_basis([], 3, one) == identity
     assert kernel_basis(zero_rows, 3, one) == identity
+    # the 0x0 determinant is the empty product
+    assert det([]) == 1
 
 
 def test_rref_over_cyclotomic_field():
@@ -148,7 +147,7 @@ def test_rref_over_cyclotomic_field():
         assert all(x for r in red for x in r.values())
         assert [densify(r, ncols, zero) for r in red] == ref_rows
         basis = kernel_basis(as_form(rows, form), ncols, one)
-        assert len(basis) == ncols - rank(rows, ncols) == 3
+        assert len(basis) == ncols - rank(rows_of(rows), ncols) == 3
         for vec in basis:
             assert all(x == zero for x in apply(rows, vec))
 
@@ -216,8 +215,48 @@ def square_matrices(draw):
 @given(square_matrices())
 def test_det_matches_the_permutation_expansion(matrix):
     rows, zero = matrix
-    before = [list(r) for r in rows]
-    value = det(rows)
-    assert rows == before  # the input is not modified
+    sparse = rows_of(rows)
+    before = [dict(r) for r in sparse]
+    value = det(sparse)
+    assert sparse == before  # the input is not modified
     assert value == permutation_det(rows, zero)
-    assert (value == zero) == (rank(rows, len(rows)) < len(rows))
+    assert (value == zero) == (rank(sparse, len(rows)) < len(rows))
+
+
+class _CountingEntry:
+    """A nonzero coefficient that logs every product it enters."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __mul__(self, other):
+        self.log.append(other)
+        return self
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return True
+
+
+def test_mat_mul_makes_one_product_per_meeting_pair_of_nonzeros():
+    # two diagonal n x n matrices meet in n pairs of nonzeros; a loop over
+    # every (row, column) entry would make n^2 products
+    log = []
+    n = 6
+    diag = [{i: _CountingEntry(log)} for i in range(n)]
+    prod = mat_mul(diag, diag)
+    assert len(log) == n
+    assert [list(row) for row in prod] == [[i] for i in range(n)]
+
+
+def test_products_and_shifts_store_no_zero():
+    # matrix equality is row-dict equality, so a cancelled entry must be
+    # dropped, not kept as an explicit zero
+    F = Fraction
+    a = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}]
+    b = [{0: F(1)}, {0: F(-1)}]
+    assert mat_mul(a, b) == [{}, {}]
+    assert mat_mul([{}, {}], b) == [{}, {}]
+    assert mat_shift([{0: F(2), 1: F(3)}, {}], F(2)) == [{1: F(3)}, {1: F(-2)}]
+    assert mat_shift([{}], F(0)) == [{}]

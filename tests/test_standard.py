@@ -24,6 +24,8 @@ from tlcat.standard import (
     wenzl_jones,
 )
 
+from matrix_forms import dense
+
 
 def dim_oracle(n: int, k: int) -> int:
     # binomial difference formula
@@ -121,7 +123,7 @@ def test_flipped_left_action_is_the_right_action():
     for m in range(2, 5):
         module = RegularModule(m)
         for i in range(1, m):
-            right = _flip(act(e(i, m), module), module)
+            right = dense(_flip(act(e(i, m), module), module), module.dim, GENERIC.zero)
             for j, d in enumerate(module.basis):
                 image = Morphism.from_diagram(d).compose(e(i, m))
                 column = {module.basis.index(dd): c for dd, c in image.terms.items()}
