@@ -5,7 +5,8 @@ modulo the N-th cyclotomic polynomial Phi_N and stored sparsely as
 ``terms``: a dict {exponent: nonzero coefficient} with every exponent
 < phi(N), the same normal form ``Scalar`` uses.  Equality is equality of
 these dicts.  A coefficient is an int when it is integral and a Fraction
-otherwise.
+otherwise.  ``CycloElement(field, terms)`` builds an element from such a
+dict, and Phi_N itself is ``CycloField(N).phi``, sparse too.
 
 Most elements met in practice are monomials zeta^k or binomials such as
 beta = -zeta^4 - zeta^-4, so a product multiplies only the nonzero terms.
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .scalar import _FieldOps, _div, _exact, _u_divmod, _u_mul, _u_sub
 
-__all__ = ["CycloField", "CycloElement", "cyclotomic_polynomial"]
+__all__ = ["CycloField", "CycloElement"]
 
 
 def _cyclotomic_sparse(N: int) -> dict:
@@ -36,14 +37,9 @@ def _cyclotomic_sparse(N: int) -> dict:
     return quo
 
 
-def cyclotomic_polynomial(N: int) -> list:
-    """Dense coefficient list of Phi_N (index = exponent)."""
-    phi = _cyclotomic_sparse(N)
-    return [phi.get(i, 0) for i in range(max(phi) + 1)]
-
-
 class CycloField:
-    """Q(zeta_N), interned per order."""
+    """Q(zeta_N), interned per order; phi is Phi_N as a sparse dict
+    {exponent: nonzero coefficient}, and degree is phi(N)."""
 
     _cache: dict = {}
 
@@ -52,11 +48,11 @@ class CycloField:
             return cls._cache[N]
         self = super().__new__(cls)
         self.N = N
-        self._phi = _cyclotomic_sparse(N)
-        self.degree = d = max(self._phi)
+        self.phi = _cyclotomic_sparse(N)
+        self.degree = d = max(self.phi)
         # reduction rows: x^(d+k) mod Phi_N for k = 0 .. d-2, the exponents a
         # product of two reduced elements can reach
-        self._rows = [_u_divmod({d + k: 1}, self._phi)[1] for k in range(d - 1)]
+        self._rows = [_u_divmod({d + k: 1}, self.phi)[1] for k in range(d - 1)]
         self._zeta_pows = {}
         cls._cache[N] = self
         return self
@@ -71,7 +67,7 @@ class CycloField:
         k %= self.N
         z = self._zeta_pows.get(k)
         if z is None:
-            z = self._zeta_pows[k] = _element(self, _u_divmod({k: 1}, self._phi)[1])
+            z = self._zeta_pows[k] = _element(self, _u_divmod({k: 1}, self.phi)[1])
         return z
 
     def __repr__(self):
@@ -81,18 +77,15 @@ class CycloField:
 class CycloElement(_FieldOps):
     __slots__ = ("field", "terms")
 
-    def __init__(self, field: CycloField, coeffs: tuple):
-        """The element sum_i coeffs[i] * zeta^i, from at most phi(N) dense
-        coefficients."""
-        if len(coeffs) > field.degree:
-            raise ValueError(f"{len(coeffs)} coefficients for a field of degree {field.degree}")
+    def __init__(self, field: CycloField, terms: dict):
+        """The element sum_i terms[i] * zeta^i, from rational coefficients
+        at exponents 0 <= i < phi(N); zero coefficients are dropped."""
+        for i in terms:
+            if not 0 <= i < field.degree:
+                raise ValueError(f"exponent {i} outside [0, {field.degree}) for {field!r}")
         self.field = field
-        self.terms = {i: _exact(c) for i, c in enumerate(coeffs) if c}
-
-    @property
-    def coeffs(self) -> tuple:
-        """The phi(N) dense coefficients, index = exponent."""
-        return tuple(self.terms.get(i, 0) for i in range(self.field.degree))
+        self.terms = {i: c if c.__class__ is int else _exact(Fraction(c))
+                      for i, c in terms.items() if c}
 
     def __bool__(self):
         return bool(self.terms)
@@ -147,7 +140,7 @@ class CycloElement(_FieldOps):
         # extended Euclid in Q[x] against Phi_N, tracking the cofactor of
         # self; Phi_N is irreducible, so the remainders end in a nonzero
         # constant and the cofactor already has degree < phi(N)
-        r0, r1 = self.field._phi, self.terms
+        r0, r1 = self.field.phi, self.terms
         s0, s1 = {}, {0: 1}
         while max(r1):
             q, r = _u_divmod(r0, r1)

@@ -238,18 +238,14 @@ class FusedModule:
         for i, mi in mats.items():
             sq = mat_mul(mi, mi)
             scaled = [{j: beta * x for j, x in row.items() if beta} for row in mi]
-            rep.add("e_i^2 = beta e_i", {"i": i, "dim": self.dim}, sq == scaled)
+            rep.check("e_i^2 = beta e_i", {"i": i, "dim": self.dim}, sq, scaled)
             for j, mj in mats.items():
                 if abs(i - j) == 1:
-                    rep.add(
-                        "e_i e_j e_i = e_i", {"i": i, "j": j},
-                        mat_mul(mat_mul(mi, mj), mi) == mi,
-                    )
+                    rep.check("e_i e_j e_i = e_i", {"i": i, "j": j},
+                              mat_mul(mat_mul(mi, mj), mi), mi)
                 elif j > i + 1:
-                    rep.add(
-                        "far commutation", {"i": i, "j": j},
-                        mat_mul(mi, mj) == mat_mul(mj, mi),
-                    )
+                    rep.check("far commutation", {"i": i, "j": j},
+                              mat_mul(mi, mj), mat_mul(mj, mi))
         return rep
 
     def __repr__(self):
@@ -415,9 +411,8 @@ def verify_fusion_suite(
                     rep.add("summands account for the fusion product", params,
                             ok, {"dim": fused.dim, "summands": found})
                     mono = fused.monodromy_matrix("braiding")
-                    rep.add("double braiding equals the twist-ratio route",
-                            params, mono == fused.monodromy_matrix("twist"),
-                            None)
+                    rep.check("double braiding equals the twist-ratio route",
+                              params, mono, fused.monodromy_matrix("twist"))
                     mus = [monodromy_eigenvalue(k1, k2, k, dom) for k in found]
                     rep.add("monodromy is semisimple with eigenvalues mu_k",
                             params,

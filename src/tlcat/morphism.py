@@ -152,11 +152,13 @@ class Morphism(_MorphismFields):
     """An immutable value, as a Diagram is: a tuple of its fields, whose
     terms is a read-only mapping Diagram -> nonzero coefficient.  The
     constructor checks its terms; the library's own builders go through the
-    unchecked _morphism, never through _replace or _make."""
+    unchecked _morphism.  The tuple's own builders, which would skip the
+    check, raise TypeError."""
 
     __slots__ = ()
     # equality is the tuple's; a morphism keys no cache
     __hash__ = None
+    _replace = _make = __replace__ = None
 
     def __new__(cls, dst, src, terms, dilute=False, dom=GENERIC):
         clean = {d: c for d, c in terms.items() if c}
@@ -216,15 +218,6 @@ class Morphism(_MorphismFields):
         return _morphism(self.dst, self.src, {d: c * cd for d, cd in self.terms.items()},
                          self.dilute, self.dom)
 
-    def __mul__(self, other):
-        """f * g is composition f after g; scalars also accepted."""
-        if isinstance(other, Morphism):
-            return self.compose(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     # -- multiplicative structure -------------------------------------------------
 
     def compose(self, other: "Morphism") -> "Morphism":
@@ -279,6 +272,11 @@ class Morphism(_MorphismFields):
                 elif d in out:
                     del out[d]
         return _morphism(self.dst, other.src, out, self.dilute, dom)
+
+    # f * g is f after g, the same function, so a tracer of compose sees both;
+    # scale is the one scalar multiple, and 2 * f is no tuple repeat
+    __mul__ = compose
+    __rmul__ = None
 
     def tensor(self, other: "Morphism") -> "Morphism":
         if self.dilute != other.dilute or self.dom != other.dom:

@@ -92,9 +92,22 @@ class VerificationReport:
         return f"VerificationReport({self.summary_line()})"
 
 
+def _is_matrix(x) -> bool:
+    """Whether x is a matrix: a list of sparse rows {column: nonzero entry}."""
+    return isinstance(x, list) and all(isinstance(row, dict) for row in x)
+
+
 def _diff(lhs, rhs):
-    """lhs - rhs as text, or None where the two sides cannot be subtracted:
-    matrices, or morphisms of different shapes or domains."""
+    """lhs - rhs as text; for two matrices of one height, the list of
+    differing entries "(i, j): lhs - rhs" in row order.  None where the two
+    sides cannot be subtracted: morphisms of different shapes or domains,
+    or anything else without a difference."""
+    if _is_matrix(lhs) and _is_matrix(rhs):
+        if len(lhs) != len(rhs):
+            return None
+        return [f"({i}, {j}): {a.get(j, 0) - b.get(j, 0)}"
+                for i, (a, b) in enumerate(zip(lhs, rhs))
+                for j in sorted(a.keys() | b.keys()) if a.get(j, 0) != b.get(j, 0)]
     try:
         return _show(lhs - rhs)
     except (TypeError, InterfaceMismatch):
@@ -102,6 +115,11 @@ def _diff(lhs, rhs):
 
 
 def _show(x):
+    """The text of one side: a morphism's to_text, a matrix row by row with
+    each entry's str, anything else its str."""
     if hasattr(x, "to_text"):
         return x.to_text()
+    if _is_matrix(x):
+        rows = (", ".join(f"{j}: {c}" for j, c in sorted(row.items())) for row in x)
+        return "[" + ", ".join(f"{{{row}}}" for row in rows) + "]"
     return str(x)

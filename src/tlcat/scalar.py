@@ -73,7 +73,6 @@ __all__ = [
     "Specialization",
     "NotInvertibleInRing",
     "PoleAtSpecialization",
-    "ZERO",
     "parse_scalar",
 ]
 
@@ -464,10 +463,6 @@ class Scalar(_FieldOps):
 
     # -- predicates ----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
 
@@ -511,7 +506,7 @@ class Scalar(_FieldOps):
         if other is NotImplemented:
             return NotImplemented
         if not self.num or not other.num:
-            return ZERO
+            return _ZERO
         a, b, den = self.num, other.num, _DEN1
         if self.den != _DEN1 or other.den != _DEN1:
             a, b, den = _cross_cancel(self, other)
@@ -673,7 +668,7 @@ def _cross_cancel(x: Scalar, y: Scalar) -> tuple[dict, dict, dict]:
     return a, b, den
 
 
-ZERO = Scalar.from_rational(0)
+_ZERO = Scalar.from_rational(0)
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,9 @@ def verify_rigidity(m: int, dom: CoeffDomain = GENERIC) -> VerificationReport:
         rep.add("projector existence", {"m": m}, False,
                 {"error": f"projector built although [{ell}]_q = 0"})
         return rep
-    decorated_cap = cap.compose(wj.tensor(wj))
+    # P_m (x) P_m is (P_m (x) 1)(1 (x) P_m): one factor at a time, so no
+    # product of two dense tensor factors is formed
+    decorated_cap = cap.compose(wj.tensor(one_m)).compose(one_m.tensor(wj))
     rep.check(
         "projector zig-zag", {"m": m},
         one_m.tensor(decorated_cap).compose(cup.tensor(one_m)), wj,

@@ -12,7 +12,10 @@ domain alone."""
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,7 @@ from tlcat.scalar import Specialization
 
 MODULES = ["tlcat"] + [f"tlcat.{m.name}" for m in pkgutil.iter_modules(tlcat.__path__)]
 SUBMODULES = MODULES[1:]
+SRC = os.path.dirname(os.path.dirname(tlcat.__file__))
 GENERIC_ONLY = ["tlcat.braid", "tlcat.twist", "tlcat.dilute", "tlcat.integrable"]
 KEEPS_DOM = {
     "verify_braid_suite": lambda dom: verify_braid_suite(dom=dom),
@@ -61,6 +65,22 @@ def test_functions_and_classes_are_exported_where_defined(name):
     foreign = [n for n in getattr(module, "__all__", ())
                if _is_code(getattr(module, n)) and getattr(module, n).__module__ != name]
     assert not foreign
+
+
+def test_the_package_gathers_every_submodule_export():
+    # cli imports the package, and cyclotomic is imported only by the first
+    # root-of-unity domain
+    gathered = {n for n in tlcat.__all__ if not inspect.ismodule(getattr(tlcat, n))}
+    exported = {n for name in SUBMODULES if name not in ("tlcat.cli", "tlcat.cyclotomic")
+                for n in importlib.import_module(name).__all__}
+    assert gathered == exported
+
+
+def test_importing_the_package_leaves_cyclotomic_unloaded():
+    code = "import sys, tlcat; print('tlcat.cyclotomic' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 def test_no_constant_is_exported_twice():

@@ -452,6 +452,31 @@ def test_root_examples_detect_a_wrong_eigenvalue(monkeypatch):
                for c in failures)
 
 
+def test_root_examples_name_the_entry_a_route_gets_wrong(monkeypatch):
+    # one doubled entry of the regular x regular twist route: the failed
+    # route check names exactly that entry, and prints entries with str
+    monodromy_matrix = FusedModule.monodromy_matrix
+    planted = []
+
+    def doubled(self, route="braiding"):
+        mat = monodromy_matrix(self, route)
+        if route == "twist" and self.dim == 14:
+            entries = [(i, j) for i, row in enumerate(mat) for j in sorted(row)]
+            i, j = entries[len(entries) // 2]
+            planted.append((i, j, mat[i][j]))
+            mat = mat[:i] + [{**mat[i], j: 2 * mat[i][j]}] + mat[i + 1:]
+        return mat
+
+    monkeypatch.setattr(FusedModule, "monodromy_matrix", doubled)
+    failures = verify_root_examples().failures()
+    assert [c["identity"] for c in failures] == ["double braiding equals the twist-ratio route"]
+    (i, j, x), = planted
+    witness = failures[0]["witness"]
+    assert witness["diff"] == [f"({i}, {j}): {-x}"]
+    assert "CycloElement[" not in witness["lhs"] + witness["rhs"]
+    assert f"{j}: {2 * x}" in witness["rhs"]
+
+
 def test_generic_suite_reports_collisions_at_a_bad_point():
     # at s = 1 the central eigenvalues collide: the suite records each
     # product with two or more summands as failed, with the collision

@@ -165,7 +165,9 @@ def test_boundary_ybe_composes_no_end4_pair(monkeypatch):
         shapes.append((self.dst, self.src, other.dst, other.src))
         return compose(self, other)
 
+    # f * g is the same function as f.compose(g): record both names
     monkeypatch.setattr(Morphism, "compose", recording)
+    monkeypatch.setattr(Morphism, "__mul__", recording)
     for family in ("ordinary", "dilute-braid", "dilute-IK"):
         assert verify_boundary_ybe(family).ok
     assert shapes and all(src == 0 for *_, src in shapes)

@@ -90,6 +90,20 @@ def test_a_copy_is_rebuilt_through_the_constructor():
     assert copy.copy(m) == m
 
 
+def test_unchecked_tuple_builders_and_scalar_products_refuse():
+    m = e(1, 3)
+    builders = [lambda: m._replace(dst=7), lambda: Morphism._make(tuple(m))]
+    if hasattr(copy, "replace"):
+        builders.append(lambda: copy.replace(m, dst=7))
+    for build in builders:
+        with pytest.raises(TypeError):
+            build()
+    # * is composition only, and scale the one scalar multiple
+    assert Morphism.__mul__ is Morphism.compose and m * m == m.compose(m)
+    with pytest.raises(TypeError):
+        2 * m
+
+
 def test_every_domain_is_read_only(monkeypatch):
     # GENERIC and every domain_for result are shared by every morphism
     domains = [GENERIC] + [domain_for(Specialization.parse(spec))

@@ -1,5 +1,7 @@
 """Verification reports: every check can fail and still be recorded."""
 
+import json
+
 from tlcat.morphism import domain_for, e, identity
 from tlcat.report import VerificationReport
 from tlcat.scalar import Specialization
@@ -25,3 +27,18 @@ def test_check_keeps_the_difference_of_comparable_sides():
     assert rep.cases[0]["witness"]["diff"] == (e(1, 2) - identity(2)).to_text()
     assert rep.check("1 = 1", {}, identity(2), identity(2))
     assert "witness" not in rep.cases[1]
+
+
+def test_check_names_each_differing_matrix_entry():
+    rep = VerificationReport("report")
+    lhs, rhs = [{0: 1, 2: 5}, {}, {1: 3}], [{0: 1, 2: 4}, {1: 2}, {1: 3}]
+    assert not rep.check("rows differ", {}, lhs, rhs)
+    witness = rep.cases[0]["witness"]
+    assert witness == {"lhs": "[{0: 1, 2: 5}, {}, {1: 3}]",
+                       "rhs": "[{0: 1, 2: 4}, {1: 2}, {1: 3}]",
+                       "diff": ["(0, 2): 1", "(1, 1): -2"]}
+    assert not rep.check("heights differ", {}, lhs, rhs[:2])
+    assert rep.cases[1]["witness"]["diff"] is None
+    assert rep.check("equal rows", {}, lhs, [dict(row) for row in lhs])
+    assert "witness" not in rep.cases[2]
+    json.loads(rep.dumps())

@@ -117,6 +117,24 @@ def test_rigidity():
         assert verify_rigidity(m).ok
 
 
+@pytest.mark.parametrize("m, diagram_tensors", [(4, 55), (5, 153)])
+def test_rigidity_tensors_no_two_dense_factors(monkeypatch, m, diagram_tensors):
+    # the projector zig-zag builds P_m (x) P_m as (P_m (x) 1)(1 (x) P_m):
+    # 2 Catalan(m) diagram tensors where the product of the factors took
+    # Catalan(m)^2, 196 at m = 4 and 1,764 at m = 5
+    shapes = []
+    tensor = Morphism.tensor
+
+    def recording(self, other):
+        shapes.append((len(self.terms), len(other.terms)))
+        return tensor(self, other)
+
+    monkeypatch.setattr(Morphism, "tensor", recording)
+    assert verify_rigidity(m).ok
+    assert all(min(shape) == 1 for shape in shapes), shapes
+    assert sum(a * b for a, b in shapes) == diagram_tensors
+
+
 def test_flipped_left_action_is_the_right_action():
     # annihilated_line_dimension reads x -> x e_i off e_i's left action;
     # the oracle composes each basis diagram with e_i on the right
