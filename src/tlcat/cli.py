@@ -230,8 +230,14 @@ def _cmd_eigen(args) -> int:
     except ValueError as exc:
         return _error(exc)
     s_exponent = gamma_exponent(k)
+    det_t1 = None  # End(n) has no t_1 below two strands
     try:
-        gamma, det_t1 = gamma_eigenvalue(k), det_t1_closed_form(n, k)
+        gamma = gamma_eigenvalue(k)
+        if n >= 2:
+            det_t1 = {
+                "value": str(det_t1_closed_form(n, k)),
+                "form": "q^(dim/2) * (-q^-2)^(dim of the (n-2,k) module)",
+            }
     except OverflowError as exc:
         return _error(f"module too large: {exc}")
     payload = {
@@ -244,10 +250,7 @@ def _cmd_eigen(args) -> int:
             "q_exponent": f"{s_exponent // 2}/2",
             "value": str(gamma),
         },
-        "det_t1": {
-            "value": str(det_t1),
-            "form": "q^(dim/2) * (-q^-2)^(dim of the (n-2,k) module)",
-        },
+        "det_t1": det_t1,
     }
     print(json_text(payload))
     return 0

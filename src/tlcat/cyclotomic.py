@@ -39,7 +39,10 @@ def _cyclotomic_sparse(N: int) -> dict:
 
 class CycloField:
     """Q(zeta_N), interned per order; phi is Phi_N as a sparse dict
-    {exponent: nonzero coefficient}, and degree is phi(N)."""
+    {exponent: nonzero coefficient}, and degree is phi(N).  The intern table
+    has no bound: elements of two field objects of one order refuse to mix,
+    so a root domain that domain_for evicted and rebuilt must get the same
+    field back."""
 
     _cache: dict = {}
 

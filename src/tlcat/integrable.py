@@ -23,7 +23,7 @@ of dilute Hom(0,4) diagrams, built with the checked Morphism constructor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import Diagram, dilute_diagram
 from .morphism import (
@@ -114,10 +114,9 @@ def _face_weights(family: str) -> tuple:
     return weights
 
 
-@dataclass(frozen=True)
-class FaceOperator:
+class FaceOperator(NamedTuple):
     """A face acting on strands i, i+1 of n; call it with a spectral
-    argument to obtain the morphism."""
+    argument to obtain the morphism.  face() is the checked builder."""
 
     i: int
     n: int

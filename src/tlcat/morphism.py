@@ -70,49 +70,49 @@ __all__ = [
 ]
 
 
-class CoeffDomain:
+class _DomainFields(NamedTuple):
+    spec: Specialization
+    zero: object
+    one: object
+    beta: object
+    s_power: object  # the map k -> s^k
+    beta_pows: list  # beta^0, beta^1, ..., grown by beta_power
+
+
+class CoeffDomain(_DomainFields):
     """The coefficient ring: everything a Morphism needs to know about it.
     Its elements are Scalars over Q(s), Rationals at a rational point (s0
-    becomes a Rational once, here) or CycloElements in Q(zeta_N).  A domain
-    is read-only once built, as domain_for shares one per spec."""
+    becomes a Rational once, here) or CycloElements in Q(zeta_N).  An
+    immutable tuple that equals and hashes by its spec, as domain_for shares it."""
 
-    __slots__ = ("spec", "zero", "one", "_spow", "beta", "_beta_pows")
+    __slots__ = ()
+    _replace = _make = __replace__ = None
 
-    def __init__(self, spec: Specialization):
+    def __new__(cls, spec: Specialization):
         if spec.kind == "generic":
             spow = Scalar.s_power
         elif spec.kind == "rational":
-            s0 = Rational(spec.s0)
-            spow = lambda k: s0**k
+            spow = Rational(spec.s0).__pow__
         else:
             from .cyclotomic import CycloField
-
             spow = CycloField(spec.N).zeta
-        one = spow(0)
-        beta = -spow(4) - spow(-4)
-        # the one place a domain is written: it is interned and shared
-        fields = {"spec": spec, "_spow": spow, "one": one, "zero": one - one,
-                  "beta": beta, "_beta_pows": [one, beta]}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        one, beta = spow(0), -spow(4) - spow(-4)
+        return tuple.__new__(cls, (spec, one - one, one, beta, spow, [one, beta]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a CoeffDomain is read-only: cannot set {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"a CoeffDomain is read-only: cannot delete {name}")
-
-    def s_power(self, k: int):
-        return self._spow(k)
+    def __getnewargs__(self):
+        return (self.spec,)
 
     def beta_power(self, k: int):
-        pows = self._beta_pows
+        pows = self.beta_pows
         while len(pows) <= k:
             pows.append(pows[-1] * self.beta)
         return pows[k]
 
     def __eq__(self, other):
         return isinstance(other, CoeffDomain) and self.spec == other.spec
+
+    def __ne__(self, other):  # tuple's own != would compare every field
+        return not self == other
 
     def __hash__(self):
         return hash(self.spec)
@@ -121,15 +121,11 @@ class CoeffDomain:
         return f"CoeffDomain({self.spec.describe()})"
 
 
-GENERIC = CoeffDomain(Specialization.generic())
+# bounded: a rebuilt domain equals an evicted one, and compose falls back to
+# equality, so morphisms over the two mix
+domain_for = functools.lru_cache(maxsize=32)(CoeffDomain)
 
-_domains = {Specialization.generic(): GENERIC}
-
-
-def domain_for(spec: Specialization) -> CoeffDomain:
-    if spec not in _domains:
-        _domains[spec] = CoeffDomain(spec)
-    return _domains[spec]
+GENERIC = domain_for(Specialization.generic())
 
 
 def require_generic(dom: CoeffDomain) -> None:

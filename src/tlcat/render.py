@@ -82,7 +82,7 @@ def _svg_paths(d: Diagram, x0: float) -> tuple:
     for node, row in left:
         pos[node] = (x0 + _MARGIN, _MARGIN + _STEP * row)
     for node, row in right:
-        pos[node] = (x0 + _WIDTH - _MARGIN, _MARGIN + _STEP * (row - 1))
+        pos[node] = (x0 + _WIDTH - _MARGIN, _MARGIN + _STEP * row)
     elems = []
     paired = set()
     for a, b in d.pairs():

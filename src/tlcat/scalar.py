@@ -63,9 +63,9 @@ no two tokens glue together.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 __all__ = [
     "Scalar",
@@ -744,9 +744,14 @@ def parse_scalar(text: str) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Specialization:
-    """Target ring for coefficients.
+class _SpecFields(NamedTuple):
+    kind: str
+    N: int = 0
+    s0: object = None
+
+
+class Specialization(_SpecFields):
+    """Target ring for coefficients, an immutable tuple checked when built.
 
     kinds:
       generic           keep everything symbolic in s
@@ -754,17 +759,17 @@ class Specialization:
       rational(s0)      s -> a rational number, exact Rationals
     """
 
-    kind: str
-    N: int = 0
-    s0: object = None
+    __slots__ = ()
+    _replace = _make = __replace__ = None
 
-    def __post_init__(self):
-        if self.kind not in ("generic", "cyclotomic", "rational"):
-            raise ValueError(f"unknown specialization kind {self.kind!r}")
-        if self.kind == "cyclotomic" and self.N < 1:
+    def __new__(cls, kind, N=0, s0=None):
+        if kind not in ("generic", "cyclotomic", "rational"):
+            raise ValueError(f"unknown specialization kind {kind!r}")
+        if kind == "cyclotomic" and N < 1:
             raise ValueError("cyclotomic order must be positive")
-        if self.kind == "rational" and not self.s0:
+        if kind == "rational" and not s0:
             raise ValueError("rational point s0 must be nonzero")
+        return tuple.__new__(cls, (kind, N, s0))
 
     @staticmethod
     def generic() -> "Specialization":

@@ -14,10 +14,12 @@ gamma_{n,k} = q^{k(k+2)/2} are all checked mechanically.
 
 from __future__ import annotations
 
+import functools
+
 from .braid import commutor, commutor_inverse, crossing_indices, double_braiding
 from .diagram import enumerate_diagrams
 from .linalg import det
-from .morphism import GENERIC, CoeffDomain, Morphism, crossing_word, cups, e, identity, t
+from .morphism import GENERIC, CoeffDomain, Morphism, crossing_word, cups, e, identity, t, t_inv
 from .report import VerificationReport
 from .standard import (
     NotScalarAction, StandardModule, act, eigenvalue_on_standard, standard_dimension,
@@ -53,9 +55,14 @@ def twist_element_reversed(n: int) -> Morphism:
     return crossing_word(crossing_indices(1, n - 1) * n, n, GENERIC, False, False, 6 * n)
 
 
+def _inverse_letters(n: int) -> tuple:
+    """The strands k of the letters t_k^-1 of rho_n^-n, leftmost first."""
+    return crossing_indices(n - 1, 1)[::-1] * n
+
+
 def twist_inverse(n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """c_n^-1 = q^(-3n/2) rho_n^-n."""
-    return crossing_word(crossing_indices(n - 1, 1)[::-1] * n, n, dom, False, True, -6 * n)
+    return crossing_word(_inverse_letters(n), n, dom, False, True, -6 * n)
 
 
 def en(n: int) -> Morphism:
@@ -88,7 +95,9 @@ def verify_centrality(n: int) -> VerificationReport:
     for i in range(1, n):
         ei = e(i, n)
         rep.check("c_n e_i = e_i c_n", {"n": n, "i": i}, c.compose(ei), ei.compose(c))
-    rep.check("c_n invertible", {"n": n}, c.compose(twist_inverse(n)), identity(n))
+    # c_n c_n^-1, one inverse letter at a time: no dense x dense product
+    prod = functools.reduce(lambda m, k: m.compose(t_inv(k, n)), _inverse_letters(n), c)
+    rep.check("c_n invertible", {"n": n}, prod.scale(GENERIC.s_power(-6 * n)), identity(n))
     return rep
 
 
@@ -188,7 +197,10 @@ def verify_gamma_consistency(max_n: int) -> VerificationReport:
 
 
 def det_t1_closed_form(n: int, k: int) -> Scalar:
-    """det of t_1 on S_{n,k}: q^{dim/2} (-q^-2)^{dim S_{n-2,k}}."""
+    """det of t_1 on S_{n,k}: q^{dim/2} (-q^-2)^{dim S_{n-2,k}}.  Below two
+    strands End(n) has no t_1, and this raises ValueError."""
+    if n < 2:
+        raise ValueError(f"End({n}) has no t_1")
     d2 = standard_dimension(n - 2, k) if n - 2 >= k else 0
     return Scalar.s_power(2 * standard_dimension(n, k) - 8 * d2) * (-1) ** d2
 

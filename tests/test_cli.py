@@ -12,6 +12,7 @@ import tlcat.cli as cli
 from tlcat.cli import main
 from tlcat.render import parse_renderable
 from tlcat.report import VerificationReport
+from tlcat.twist import det_t1_closed_form
 
 
 def run(capsys, *argv):
@@ -299,6 +300,18 @@ def test_eigen(capsys):
     assert payload["module"]["dim"] == 3
     # q^(3/2) (-q^-2)^(dim S_{2,2}), the closed form verify_det_t1 checks
     assert payload["det_t1"]["value"] == "-s^-2"
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (1, 1)])
+def test_eigen_below_two_strands_has_no_det_t1(capsys, n, k):
+    # End(n) has no t_1 below two strands, so there is no determinant to print
+    code, stdout, _ = run(capsys, "eigen", "--module", str(n), str(k))
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["det_t1"] is None
+    assert payload["module"] == {"n": n, "k": k, "dim": 1}
+    with pytest.raises(ValueError, match="no t_1"):
+        det_t1_closed_form(n, k)
 
 
 def test_render_ascii_and_svg(capsys, tmp_path):

@@ -108,8 +108,9 @@ def test_every_domain_is_read_only(monkeypatch):
     # GENERIC and every domain_for result are shared by every morphism
     domains = [GENERIC] + [domain_for(Specialization.parse(spec))
                            for spec in ("rational:5/3", "root:2")]
+    assert CoeffDomain._fields
     for dom in domains:
-        for name in CoeffDomain.__slots__:
+        for name in CoeffDomain._fields:
             value = getattr(dom, name)
             with pytest.raises(AttributeError):
                 setattr(dom, name, None)
@@ -119,6 +120,36 @@ def test_every_domain_is_read_only(monkeypatch):
     # the class stays open to patching, as the planted-fault tests patch it
     monkeypatch.setattr(CoeffDomain, "beta_power", lambda self, k: self.one)
     assert GENERIC.beta_power(3) is GENERIC.one
+
+
+@pytest.mark.parametrize("value", [
+    Specialization.rational(Fraction(5, 3)),
+    CoeffDomain(Specialization.rational(Fraction(5, 3))),
+], ids=["Specialization", "CoeffDomain"])
+def test_records_refuse_the_unchecked_tuple_builders(value):
+    cls = type(value)
+    builders = [lambda: value._replace(), lambda: cls._make(tuple(value))]
+    if hasattr(copy, "replace"):
+        builders.append(lambda: copy.replace(value))
+    for build in builders:
+        with pytest.raises(TypeError):
+            build()
+    # copy.copy rebuilds through the checked constructor
+    assert copy.copy(value) == value and type(copy.copy(value)) is cls
+
+
+def test_domain_for_is_a_bounded_cache():
+    maxsize = domain_for.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+    for k in range(maxsize + 1):
+        dom = domain_for(Specialization.rational(Fraction(k + 2, 97)))
+        assert domain_for(Specialization.rational(Fraction(k + 2, 97))) is dom
+    assert domain_for.cache_info().currsize <= maxsize
+    # an evicted domain is rebuilt equal, so morphisms over both still mix
+    first = Specialization.rational(Fraction(2, 97))
+    cached, rebuilt = domain_for(first), CoeffDomain(first)
+    assert cached == rebuilt and hash(cached) == hash(rebuilt)
+    assert e(1, 2, cached).compose(e(1, 2, rebuilt)) == e(1, 2, rebuilt).scale(rebuilt.beta)
 
 
 def _built_morphisms():
@@ -202,10 +233,11 @@ class _CountingOne:
 
 def test_compose_skips_unit_factors():
     log = []
-    # a private domain, not the interned one: its unit is swapped past the
-    # read-only guard, as CoeffDomain.__init__ writes its fields
-    dom = CoeffDomain(Specialization.rational(Fraction(5, 3)))
-    object.__setattr__(dom, "one", _CountingOne(log))
+    # a private domain, not the interned one: its unit is swapped in by
+    # building the tuple directly, past the constructor
+    base = CoeffDomain(Specialization.rational(Fraction(5, 3)))
+    fields = dict(zip(CoeffDomain._fields, base), one=_CountingOne(log))
+    dom = tuple.__new__(CoeffDomain, fields.values())
     e1 = Morphism.from_diagram(e_diagram(1, 3), dom)
     e2 = Morphism.from_diagram(e_diagram(2, 3), dom)
     # no loop: the product of the two units is the unit itself

@@ -41,6 +41,24 @@ def test_svg_well_formed():
         assert "circle" in kinds and "path" in kinds or "text" in kinds
 
 
+def test_svg_walls_share_rows():
+    import xml.etree.ElementTree as ET
+
+    root = ET.fromstring(render_svg(parse_renderable("2<-2 : [s^2] * 2x2:[(1,4),(2,3)]")))
+    children = [(child.tag.split("}")[-1], child) for child in root]
+    # each node's circle is followed by its label
+    cy = {int(children[k + 1][1].text): float(child.get("cy"))
+          for k, (tag, child) in enumerate(children) if tag == "circle"}
+    # the right wall runs bottom to top: node 3 faces node 2, node 4 node 1
+    assert cy[3] == cy[2] and cy[4] == cy[1] and cy[1] < cy[2]
+    _, _, width, height = map(float, root.get("viewBox").split())
+    for tag, child in children:
+        if tag == "circle":
+            r = float(child.get("r"))
+            assert r <= float(child.get("cx")) <= width - r
+            assert r <= float(child.get("cy")) <= height - r
+
+
 def test_svg_term_count():
     svg = render_svg(t(1, 2, dilute=True))
     # five terms, each with a coefficient label

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from tlcat.morphism import CoeffDomain, domain_for, e, identity, t, t_inv, word
+from tlcat.morphism import CoeffDomain, Morphism, domain_for, e, identity, t, t_inv, word
 from tlcat.scalar import Scalar, Specialization
 from tlcat.standard import NotScalarAction, StandardModule, eigenvalue_on_standard
 from tlcat.twist import (
@@ -57,6 +57,23 @@ def test_centrality_and_inverse():
     for n in (2, 3, 4):
         assert verify_centrality(n).ok
         assert twist_element(n) * twist_inverse(n) == identity(n)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_centrality_composes_no_two_dense_morphisms(monkeypatch, n):
+    # c_n c_n^-1 takes the inverse letters one at a time, so every product
+    # verify_centrality makes has a crossing or an e_i as one factor
+    smaller = []
+    compose = Morphism.compose
+
+    def recording(self, other):
+        smaller.append(min(len(self.terms), len(other.terms)))
+        return compose(self, other)
+
+    monkeypatch.setattr(Morphism, "compose", recording)
+    monkeypatch.setattr(Morphism, "__mul__", recording)
+    assert verify_centrality(n).ok
+    assert smaller and max(smaller) <= 2
 
 
 @pytest.mark.parametrize("spec", ["rational:5/3", "root:3"])
