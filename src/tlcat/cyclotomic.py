@@ -38,18 +38,11 @@ def _cyclotomic_sparse(N: int) -> dict:
 
 
 class CycloField:
-    """Q(zeta_N), interned per order; phi is Phi_N as a sparse dict
-    {exponent: nonzero coefficient}, and degree is phi(N).  The intern table
-    has no bound: elements of two field objects of one order refuse to mix,
-    so a root domain that domain_for evicted and rebuilt must get the same
-    field back."""
+    """Q(zeta_N); phi is Phi_N as a sparse dict {exponent: nonzero
+    coefficient}, and degree is phi(N).  Fields are not interned: elements
+    of two field objects of one order mix and compare by their terms."""
 
-    _cache: dict = {}
-
-    def __new__(cls, N: int):
-        if N in cls._cache:
-            return cls._cache[N]
-        self = super().__new__(cls)
+    def __init__(self, N: int):
         self.N = N
         self.phi = _cyclotomic_sparse(N)
         self.degree = d = max(self.phi)
@@ -57,8 +50,6 @@ class CycloField:
         # product of two reduced elements can reach
         self._rows = [_u_divmod({d + k: 1}, self.phi)[1] for k in range(d - 1)]
         self._zeta_pows = {}
-        cls._cache[N] = self
-        return self
 
     def from_rational(self, r) -> "CycloElement":
         if r.__class__ is not int:
@@ -155,7 +146,7 @@ class CycloElement(_FieldOps):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field is other.field and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         terms = self.terms
@@ -166,7 +157,7 @@ class CycloElement(_FieldOps):
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
-            if other.field is not self.field:
+            if other.field is not self.field and other.field.N != self.field.N:
                 return NotImplemented
             return other
         if isinstance(other, (int, Fraction)):

@@ -19,18 +19,17 @@ A linear map on the pairs is a pair map, the Kronecker product of two
 factor maps built once by ``_pair_map``: e_i (x) 1 and 1 (x) e_j give
 the relation rows, and c_m^-1 (x) c_n^-1 the twist route below.
 
-Every column on the quotient comes from one builder,
-``FusedModule._column``: ``Morphism.compose`` composes a morphism h of
-End(m+n) onto the diagram leg of a free basis vector, each diagram of the
-result is mapped to its raw coordinate, and ``_reduce`` takes that vector
-to free coordinates.  The induced action composes h on the left; it is
-the module's ``act_on_element``, so ``standard.act`` builds its matrices
-as for a standard or regular module, and a fused module can itself be a
-factor of another.  The double braiding composes eta_{n,m} o eta_{m,n}
-on the right.  The twist-ratio route of the monodromy composes c_{m+n}
-on the right and, before reducing, sends the pair through the pair map
-of the factor twists c_m^-1 (x) c_n^-1; the two routes agree only
-because the quotient is the balanced tensor product.
+End(m+n) acts on the diagram legs through ``legs``, the regular module
+``RegularModule(m+n)``, whose basis and index the relation rows read too
+(they glue with ``Diagram.compose`` directly).  A column on the quotient
+is a leg's column under that action, tensored with the vector's pair and
+taken to free coordinates by ``_reduce``.  The induced action is the legs'
+left action; it is the module's ``act_on_element``, so ``standard.act``
+builds its matrices, and a fused module can be a factor of another.  Both
+monodromy routes are the legs' right action: the double braiding
+eta_{n,m} o eta_{m,n}, and the twist-ratio route c_{m+n} with, before
+reducing, the pair sent through the pair map of c_m^-1 (x) c_n^-1; the
+two routes agree only because the quotient is the balanced tensor product.
 Both structural morphisms are single words of elementary crossings
 (``braid.double_braiding`` and ``twist.twist_element``), so building one
 costs a crossing times a dense morphism per letter, never a dense times a
@@ -48,12 +47,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .braid import double_braiding
-from .diagram import e_diagram, enumerate_diagrams
+from .diagram import e_diagram
 from .linalg import mat_mul, mat_shift, rank, rref
 from .morphism import CoeffDomain, Morphism, domain_for, e
 from .report import VerificationReport
 from .scalar import Specialization
-from .standard import RegularModule, StandardModule, act, standard_dimension
+from .standard import RegularModule, StandardModule, _rows, act, standard_dimension
 from .twist import gamma_eigenvalue, gamma_exponent, twist_element, twist_inverse
 
 __all__ = [
@@ -131,10 +130,9 @@ class FusedModule:
         self.dom = left.dom
         self.n = left.n + right.n
         self.k = None
-        self.diagrams = enumerate_diagrams(self.n, self.n)
-        self._dindex = {d: i for i, d in enumerate(self.diagrams)}
+        self.legs = RegularModule(self.n, self.dom)
         self.pairs = left.dim * right.dim
-        self.raw_dim = len(self.diagrams) * self.pairs
+        self.raw_dim = self.legs.dim * self.pairs
         self._build_quotient()
 
     def _build_quotient(self):
@@ -146,11 +144,12 @@ class FusedModule:
                 for i in range(1, m)]
         gens += [(e_diagram(m + j, self.n), _pair_map(one_l, _images(e(j, right.n, dom), right)))
                  for j in range(1, right.n)]
+        dindex = self.legs._index
         rows = []
         for ghat, pair_map in gens:
-            for di, d in enumerate(self.diagrams):
+            for di, d in enumerate(self.legs.basis):
                 dg, loops = d.compose(ghat)
-                top, base = self._dindex[dg] * pairs, di * pairs
+                top, base = dindex[dg] * pairs, di * pairs
                 cg = dom.beta_power(loops) if loops else dom.one
                 for p, image in enumerate(pair_map):
                     row = {top + p: cg}
@@ -159,7 +158,7 @@ class FusedModule:
                         row[k] = row[k] - c if k in row else -c
                     if any(row.values()):
                         rows.append(row)
-        red, pivots = rref(rows, self.raw_dim) if rows else ([], [])
+        red, pivots = rref(rows, self.raw_dim)
         pivset = set(pivots)
         self.basis = [i for i in range(self.raw_dim) if i not in pivset]
         self._free_pos = {f: i for i, f in enumerate(self.basis)}
@@ -184,39 +183,34 @@ class FusedModule:
                     out[f] = -(c * x) if v is None else v - c * x
         return {f: v for f, v in out.items() if v}
 
-    def _column(self, h: Morphism, b: int, side: str, pair_map=None) -> dict:
-        """Raw vector of h acting on the free basis vector b, composed onto
-        its diagram leg from the left (side 'left') or the right, with its
-        pair of factor basis elements sent through pair_map when given."""
-        di, p = divmod(b, self.pairs)
-        leg = Morphism.from_diagram(self.diagrams[di], self.dom)
-        image = h.compose(leg) if side == "left" else leg.compose(h)
-        if pair_map is None:
-            return {self._dindex[d] * self.pairs + p: c for d, c in image.terms.items()}
-        return {self._dindex[d] * self.pairs + q: c * x
-                for d, c in image.terms.items() for q, x in pair_map[p].items()}
-
     def act_on_element(self, h: Morphism, b: int) -> dict:
         """Column of the induced left action of h on the basis vector b (a
         free raw coordinate), as index in this module's basis -> coefficient."""
-        return self._reduce(self._column(h, b, "left"))
+        di, p = divmod(b, self.pairs)
+        column = self.legs.act_on_element(h, self.legs.basis[di])
+        return self._reduce({i * self.pairs + p: c for i, c in column.items()})
 
     def _matrix(self, h: Morphism, pair_map=None) -> list:
-        """Sparse rows, on the quotient, of h composed on the right of the
-        diagram leg, followed by pair_map on the factors when given; each
-        reduced column is written straight into the rows."""
-        mat: list = [{} for _ in range(self.dim)]
-        for j, b in enumerate(self.basis):
-            for i, c in self._reduce(self._column(h, b, "right", pair_map)).items():
-                mat[i][j] = c
-        return mat
+        """Sparse rows, on the quotient, of the right action of h on the
+        diagram leg, followed by pair_map on the factors when given."""
+        legs, pairs = self.legs, self.pairs
+        columns = []
+        for b in self.basis:
+            di, p = divmod(b, pairs)
+            column = legs.right_act_on_element(h, legs.basis[di])
+            if pair_map is None:
+                raw = {i * pairs + p: c for i, c in column.items()}
+            else:
+                raw = {i * pairs + q: c * x for i, c in column.items() for q, x in pair_map[p].items()}
+            columns.append(self._reduce(raw))
+        return _rows(columns, self.dim)
 
     def monodromy_matrix(self, route: str = "braiding") -> list:
         """The double braiding on the fused module.
 
-        route 'braiding': right-composition of the a-leg with
-        eta_{n,m} o eta_{m,n}.
-        route 'twist': right-composition of the a-leg with c_{m+n}, then
+        route 'braiding': the right action of eta_{n,m} o eta_{m,n} on
+        the diagram leg.
+        route 'twist': the right action of c_{m+n} on the leg, then
         the inverse twists c_m^-1 (x) c_n^-1 acting through the factor
         modules.
         """

@@ -4,8 +4,10 @@ style projector, and the diagrammatic rigidity identities.
 S_{n,k} is spanned by the (n,k)-diagrams with exactly k through lines,
 viewed in Hom(k, n).  A morphism acts by composition on the left; any term
 whose through-line count drops below k is discarded.  The regular module
-(End(n) acting on its own diagram basis) uses plain composition with loop
-weights and no truncation; fusion at roots of unity needs it.
+End(n) is the same code with k = None, which keeps every diagram and every
+term.  It is the one home of End(n) acting on itself, on the left (f x,
+``act_on_element``) and on the right (x f, ``right_act_on_element``), for
+``annihilated_line_dimension`` and for the diagram legs of a fused module.
 """
 
 from __future__ import annotations
@@ -44,16 +46,18 @@ def standard_dimension(n: int, k: int) -> int:
 
 
 class StandardModule:
-    """S_{n,k}: span of (n,k)-diagrams with exactly k through lines."""
+    """S_{n,k}: span of (n,k)-diagrams with exactly k through lines; with
+    k = None, End(n) on all its diagrams (RegularModule)."""
 
-    def __init__(self, n: int, k: int, dom: CoeffDomain = GENERIC):
-        standard_dimension(n, k)  # checks the label
+    def __init__(self, n: int, k: int | None, dom: CoeffDomain = GENERIC):
+        if k is None:
+            self.basis = enumerate_diagrams(n, n)
+        else:
+            standard_dimension(n, k)  # checks the label
+            self.basis = [d for d in enumerate_diagrams(k, n) if d.through == k]
         self.n = n
         self.k = k
         self.dom = dom
-        self.basis = [
-            d for d in enumerate_diagrams(k, n) if d.through == k
-        ]
         self._index = {d: i for i, d in enumerate(self.basis)}
 
     @property
@@ -62,38 +66,45 @@ class StandardModule:
 
     def act_on_element(self, f: Morphism, v: Diagram) -> dict:
         """Column of f acting on the diagram v, as index in this module's
-        basis -> coefficient.  Terms that lose through lines are dropped
-        when the module has a through-line count k (k is None for the
-        regular module, which keeps every term)."""
-        image = f.compose(Morphism.from_diagram(v, self.dom))
-        return {
-            self._index[d]: c
-            for d, c in image.terms.items()
-            if self.k is None or d.through == self.k
-        }
+        basis -> coefficient."""
+        return self._coordinates(f.compose(Morphism.from_diagram(v, self.dom)))
+
+    def _coordinates(self, image: Morphism) -> dict:
+        """image as index in the basis -> coefficient, without the terms
+        that lose through lines unless k is None."""
+        k = self.k
+        return {self._index[d]: c for d, c in image.terms.items() if k is None or d.through == k}
 
     def __repr__(self):
         return f"StandardModule(S_{self.n},{self.k}, dim={self.dim})"
 
 
-class RegularModule:
-    """End(n) as a left module over itself, on the diagram basis."""
+class RegularModule(StandardModule):
+    """End(n) as a module over itself, on the diagram basis, acting on the
+    left (f x) and on the right (x f)."""
 
     def __init__(self, n: int, dom: CoeffDomain = GENERIC):
-        self.n = n
-        self.k = None
-        self.dom = dom
-        self.basis = enumerate_diagrams(n, n)
-        self._index = {d: i for i, d in enumerate(self.basis)}
+        super().__init__(n, None, dom)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
+    # perfbench/tracer.py reads act_on_element from this class's own dict
     act_on_element = StandardModule.act_on_element
+
+    def right_act_on_element(self, f: Morphism, v: Diagram) -> dict:
+        """Column of the right action x -> x f at the basis diagram v."""
+        return self._coordinates(Morphism.from_diagram(v, self.dom).compose(f))
 
     def __repr__(self):
         return f"RegularModule(End({self.n}), dim={self.dim})"
+
+
+def _rows(columns, height: int) -> list:
+    """Sparse rows of the matrix whose j-th column is the j-th dict
+    {row: nonzero} that columns yields: row i is {j: entry}."""
+    mat: list = [{} for _ in range(height)]
+    for j, column in enumerate(columns):
+        for i, c in column.items():
+            mat[i][j] = c
+    return mat
 
 
 def act(f: Morphism, module) -> list:
@@ -102,11 +113,7 @@ def act(f: Morphism, module) -> list:
     {j: the i-th coordinate of f on basis element j}, nonzeros only."""
     if f.src != module.n or f.dst != module.n:
         raise ValueError(f"morphism {f.dst}<-{f.src} is not in End({module.n})")
-    mat: list = [{} for _ in range(module.dim)]
-    for j, v in enumerate(module.basis):
-        for i, coeff in module.act_on_element(f, v).items():
-            mat[i][j] = coeff
-    return mat
+    return _rows((module.act_on_element(f, v) for v in module.basis), module.dim)
 
 
 def eigenvalue_on_standard(central: Morphism, module: StandardModule):
@@ -156,15 +163,6 @@ def wenzl_jones(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
     return wj
 
 
-def _flip(mat: list, module: RegularModule) -> list:
-    """mat with its rows and columns renumbered by transposing the basis
-    diagrams: the left action of f becomes the right action of f^t,
-    because x f^t = (f x^t)^t."""
-    flip = [module._index[d.transpose()] for d in module.basis]
-    # transposing twice gives the diagram back, so flip is its own inverse
-    return [{flip[b]: x for b, x in mat[a].items()} for a in flip]
-
-
 def annihilated_line_dimension(m: int, spec: Specialization | None = None) -> int:
     """Dimension of {x in End(m) : e_i x = x e_i = 0 for all i}.
 
@@ -174,9 +172,9 @@ def annihilated_line_dimension(m: int, spec: Specialization | None = None) -> in
     module = RegularModule(m, domain_for(spec or Specialization.generic()))
     rows = []
     for i in range(1, m):
-        # e_i is its own transpose, so x e_i is read off e_i x
-        left = act(e(i, m, module.dom), module)
-        rows += left + _flip(left, module)
+        ei = e(i, m, module.dom)
+        rows += act(ei, module)
+        rows += _rows((module.right_act_on_element(ei, v) for v in module.basis), module.dim)
     return module.dim - rank(rows, module.dim)
 
 

@@ -340,6 +340,22 @@ def test_triple_products_agree_in_both_bracketings():
     assert count == 7
 
 
+@pytest.mark.parametrize("spec, dims", [
+    ("root:2", (6, 19, 3)),
+    ("root:3", (2, 9, 2)),
+    ("generic", (2, 9, 2)),
+])
+def test_fused_dimensions_with_an_s20_factor(spec, dims):
+    # S_{2,0} is the cup; at root:2 (beta = 0) its induced products outgrow
+    # the generic rule, which root:3 and generic s follow.  The relation
+    # rows are the only thing that sets these dimensions.
+    dom = domain_for(Specialization.parse(spec))
+    s20 = StandardModule(2, 0, dom)
+    got = tuple(FusedModule(StandardModule(n, k, dom), s20).dim
+                for n, k in ((2, 0), (4, 2), (1, 1)))
+    assert got == dims
+
+
 def test_regular_fusion_dimension():
     spec = generic_rational_spec()
     dom = domain_for(spec)

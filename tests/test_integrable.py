@@ -193,6 +193,14 @@ def test_transfer_shapes_and_commutation():
         assert rep.ok, rep.failures()[:1]
 
 
+@pytest.mark.parametrize("family", ["dilute-braid", "dilute-IK"])
+def test_only_the_ordinary_family_has_a_transfer_matrix(family):
+    # the cup and cap closing the auxiliary strands are ordinary, so a
+    # dilute family once failed deep inside compose
+    with pytest.raises(ValueError, match=f"{family!r}: only 'ordinary' has one"):
+        transfer_matrix(2, family)
+
+
 def test_spectral_power_parsing():
     assert spectral_power("u")(1) * spectral_power("1/u")(1) == \
         Scalar.from_rational(1)

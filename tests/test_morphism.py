@@ -152,6 +152,17 @@ def test_domain_for_is_a_bounded_cache():
     assert e(1, 2, cached).compose(e(1, 2, rebuilt)) == e(1, 2, rebuilt).scale(rebuilt.beta)
 
 
+def test_an_evicted_root_domain_mixes_with_its_rebuild():
+    spec = Specialization.cyclotomic(12)
+    old = domain_for(spec)
+    domain_for.cache_clear()
+    new = domain_for(spec)
+    # the rebuilt domain has a field object of its own
+    assert new.s_power(1).field is not old.s_power(1).field
+    assert old.s_power(1) * new.s_power(-1) == 1 == new.one
+    assert e(1, 2, old).compose(e(1, 2, new)) == e(1, 2, new).scale(old.beta)
+
+
 def _built_morphisms():
     """One morphism from each builder and operation, by name."""
     dom = domain_for(Specialization.rational(Fraction(5, 3)))

@@ -1,7 +1,9 @@
 """Exact coefficient arithmetic: Laurent polynomials in s with spectral
 variables, rational/cyclotomic specializations."""
 
+import gc
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -586,6 +588,20 @@ def test_cyclotomic_domain_specializes_s():
     assert dom.s_power(4) + dom.s_power(-4) == F.zeta(4) + F.zeta(8)
     # q = zeta_3 so beta = -q - q^-1 = 1
     assert dom.beta == F.from_rational(1)
+
+
+def test_elements_of_two_fields_of_one_order_mix():
+    F, G = CycloField(12), CycloField(12)
+    x, y = F.zeta(1) + F.zeta(5), G.zeta(1) + G.zeta(5)
+    assert x == y and hash(x) == hash(y)
+    assert x + y == F.from_rational(2) * x
+    assert x * G.zeta(-1) == F.zeta(0) + F.zeta(4)
+    assert x - y == 0 and not (F.zeta(1) == CycloField(24).zeta(2))
+    # no intern table keeps a field alive once nothing holds it
+    ref = weakref.ref(G)
+    del G, y
+    gc.collect()
+    assert ref() is None
 
 
 # -- Q(zeta_N) against a dense schoolbook oracle --------------------------------

@@ -19,7 +19,6 @@ from tlcat.standard import (
     annihilated_line_dimension,
     eigenvalue_on_standard,
     standard_dimension,
-    _flip,
     verify_rigidity,
     wenzl_jones,
 )
@@ -135,17 +134,25 @@ def test_rigidity_tensors_no_two_dense_factors(monkeypatch, m, diagram_tensors):
     assert sum(a * b for a, b in shapes) == diagram_tensors
 
 
-def test_flipped_left_action_is_the_right_action():
-    # annihilated_line_dimension reads x -> x e_i off e_i's left action;
-    # the oracle composes each basis diagram with e_i on the right
-    for m in range(2, 5):
+def test_right_action_composes_on_the_right():
+    # annihilated_line_dimension and both monodromy routes read x -> x f
+    # off right_act_on_element; the oracle composes each basis diagram with
+    # f on the right, for f every e_i and two morphisms with several terms;
+    # transposing the left action of f^t on x^t gives the same column
+    for m in range(0, 5):
         module = RegularModule(m)
-        for i in range(1, m):
-            right = dense(_flip(act(e(i, m), module), module), module.dim, GENERIC.zero)
-            for j, d in enumerate(module.basis):
-                image = Morphism.from_diagram(d).compose(e(i, m))
+        fs = [e(i, m) for i in range(1, m)] + [identity(m)]
+        if m >= 2:
+            fs += [e(1, m) + e(m - 1, m).scale(GENERIC.beta), wenzl_jones(m)]
+        for f in fs:
+            for d in module.basis:
+                image = Morphism.from_diagram(d).compose(f)
                 column = {module.basis.index(dd): c for dd, c in image.terms.items()}
-                assert {r: row[j] for r, row in enumerate(right) if row[j]} == column
+                assert module.right_act_on_element(f, d) == column
+                flipped = module.act_on_element(f.transpose(), d.transpose())
+                transposed = {module.basis.index(module.basis[i].transpose()): c
+                              for i, c in flipped.items()}
+                assert transposed == column
 
 
 def test_projector_pole_fails_unless_a_quantum_integer_vanishes(monkeypatch):
