@@ -11,9 +11,10 @@ for g running over the embedded generators e_i(m) -> e_i(m+n) and
 e_j(n) -> e_{m+j}(m+n) span the modded-out subspace (any product of
 generators telescopes into such rows).  A relation row has a handful of
 nonzeros among the Catalan(m+n)*dim(M)*dim(N) raw coordinates, so it is
-built as a sparse dict {raw index: coefficient}; the sparse exact row
-reduction of ``linalg.rref`` yields the quotient, whose basis is the set
-of non-pivot raw coordinates.
+built as a sparse dict {raw index: coefficient}; ``linalg.rref`` inserts
+the rows one at a time, each reduced only by the pivot rows it meets, and
+its reduced form yields the quotient, whose basis is the set of non-pivot
+raw coordinates.
 
 A linear map on the pairs is a pair map, the Kronecker product of two
 factor maps built once by ``_pair_map``: e_i (x) 1 and 1 (x) e_j give

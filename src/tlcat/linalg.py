@@ -8,8 +8,8 @@ one in * and ==.
 A matrix is a list of rows, each a dict {column: nonzero entry}.  No
 producer stores a zero, so two matrices are equal exactly when their
 rows are, and every cost follows the nonzeros, not the width.  ``rref``,
-``rank`` and ``det`` read one forward elimination; ``mat_mul`` makes one
-coefficient product per pair of nonzeros that meet.
+``rank`` and ``det`` read one row insertion, then ``rref`` back-substitutes;
+``mat_mul`` makes one coefficient product per pair of nonzeros that meet.
 """
 
 from __future__ import annotations
@@ -41,60 +41,69 @@ def _eliminate(row: dict, prow: dict, col: int) -> dict:
     return row
 
 
-def _pivot_rows(rows: list, ncols: int):
-    """Forward elimination over the columns in order; a column's pivot is
-    the first pending (nonzero, not yet pivot) row that holds it.  Yields
-    (column, that row's position among the pending rows, pivot value, the
-    row scaled to a leading 1) once the column is cleared from the rest."""
-    pending = [r for r in map(_sparse, rows) if r]
-    for col in range(ncols):
-        if not pending:
-            return
-        piv = next((i for i, r in enumerate(pending) if col in r), None)
-        if piv is None:
-            continue
-        prow = pending.pop(piv)
-        pval = prow[col]
-        one = pval**0
-        if pval != one:
-            inv = one / pval
-            prow = {c: x * inv for c, x in prow.items()}
-        pending = [r for r in pending if col not in r or _eliminate(r, prow, col)]
-        yield col, piv, pval, prow
+def _echelon(rows: list, ncols: int) -> dict:
+    """Row insertion: each row, copied without zeros, is reduced by its
+    smallest column while that column has a pivot row, then scaled to a
+    leading 1 as that column's pivot row, unless it vanished.  Returns
+    {pivot column: (input row index, pivot value, pivot row)}."""
+    piv: dict = {}
+    for i, row in enumerate(rows):
+        row = _sparse(row)
+        if row and (min(row) < 0 or max(row) >= ncols):
+            col = next(c for c in row if not 0 <= c < ncols)
+            raise ValueError(f"row {i} has an entry in column {col}, outside [0, {ncols})")
+        while row and (col := min(row)) in piv:
+            _eliminate(row, piv[col][2], col)
+        if row:
+            pval = row[col]
+            one = pval**0
+            if pval != one:
+                inv = one / pval
+                row = {c: x * inv for c, x in row.items()}
+            piv[col] = (i, pval, row)
+    return piv
 
 
 def rref(rows: list, ncols: int) -> tuple:
     """Reduced row echelon form of the matrix with the given rows, each a
-    dict {column: entry}; zero entries are dropped.
+    dict {column: entry}; zero entries are dropped, and a nonzero one in a
+    column outside [0, ncols) raises ValueError, as it does in ``rank``.
 
     Returns (reduced nonzero rows as dicts, pivot column list), row i
     having its leading 1 at pivots[i] and zeros in every other pivot column.
     """
-    red, pivots = [], []
-    for col, _, _, prow in _pivot_rows(rows, ncols):
-        for row in red:
-            if col in row:
-                _eliminate(row, prow, col)
-        red.append(prow)
-        pivots.append(col)
+    piv = _echelon(rows, ncols)
+    pivots = sorted(piv)
+    red = [piv[col][2] for col in pivots]
+    # back substitution: later rows are reduced, so they add no pivot column
+    for col, row in zip(reversed(pivots), reversed(red)):
+        for c in [c for c in row if c != col and c in piv]:
+            _eliminate(row, piv[c][2], c)
     return red, pivots
 
 
 def rank(rows: list, ncols: int) -> int:
-    return sum(1 for _ in _pivot_rows(rows, ncols))
+    return len(_echelon(rows, ncols))
 
 
 def det(rows: list):
-    """Determinant of a square matrix: the product of the pivots, each
-    negated when its row was popped from an odd position.  A nonsingular
-    matrix has no zero row to skip, so the positions are exact.  It starts
-    from the int 1, so det([]) is 1, and a singular matrix gives the int 0;
-    both equal the one and zero of every coefficient type."""
-    result, found = 1, 0
-    for _, piv, pval, _ in _pivot_rows(rows, len(rows)):
-        result = -(result * pval) if piv % 2 else result * pval
-        found += 1
-    return result if found == len(rows) else 0
+    """Determinant of a square matrix: the product of the pivots times the
+    sign of the permutation that takes each row to its pivot column.  It
+    starts from the int 1, so det([]) is 1, and a singular matrix gives the
+    int 0; both equal the one and zero of every coefficient type.  A nonzero
+    entry in a column outside [0, len(rows)) raises ValueError."""
+    n = len(rows)
+    piv = _echelon(rows, n)
+    if len(piv) < n:
+        return 0
+    result, perm = 1, [0] * n
+    for col, (i, pval, _) in piv.items():
+        result = result * pval
+        perm[i] = col
+    for i in range(n):  # each swap that sorts perm flips the sign
+        while (j := perm[i]) != i:
+            perm[i], perm[j], result = perm[j], j, -result
+    return result
 
 
 def mat_mul(a: list, b: list) -> list:

@@ -276,6 +276,18 @@ def test_routes_agree_rational():
             fused.monodromy_matrix("twist")
 
 
+@pytest.mark.parametrize("n1, k1, n2, k2, raw_dim, dim, summands", [
+    (4, 2, 3, 1, 2574, 28, {1: 1, 3: 1}),
+    (4, 0, 3, 1, 1716, 14, {1: 1}),
+])
+def test_fusion_at_seven_strands(n1, k1, n2, k2, raw_dim, dim, summands):
+    # an N = 7 quotient: thousands of relation rows on thousands of columns
+    fused, found = fusion_decomposition_generic(n1, k1, n2, k2,
+                                                Specialization.parse("rational:5/3"))
+    assert (fused.raw_dim, fused.dim, found) == (raw_dim, dim, summands)
+    assert fused.monodromy_matrix("braiding") == fused.monodromy_matrix("twist")
+
+
 def test_fused_representation_relations():
     spec = generic_rational_spec()
     dom = domain_for(spec)

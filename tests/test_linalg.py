@@ -1,12 +1,16 @@
-"""Sparse exact row reduction against a dense Gauss-Jordan reference, and
-the determinant against the permutation expansion."""
+"""Sparse exact row reduction against a dense Gauss-Jordan reference and
+a column-scan elimination, and the determinant against the permutation
+expansion."""
 
+import sys
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlcat.linalg as linalg
 from tlcat.cyclotomic import CycloField
 from tlcat.linalg import det, mat_mul, mat_shift, rank, rref
 from tlcat.morphism import domain_for
@@ -260,3 +264,194 @@ def test_products_and_shifts_store_no_zero():
     assert mat_mul([{}, {}], b) == [{}, {}]
     assert mat_shift([{0: F(2), 1: F(3)}, {}], F(2)) == [{1: F(3)}, {1: F(-2)}]
     assert mat_shift([{}], F(0)) == [{}]
+
+
+def test_columns_outside_the_width_are_rejected():
+    F = Fraction
+    with pytest.raises(ValueError, match=r"row 0 .* column 5"):
+        rank([{5: F(1)}], 3)
+    with pytest.raises(ValueError, match=r"row 1 .* column 4"):
+        rref([{0: F(1)}, {0: F(1), 4: F(2)}], 3)
+    with pytest.raises(ValueError, match=r"row 2 .* column -1"):
+        rref([{}, {1: F(1)}, {-1: F(1)}], 3)
+    with pytest.raises(ValueError, match=r"row 1 .* column 2"):
+        det([{0: F(1)}, {2: F(1)}])
+    # an explicit zero stores nothing, wherever it sits
+    assert rank([{0: F(1), 7: F(0)}], 3) == 1
+
+
+# The column-scan elimination that rref, rank and det used before row
+# insertion, kept as an oracle: for each column in order, the first pending
+# row holding it is the pivot, and the column is cleared from the rest.
+
+def _scan_sparse(row):
+    return {c: x for c, x in row.items() if x}
+
+
+def _scan_eliminate(row, prow, col):
+    f = row[col]
+    for c, x in prow.items():
+        v = row.get(c)
+        v = -(f * x) if v is None else v - f * x
+        if v:
+            row[c] = v
+        else:
+            row.pop(c, None)
+    return row
+
+
+def _scan_pivot_rows(rows, ncols):
+    pending = [r for r in map(_scan_sparse, rows) if r]
+    for col in range(ncols):
+        if not pending:
+            return
+        piv = next((i for i, r in enumerate(pending) if col in r), None)
+        if piv is None:
+            continue
+        prow = pending.pop(piv)
+        pval = prow[col]
+        one = pval**0
+        if pval != one:
+            inv = one / pval
+            prow = {c: x * inv for c, x in prow.items()}
+        pending = [r for r in pending if col not in r or _scan_eliminate(r, prow, col)]
+        yield col, piv, pval, prow
+
+
+def scan_rref(rows, ncols):
+    red, pivots = [], []
+    for col, _, _, prow in _scan_pivot_rows(rows, ncols):
+        for row in red:
+            if col in row:
+                _scan_eliminate(row, prow, col)
+        red.append(prow)
+        pivots.append(col)
+    return red, pivots
+
+
+def scan_det(rows):
+    result, found = 1, 0
+    for _, piv, pval, _ in _scan_pivot_rows(rows, len(rows)):
+        result = -(result * pval) if piv % 2 else result * pval
+        found += 1
+    return result if found == len(rows) else 0
+
+
+def _field_entries(name):
+    """Small random elements of one coefficient field, zero included."""
+    ints = st.integers(-3, 3)
+    if name == "fraction":
+        return st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if name == "cyclotomic":
+        return st.lists(st.tuples(st.integers(0, 11), ints), max_size=3).map(cyclo)
+    dom = domain_for(Specialization.parse("rational:5/3" if name == "rational" else "generic"))
+
+    def element(terms):
+        out = dom.zero
+        for k, c in terms:
+            out = out + dom.s_power(k) * c
+        return out
+    return st.lists(st.tuples(st.integers(-2, 2), ints), max_size=2).map(element)
+
+
+FIELDS = ("fraction", "rational", "scalar", "cyclotomic")
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Sparse rows over one field, some with explicit zeros, with duplicate,
+    dependent and all-zero rows mixed in, and the same rows shuffled."""
+    field = draw(st.sampled_from(FIELDS))
+    entries = _field_entries(field)
+    nrows = draw(st.integers(0, 4 if field == "scalar" else 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    # sparse rows make the leading columns arrive out of order
+    fill = draw(st.integers(1, 3 if field == "scalar" else max(ncols, 1)))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, max(ncols - 1, 0)), entries,
+                                         max_size=fill),
+                         min_size=nrows, max_size=nrows))
+    if square:
+        # a nonzero on a random permutation, so most are nonsingular
+        for row, col in zip(rows, draw(st.permutations(range(nrows)))):
+            row[col] = draw(entries.filter(bool))
+    if len(rows) >= 2:
+        # a duplicate, a sum of two rows or a row of explicit zeros; in a
+        # square matrix it replaces the last row, so singular ones are common
+        a, b = rows[0], rows[-2]
+        extra = draw(st.sampled_from((
+            None,
+            dict(a),
+            {c: a.get(c, 0) + b.get(c, 0) for c in a.keys() | b.keys()},
+            {c: x - x for c, x in b.items()},
+        )))
+        if extra is not None and square:
+            rows[-1] = extra
+        elif extra is not None:
+            rows.append(extra)
+    order = draw(st.permutations(range(len(rows))))
+    return rows, ncols, [rows[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_row_insertion_matches_the_column_scan(matrix):
+    rows, ncols, shuffled = matrix
+    before = [dict(r) for r in rows]
+    red, pivots = rref(rows, ncols)
+    assert rows == before  # the input is not modified
+    assert (red, pivots) == scan_rref(rows, ncols)
+    assert all(x for r in red for x in r.values())
+    assert rank(rows, ncols) == len(pivots)
+    # the reduced form does not depend on the order of the rows
+    assert rref(shuffled, ncols) == (red, pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(square=True))
+def test_det_matches_the_column_scan(matrix):
+    rows, _, shuffled = matrix
+    before = [dict(r) for r in rows]
+    assert det(rows) == scan_det(rows)
+    assert det(shuffled) == scan_det(shuffled)
+    assert rows == before
+
+
+class _OverLimit(Exception):
+    pass
+
+
+def _lines_run_in_linalg(f, limit):
+    """Lines of tlcat.linalg executed by f(), loop tests included; stops f
+    once the count passes limit."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+            if count > limit:
+                raise _OverLimit
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == linalg.__file__ else None
+
+    old = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        f()
+    except _OverLimit:
+        pass
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def test_elimination_work_follows_the_nonzeros():
+    # an anti-diagonal matrix needs no elimination at all; a column scan
+    # probes every pending row for each column, about n^2/2 probes
+    n = 2000
+    rows = [{n - 1 - i: Fraction(i + 1)} for i in range(n)]
+    limit = 40 * n
+    for f in (lambda: rref(rows, n), lambda: rank(rows, n), lambda: det(rows)):
+        assert _lines_run_in_linalg(f, limit) <= limit
