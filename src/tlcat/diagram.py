@@ -72,6 +72,13 @@ class InterfaceMismatch(ValueError):
     """Composition attempted across unequal middle node counts."""
 
 
+def _check_sides(dst: int, src: int) -> None:
+    """Raise ValueError naming a side with a negative node count."""
+    for name, side in (("dst", dst), ("src", src)):
+        if side < 0:
+            raise ValueError(f"diagram side {name} = {side} is negative")
+
+
 class Diagram(NamedTuple):
     """A planar diagram in Hom(src, dst).  The link table pairs the boundary
     nodes 0..(dst+src-1): link[i] is the partner of node i, or VACANT for a
@@ -92,6 +99,7 @@ class Diagram(NamedTuple):
 
     @staticmethod
     def from_pairs(dst: int, src: int, pairs, dilute: bool = False) -> "Diagram":
+        _check_sides(dst, src)
         total = dst + src
         if total > MAX_NODES:
             raise ValueError(_TOO_MANY.format(total))
@@ -368,6 +376,7 @@ def _noncrossing_matchings(points: tuple):
 def enumerate_diagrams(n: int, m: int, dilute: bool = False) -> list:
     """All planar (m,n)-diagrams in Hom(n,m), deterministically ordered
     (lexicographic on the sorted pairing list); a new list on every call."""
+    _check_sides(m, n)
     return list(_enumerated(n, m, bool(dilute)))
 
 

@@ -9,7 +9,12 @@ p = x * dim(N) + y.  The balanced-tensor relations
 
 for g running over the embedded generators e_i(m) -> e_i(m+n) and
 e_j(n) -> e_{m+j}(m+n) span the modded-out subspace (any product of
-generators telescopes into such rows).  A relation row has a handful of
+generators telescopes into such rows).  Only a leg d that glues onto g^
+without closing a loop gives rows: when d o g^ closes one, d = x o g^ for
+a leg x that glues without one, and since g^2 = beta g on the factors the
+row for (d, p) is beta row(x, p) - row(x, g.p).  So a loop is weighed only
+by ``Morphism.compose``, and every row stores 1 at (d o g^, p) and minus
+g.p at d, with no zero entry.  A relation row has a handful of
 nonzeros among the Catalan(m+n)*dim(M)*dim(N) raw coordinates, so it is
 built as a sparse dict {raw index: coefficient}; ``linalg.rref`` inserts
 the rows one at a time, each reduced only by the pivot rows it meets, and
@@ -150,15 +155,14 @@ class FusedModule:
         for ghat, pair_map in gens:
             for di, d in enumerate(self.legs.basis):
                 dg, loops = d.compose(ghat)
+                # d = x o g^ for a loop-free x: beta row(x, p) - row(x, g.p)
+                if loops:
+                    continue
                 top, base = dindex[dg] * pairs, di * pairs
-                cg = dom.beta_power(loops) if loops else dom.one
                 for p, image in enumerate(pair_map):
-                    row = {top + p: cg}
-                    for q, c in image.items():
-                        k = base + q
-                        row[k] = row[k] - c if k in row else -c
-                    if any(row.values()):
-                        rows.append(row)
+                    row = {base + q: -c for q, c in image.items()}
+                    row[top + p] = dom.one
+                    rows.append(row)
         red, pivots = rref(rows, self.raw_dim)
         pivset = set(pivots)
         self.basis = [i for i in range(self.raw_dim) if i not in pivset]

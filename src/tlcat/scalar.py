@@ -756,7 +756,8 @@ class Specialization(_SpecFields):
     kinds:
       generic           keep everything symbolic in s
       cyclotomic(N)     s -> zeta_N, exact arithmetic in Q(zeta_N)
-      rational(s0)      s -> a rational number, exact Rationals
+      rational(s0)      s -> a rational number, exact Rationals; s0 is
+                        kept as a Fraction, and a float raises TypeError
     """
 
     __slots__ = ()
@@ -767,8 +768,11 @@ class Specialization(_SpecFields):
             raise ValueError(f"unknown specialization kind {kind!r}")
         if kind == "cyclotomic" and N < 1:
             raise ValueError("cyclotomic order must be positive")
-        if kind == "rational" and not s0:
-            raise ValueError("rational point s0 must be nonzero")
+        if kind == "rational":
+            if isinstance(s0, float):
+                raise TypeError(f"rational point s0 must be exact, not the float {s0!r}")
+            if not s0 or not (s0 := Fraction(s0)):
+                raise ValueError("rational point s0 must be nonzero")
         return tuple.__new__(cls, (kind, N, s0))
 
     @staticmethod
@@ -781,7 +785,7 @@ class Specialization(_SpecFields):
 
     @staticmethod
     def rational(s0) -> "Specialization":
-        return Specialization("rational", s0=Fraction(s0))
+        return Specialization("rational", s0=s0)
 
     @staticmethod
     def parse(text: str) -> "Specialization":

@@ -140,6 +140,20 @@ def test_diagram_text_allows_spaces_between_tokens():
         2, 2, [(1, 4)], dilute=True)
 
 
+@pytest.mark.parametrize("dst, src, side", [(-1, 3, "dst = -1"), (3, -1, "src = -1")])
+def test_from_pairs_refuses_a_negative_side(dst, src, side):
+    # the total -1 + 3 is a valid node count, so only the side check sees it
+    with pytest.raises(ValueError, match=f"diagram side {side} is negative"):
+        Diagram.from_pairs(dst, src, [(1, 2)])
+
+
+@pytest.mark.parametrize("n, m, side", [(-1, 3, "src = -1"), (3, -1, "dst = -1")])
+def test_enumeration_refuses_a_negative_side(n, m, side):
+    # Hom(-1, 3) has two nodes in all, which would enumerate as 3x-1:[(1,2)]
+    with pytest.raises(ValueError, match=f"diagram side {side} is negative"):
+        enumerate_diagrams(n, m)
+
+
 @pytest.mark.parametrize("field", ["dst", "src", "link", "dilute"])
 def test_diagram_is_an_immutable_value(field):
     # diagrams key the gluing cache and every Morphism's terms

@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlcat.fusion as fusion
+from tlcat.diagram import e_diagram, enumerate_diagrams
 from tlcat.fusion import (
     AmbiguousEigenvalue,
     EigenvalueMismatch,
     FusedModule,
+    _images,
+    _pair_map,
     expected_summands,
     fusion_decomposition_generic,
     fusion_summands,
@@ -88,20 +91,27 @@ def pivot_by_pivot(red, pivots, free, vec, zero):
     return [pending.get(f, zero) for f in free]
 
 
-@pytest.mark.parametrize("spec", ["generic", "rational:5/3", "root:3"])
-def test_reduce_matches_pivot_by_pivot_elimination(spec, rng, monkeypatch):
-    dom = domain_for(Specialization.parse(spec))
-    relations = []
+@pytest.fixture
+def relation_rows(monkeypatch):
+    """A list that grows by one entry per FusedModule built: the relation
+    rows it passes to ``rref``."""
+    captured = []
 
     def recording_rref(rows, ncols):
-        relations.append(rows)
+        captured.append(rows)
         return rref(rows, ncols)
 
     monkeypatch.setattr("tlcat.fusion.rref", recording_rref)
+    return captured
+
+
+@pytest.mark.parametrize("spec", ["generic", "rational:5/3", "root:3"])
+def test_reduce_matches_pivot_by_pivot_elimination(spec, rng, relation_rows):
+    dom = domain_for(Specialization.parse(spec))
     for n1, k1, n2, k2 in [(2, 2, 1, 1), (2, 0, 2, 0), (3, 1, 1, 1), (2, 0, 3, 1)]:
-        relations.clear()
+        relation_rows.clear()
         fused = FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
-        (rows,) = relations
+        (rows,) = relation_rows
         red, pivots = rref(rows, fused.raw_dim)
         assert fused.basis == sorted(set(range(fused.raw_dim)) - set(pivots))
         assert all(fused._reduce(row) == {} for row in rows)
@@ -110,6 +120,91 @@ def test_reduce_matches_pivot_by_pivot_elimination(spec, rng, monkeypatch):
             vec = {j: dom.s_power(rng.randint(-4, 4)) * rng.randint(-3, 3) for j in support}
             assert dense([fused._reduce(vec)], fused.dim, dom.zero) == \
                 [pivot_by_pivot(red, pivots, fused.basis, vec, dom.zero)]
+
+
+def _rows_weighing_loops(fused):
+    """The relation rows of every (leg, generator) pair, a gluing that
+    closes loops weighed by beta to their number, with cancelled entries
+    and rows dropped: the oracle for the loop-free rows."""
+    dom, left, right = fused.dom, fused.left, fused.right
+    m, pairs = left.n, fused.pairs
+    one_l, one_r = ([{x: dom.one} for x in range(mod.dim)] for mod in (left, right))
+    gens = [(e_diagram(i, fused.n), _pair_map(_images(e(i, m, dom), left), one_r))
+            for i in range(1, m)]
+    gens += [(e_diagram(m + j, fused.n), _pair_map(one_l, _images(e(j, right.n, dom), right)))
+             for j in range(1, right.n)]
+    dindex = fused.legs._index
+    rows = []
+    for ghat, pair_map in gens:
+        for di, d in enumerate(fused.legs.basis):
+            dg, loops = d.compose(ghat)
+            top, base = dindex[dg] * pairs, di * pairs
+            cg = dom.beta_power(loops) if loops else dom.one
+            for p, image in enumerate(pair_map):
+                row = {top + p: cg}
+                for q, c in image.items():
+                    k = base + q
+                    row[k] = row[k] - c if k in row else -c
+                if any(row.values()):
+                    rows.append(row)
+    return rows
+
+
+def _standard_products(dom, max_total):
+    """Every pair of standard factors with 1 <= n1 + n2 <= max_total."""
+    for total in range(1, max_total + 1):
+        for n1 in range(total + 1):
+            n2 = total - n1
+            for k1 in range(n1 % 2, n1 + 1, 2):
+                for k2 in range(n2 % 2, n2 + 1, 2):
+                    yield StandardModule(n1, k1, dom), StandardModule(n2, k2, dom)
+
+
+@pytest.mark.parametrize("spec, max_total", [
+    ("generic", 4), ("rational:5/3", 5), ("root:2", 5), ("root:3", 5),
+])
+def test_loop_free_rows_span_the_relations_of_every_gluing(spec, max_total):
+    # the rows of the looped gluings are combinations of loop-free ones, so
+    # dropping them keeps the row space, and the unique reduced form keeps
+    # the basis and every pivot image, at beta = 0 (root:2) too
+    dom = domain_for(Specialization.parse(spec))
+    s11, s22 = StandardModule(1, 1, dom), StandardModule(2, 2, dom)
+    factors = list(_standard_products(dom, max_total))
+    factors += [(RegularModule(2, dom), RegularModule(2, dom)), (FusedModule(s22, s11), s11)]
+    for left, right in factors:
+        fused = FusedModule(left, right)
+        red, pivots = rref(_rows_weighing_loops(fused), fused.raw_dim)
+        basis = sorted(set(range(fused.raw_dim)) - set(pivots))
+        free = {f: i for i, f in enumerate(basis)}
+        assert fused.basis == basis, fused
+        assert fused._pivot_image == {p: {free[j]: x for j, x in row.items() if j != p}
+                                      for row, p in zip(red, pivots)}, fused
+
+
+def test_looped_gluings_factor_through_loop_free_ones():
+    # a leg d whose gluing onto e_i closes a loop is x o e_i for a leg x
+    # that glues without one, which is why d gives no relation row; and a
+    # loop-free gluing moves its leg, so a row's two parts never share a
+    # raw coordinate
+    for n in range(2, 9):
+        legs = enumerate_diagrams(n, n)
+        for i in range(1, n):
+            glued = [d.compose(e_diagram(i, n)) for d in legs]
+            loop_free = {dg for dg, loops in glued if not loops}
+            looped = [d for d, (_, loops) in zip(legs, glued) if loops]
+            assert looped and all(d in loop_free for d in looped), (n, i)
+            assert all(dg != d for d, (dg, loops) in zip(legs, glued) if not loops)
+
+
+@pytest.mark.parametrize("n1, k1, n2, k2, count", [
+    (3, 3, 3, 1, 720),
+    (4, 2, 3, 1, 8910),
+])
+def test_looped_gluings_give_no_relation_rows(n1, k1, n2, k2, count, relation_rows):
+    # with a row for every generator on every leg these would be 972 and 11,286
+    dom = domain_for(Specialization.parse("rational:5/3"))
+    FusedModule(StandardModule(n1, k1, dom), StandardModule(n2, k2, dom))
+    assert [len(rows) for rows in relation_rows] == [count]
 
 
 def _assert_canonical(mat, dim):
@@ -124,12 +219,18 @@ def _diagonal(mat):
 
 
 @pytest.mark.parametrize("spec", ["generic", "rational:5/3", "root:2", "root:3"])
-def test_matrix_producers_store_no_zero(spec, rng):
+def test_matrix_producers_store_no_zero(spec, rng, relation_rows):
     # every matrix equality a check makes (e_i^2 = beta e_i, the two
     # monodromy routes, the product rule of act) compares row dicts, so it
     # means something only if no producer keeps a cancelled entry; beta = 0
     # at root:2 makes e_i^2 vanish
     dom = domain_for(Specialization.parse(spec))
+    # the relation rows too: at beta = 0 a looped gluing's row would store one
+    s31_s20 = FusedModule(StandardModule(3, 1, dom), StandardModule(2, 0, dom))
+    (rows,) = relation_rows
+    stored = [(r, j) for r, row in enumerate(rows) for j, x in row.items()
+              if not x or not 0 <= j < s31_s20.raw_dim]
+    assert rows and not stored, stored
     fused = FusedModule(StandardModule(2, 2, dom), StandardModule(1, 1, dom))
     for module in (StandardModule(4, 2, dom), RegularModule(3, dom), fused):
         for i in range(1, module.n):

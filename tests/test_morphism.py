@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tlcat import braid, twist
 from tlcat.diagram import (
     Diagram,
+    InterfaceMismatch,
     _compose_cached,
     e_diagram,
     enumerate_diagrams,
@@ -42,7 +43,8 @@ from tlcat.morphism import (
     t_inv,
 )
 from tlcat.scalar import Scalar, Specialization
-from tlcat.standard import wenzl_jones
+from tlcat.fusion import FusedModule
+from tlcat.standard import StandardModule, act, wenzl_jones
 
 
 def test_tensor_drops_cancelled_terms(monkeypatch):
@@ -566,3 +568,27 @@ def test_cups_is_the_tensor_power_of_the_cup(spec):
         power = power.tensor(big_cup(1, dom))
     # the ordinary Yang-Baxter boundary is z^2
     assert _boundary("ordinary") == cups(2)
+
+
+_FIVE_THIRDS = domain_for(Specialization.parse("rational:5/3"))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: e(1, 3).compose(e(1, 2)), InterfaceMismatch, "compose: src 3 != dst 2"),
+    (lambda: e(1, 2).compose(e(1, 2, _FIVE_THIRDS)), InterfaceMismatch,
+     "compose: dilute flags or domains differ"),
+    (lambda: identity(2).compose(identity(2, dilute=True)), InterfaceMismatch,
+     "compose: dilute flags or domains differ"),
+    (lambda: identity(2).tensor(identity(2, dilute=True)), InterfaceMismatch,
+     "tensor: dilute flags or domains differ"),
+    (lambda: FusedModule(StandardModule(1, 1), StandardModule(1, 1, _FIVE_THIRDS)), ValueError,
+     "factor modules live over different coefficient domains"),
+    (lambda: FusedModule(StandardModule(1, 1), StandardModule(1, 1)).monodromy_matrix("bogus"),
+     ValueError, "unknown monodromy route 'bogus'"),
+    (lambda: act(e(1, 3), StandardModule(4, 2)), ValueError, r"morphism 3<-3 is not in End\(4\)"),
+], ids=["compose-shape", "compose-domain", "compose-family", "tensor-family",
+        "fused-domains", "monodromy-route", "act-shape"])
+def test_mismatched_operands_raise(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert caught.type is error

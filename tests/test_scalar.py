@@ -460,6 +460,24 @@ def test_specialization_parse():
         Specialization.rational(0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Specialization.rational(0.1),
+    lambda: Specialization("rational", s0=0.5),
+], ids=["rational", "new"])
+def test_specialization_refuses_a_float_point(build):
+    # 0.1 is 3602879701896397/36028797018963968 as a float, never 1/10
+    with pytest.raises(TypeError, match="rational point s0 must be exact, not the float"):
+        build()
+
+
+def test_specialization_stores_its_point_as_a_fraction():
+    by_kind = Specialization("rational", s0=2)
+    assert by_kind == Specialization.rational(2) == Specialization.parse("rational:2")
+    assert type(by_kind.s0) is Fraction and by_kind.describe() == "rational(s=2)"
+    assert Specialization.rational("5/3").s0 == Fraction(5, 3)
+    assert Specialization("rational", s0=Fraction(5, 3)).describe() == "rational(s=5/3)"
+
+
 def dense_phi(N: int) -> list:
     """Dense coefficient list of Phi_N (index = exponent), from the field's
     sparse phi."""
