@@ -1,12 +1,14 @@
 """The commutor eta_{r,s} and mechanical verification of the braiding laws.
 
 eta_{r,s} in End(r+s) interchanges a block of r strands with a block of s
-strands.  Two closed-form products build it; their equality is itself one
-of the verified identities.  Products here follow the convention that the
-running index grows towards the left: prod_{i=1}^{s} t_i = t_s ... t_1.
-``crossing_indices`` lists the crossings of either form, and eta_{r,s},
-its inverse and the double braiding eta_{n,m} eta_{m,n} are each one
-cached word of those crossings (``morphism.crossing_word``).
+strands.  The paper gives it in two closed forms, nested products of
+crossings.  Products here follow the convention that the running index
+grows towards the left: prod_{i=1}^{s} t_i = t_s ... t_1.
+``crossing_indices`` lists the crossings of the first form.  The second
+form of eta_{r,s} is the transpose of the first form of eta_{s,r}, and
+their equality is one of the verified identities.  eta_{r,s}, its inverse
+and the double braiding eta_{n,m} eta_{m,n} are each one cached word of
+those crossings (``morphism.crossing_word``).
 """
 
 from __future__ import annotations
@@ -34,40 +36,36 @@ __all__ = [
 ]
 
 
-def crossing_indices(r: int, s: int, form: str = "left-nested") -> tuple:
+def crossing_indices(r: int, s: int) -> tuple:
     """The indices k of the crossings t_k whose product, leftmost factor
-    first, is eta_{r,s} in one of its two closed forms."""
-    if form == "left-nested":
-        # prod_{i=1}^{s} ( prod_{j=r-1}^{0} t_{i+j} )
-        return tuple(i + j for i in range(s, 0, -1) for j in range(r))
-    if form == "right-nested":
-        # prod_{i=r}^{1} ( prod_{j=0}^{s-1} t_{i+j} )
-        return tuple(i + j for i in range(1, r + 1) for j in range(s - 1, -1, -1))
-    raise ValueError(f"unknown commutor form {form!r}")
+    first, is eta_{r,s} in its first closed form,
+    prod_{i=1}^{s} ( prod_{j=r-1}^{0} t_{i+j} ).  Every t_k is its own
+    transpose, so the indices of (s, r) read backwards give the second
+    form of eta_{r,s}, the transpose of eta_{s,r}."""
+    return tuple(i + j for i in range(s, 0, -1) for j in range(r))
 
 
-def commutor(
-    r: int,
-    s: int,
-    form: str = "left-nested",
-    dom: CoeffDomain = GENERIC,
-    dilute: bool = False,
-) -> Morphism:
-    """eta_{r,s} in End(r+s) for ordinary or dilute strands; both closed
-    forms yield the same morphism."""
-    return crossing_word(crossing_indices(r, s, form), r + s, dom, dilute, False, 0)
+def commutor(r: int, s: int, dom: CoeffDomain = GENERIC, dilute: bool = False) -> Morphism:
+    """eta_{r,s} in End(r+s) for ordinary or dilute strands."""
+    if r < 0 or s < 0:
+        raise ValueError(f"negative block size in commutor({r}, {s})")
+    return crossing_word(crossing_indices(r, s), r + s, dom, dilute, False, 0)
 
 
 def commutor_inverse(
     r: int, s: int, dom: CoeffDomain = GENERIC, dilute: bool = False
 ) -> Morphism:
     """Structural inverse: the reversed product of inverse crossings."""
+    if r < 0 or s < 0:
+        raise ValueError(f"negative block size in commutor_inverse({r}, {s})")
     return crossing_word(crossing_indices(r, s)[::-1], r + s, dom, dilute, True, 0)
 
 
 def double_braiding(m: int, n: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """eta_{n,m} eta_{m,n} in End(m+n), built as one word of its 2mn
     crossings rather than as a product of the two dense commutors."""
+    if m < 0 or n < 0:
+        raise ValueError(f"negative block size in double_braiding({m}, {n})")
     indices = crossing_indices(n, m) + crossing_indices(m, n)
     return crossing_word(indices, m + n, dom, False, False, 0)
 
@@ -90,8 +88,8 @@ def verify_hexagons(max_total: int, dilute: bool = False) -> VerificationReport:
     for total in range(0, max_total + 1):
         for r in range(0, total + 1):
             s = total - r
-            # the right-nested word of eta_{r,s} is the left-nested word of
-            # eta_{s,r} reversed, and every t_k is its own transpose
+            # the second closed form of eta_{r,s} is the word of eta_{s,r}
+            # reversed, and every t_k is its own transpose
             rep.check("closed-forms-agree", {"r": r, "s": s}, eta(r, s), eta(s, r).transpose())
             rep.check(
                 "inverse",

@@ -39,11 +39,9 @@ __all__ = [
 ]
 
 
-def dilute_commutor(
-    r: int, s: int, form: str = "left-nested", dom: CoeffDomain = GENERIC
-) -> Morphism:
-    """eta_{r,s} for dilute strands: commutor(r, s, form, dom, dilute=True)."""
-    return commutor(r, s, form, dom, dilute=True)
+def dilute_commutor(r: int, s: int) -> Morphism:
+    """eta_{r,s} for dilute strands: commutor(r, s, dilute=True)."""
+    return commutor(r, s, dilute=True)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,12 @@ _SPECTRAL_EXPONENTS = {
 def spectral_power(arg):
     """Return k -> (spectral argument)^k for a monomial spectral argument
     named by arg ('u', 'v', 'w', '1/u' or 'v/u') or given as an exponent triple."""
-    eu, ev, ew = _SPECTRAL_EXPONENTS[arg] if isinstance(arg, str) else arg
+    try:
+        eu, ev, ew = _SPECTRAL_EXPONENTS[arg] if isinstance(arg, str) else arg
+    except KeyError:
+        raise ValueError(
+            f"unknown spectral argument {arg!r}: name one of "
+            f"{', '.join(_SPECTRAL_EXPONENTS)} or give an exponent triple") from None
     x = Scalar.var_power("u", eu) * Scalar.var_power("v", ev) * Scalar.var_power("w", ew)
     return lambda k: x**k
 

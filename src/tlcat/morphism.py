@@ -157,6 +157,8 @@ class Morphism(_MorphismFields):
     _replace = _make = __replace__ = None
 
     def __new__(cls, dst, src, terms, dilute=False, dom=GENERIC):
+        if dst < 0 or src < 0:
+            raise ValueError(f"negative side in Morphism {dst}<-{src}")
         clean = {d: c for d, c in terms.items() if c}
         for d in clean:
             if d.dst != dst or d.src != src or d.dilute != dilute:
@@ -175,6 +177,8 @@ class Morphism(_MorphismFields):
 
     @staticmethod
     def zero(dst, src, dilute=False, dom: CoeffDomain = GENERIC) -> "Morphism":
+        if dst < 0 or src < 0:
+            raise ValueError(f"negative side in Morphism.zero({dst}, {src})")
         return _morphism(dst, src, {}, dilute, dom)
 
     # -- linear structure -------------------------------------------------------
@@ -457,11 +461,15 @@ def crossing_word(indices: tuple, n: int, dom: CoeffDomain, dilute: bool,
 
 def big_cup(m: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """Nested cups in Hom(0,2m): node i arcs to node 2m+1-i."""
+    if m < 0:
+        raise ValueError(f"negative size in big_cup({m})")
     return Morphism.from_diagram(Diagram.from_link(2 * m, 0, range(2 * m - 1, -1, -1)), dom)
 
 
 def cups(p: int, dom: CoeffDomain = GENERIC) -> Morphism:
     """The p-fold cup z^p in Hom(0,2p): pairs (1,2), (3,4), ..., (2p-1,2p)."""
+    if p < 0:
+        raise ValueError(f"negative size in cups({p})")
     return Morphism.from_diagram(Diagram.from_link(2 * p, 0, [i ^ 1 for i in range(2 * p)]), dom)
 
 

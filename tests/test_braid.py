@@ -63,8 +63,8 @@ def test_closed_forms_agree_detects_a_wrong_word(monkeypatch, dilute, max_total)
     # (1, s) and (s, 1), where both closed forms are one index tuple
     indices = tlcat.braid.crossing_indices
 
-    def reversed_for_one(r, s, form="left-nested"):
-        return indices(r, s, form)[::-1] if r == 1 and s >= 2 else indices(r, s, form)
+    def reversed_for_one(r, s):
+        return indices(r, s)[::-1] if r == 1 and s >= 2 else indices(r, s)
 
     crossing_word.cache_clear()
     monkeypatch.setattr(tlcat.braid, "crossing_indices", reversed_for_one)

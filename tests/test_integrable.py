@@ -201,6 +201,18 @@ def test_only_the_ordinary_family_has_a_transfer_matrix(family):
         transfer_matrix(2, family)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: spectral_power("x"),
+    lambda: face(1, 2)("x"),
+    lambda: transfer_matrix(2, "ordinary", "x"),
+], ids=["spectral-power", "face", "transfer-matrix"])
+def test_unknown_spectral_argument_is_refused(call):
+    # once a bare KeyError: 'x'
+    with pytest.raises(ValueError, match=r"'x': name one of u, v, w, 1/u, v/u or give an "
+                                         r"exponent triple"):
+        call()
+
+
 def test_spectral_power_parsing():
     assert spectral_power("u")(1) * spectral_power("1/u")(1) == \
         Scalar.from_rational(1)

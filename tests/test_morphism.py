@@ -18,7 +18,7 @@ from tlcat.diagram import (
     enumerate_diagrams,
     identity_diagram,
 )
-from tlcat.dilute import verify_dilute_braiding
+from tlcat.dilute import dilute_commutor, verify_dilute_braiding
 from tlcat.integrable import (
     _boundary,
     _face_weights,
@@ -446,7 +446,7 @@ CALL_FORMS = {
     "commutor": (
         braid.commutor,
         lambda: (braid.crossing_indices(2, 1), 3, _dom(), False, False, 0),
-        lambda f: f(2, 1, "left-nested", _dom(), False),
+        lambda f: f(2, 1, _dom(), False),
         lambda f: f(2, 1, dom=_dom()),
         lambda f: f(s=1, r=2, dilute=False, dom=_dom()),
     ),
@@ -508,29 +508,28 @@ def test_cached_builder_binds_without_inspect():
     before = crossing_word.cache_info()
     forms = (
         braid.commutor(2, 3),
-        braid.commutor(2, 3, "left-nested"),
         braid.commutor(r=2, s=3, dom=GENERIC),
         braid.commutor(2, 3, dilute=False),
     )
     assert all(m is forms[0] for m in forms)
     after = crossing_word.cache_info()
-    # one entry for all four forms: at most one miss, the rest hits
+    # one entry for all three forms: at most one miss, the rest hits
     assert after.misses - before.misses <= 1
     assert after.currsize - before.currsize == after.misses - before.misses
-    assert (after.hits + after.misses) - (before.hits + before.misses) == 4
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 3
     for call in (
         lambda: braid.commutor(2),
         lambda: braid.commutor(s=3),
         lambda: braid.commutor(2, 3, bogus=1),
         lambda: braid.commutor(2, 3, r=2),
-        lambda: braid.commutor(2, 3, "left-nested", GENERIC, False, None),
+        lambda: braid.commutor(2, 3, GENERIC, False, None),
     ):
         with pytest.raises(TypeError):
             call()
     assert crossing_word.cache_info().currsize == after.currsize
     # perfbench's tracer binds calls to the builder's own signature
     assert list(inspect.signature(braid.commutor).parameters) == [
-        "r", "s", "form", "dom", "dilute"]
+        "r", "s", "dom", "dilute"]
 
 
 def test_crossing_word_takes_no_keywords():
@@ -592,3 +591,22 @@ def test_mismatched_operands_raise(call, error, message):
     with pytest.raises(error, match=message) as caught:
         call()
     assert caught.type is error
+
+
+@pytest.mark.parametrize("call, size", [
+    (lambda: braid.commutor(-1, 2), "-1"),
+    (lambda: braid.commutor(2, -1), "-1"),
+    (lambda: braid.commutor_inverse(-1, 2), "-1"),
+    (lambda: braid.double_braiding(-1, 2), "-1"),
+    (lambda: dilute_commutor(-2, 3), "-2"),
+    (lambda: big_cup(-1), "-1"),
+    (lambda: cups(-2), "-2"),
+    (lambda: Morphism(-1, 2, {}), "-1"),
+    (lambda: Morphism.zero(-1, 2), "-1"),
+], ids=["commutor-r", "commutor-s", "commutor-inverse", "double-braiding",
+        "dilute-commutor", "big-cup", "cups", "morphism", "zero"])
+def test_negative_sizes_raise(call, size):
+    # each of these once returned an identity or built a diagram of
+    # negative side instead of refusing
+    with pytest.raises(ValueError, match=f"negative .*{size}"):
+        call()

@@ -61,6 +61,10 @@ def test_worker_resolves_every_target(mode):
     if mode == "trace":
         assert out["ok"] is True
         assert out["checks"] == EXPECTED_CHECKS["braid-generic"]
+        # the tracer binds each commutor call to the builder's signature:
+        # a signature it cannot bind fails here, not only in a benchmark run
+        assert out["counts"]["braid.commutor.calls"] == 325
+        assert out["counts"]["braid.commutor.distinct"] == 15
 
 
 def test_planted_fault_target_is_unique():
